@@ -159,14 +159,12 @@ def is_admissible(word: Word, base: BaseDef = FIBONACCI) -> bool:
                 return False
             prev = e
         return True
-    d = base.degree
     if any(e < 0 for e in eps):
         return False
-    for i in range(len(eps)):
-        window = tuple(eps[i - k] if i - k >= 0 else 0 for k in range(d))
-        if window >= a:
-            return False
-    return True
+    # the window at digit i reads eps[i], eps[i-1], ..: a slice of the MSB-first digits
+    d = base.degree
+    msb = eps[::-1] + (0,) * (d - 1)
+    return all(msb[j : j + d] < a for j in range(len(eps)))
 
 
 def _check_encodable(n: int) -> None:
@@ -257,8 +255,10 @@ def decode(word: Word, base: BaseDef = FIBONACCI) -> int:
     top = len(eps)
     while top > 0 and eps[top - 1] == 0:
         top -= 1
-    values = base_sequence(base, top) if top else []
-    total = sum(e * v for e, v in zip(eps, values))
+    values = _scale_table(base)
+    if top > len(values):
+        raise CapacityError(f"scale value F_{len(values)} exceeds the 64-bit range")
+    total = sum(e * v for e, v in zip(eps, values))  # digits above top are 0
     if total > UINT64_MAX:
         raise CapacityError("decoded value exceeds the 64-bit range")
     return total

@@ -173,32 +173,102 @@ def write_png(buf: IterBuffer, palette: PaletteSpec = DEFAULT_PALETTE) -> bytes:
     return out.getvalue()
 
 
+def _ascii_rows(strings: list[str]) -> np.ndarray:
+    """One row of bytes per string, NUL-padded to the longest."""
+    width = max(map(len, strings))
+    return np.array(strings, dtype=f"S{width}").view(np.uint8).reshape(len(strings), width)
+
+
 def write_csv(buf: IterBuffer) -> str:
-    """Row-major "x,y,value" lines; INSIDE encoded as -1."""
-    lines = []
-    for j in range(buf.height):
-        row = buf.cells[j]
-        for i in range(buf.width):
-            lines.append(f"{i},{j},{int(row[i])}")
-    return "\n".join(lines) + "\n"
+    """Row-major "x,y,value" lines; INSIDE encoded as -1.
+
+    Each line is assembled from byte tables of the "x,", "y," and "value\n"
+    fields, one row per column, row and distinct value, and the NUL
+    padding is dropped from the whole block at once.
+    """
+    if buf.cells.size == 0:
+        return "\n"
+    h, w = buf.cells.shape
+    xs = _ascii_rows([f"{i}," for i in range(w)])
+    ys = _ascii_rows([f"{j}," for j in range(h)])
+    values, which = np.unique(buf.cells, return_inverse=True)
+    vs = _ascii_rows([f"{v}\n" for v in values.tolist()])
+    block = np.concatenate(
+        [
+            np.broadcast_to(xs[None, :, :], (h, w, xs.shape[1])),
+            np.broadcast_to(ys[:, None, :], (h, w, ys.shape[1])),
+            vs[which.reshape(h, w)],
+        ],
+        axis=2,
+    )
+    return block[block != 0].tobytes().decode("ascii")
 
 
-def parse_csv(text: str) -> IterBuffer:
-    """Rebuild a buffer from write_csv output."""
-    entries = {}
-    for lineno, line in enumerate(text.strip().splitlines(), start=1):
+def _fast_fields(body: str) -> np.ndarray | None:
+    """The (lines, 3) integer fields of body, read by numpy.
+
+    Handles text made only of digits, "-", "," and line breaks, with exactly
+    two commas on every line; returns None for anything else, which the
+    per-line reader then accepts or rejects exactly as before.
+    """
+    body = body.replace("\r\n", "\n")
+    separators = body.encode("utf-8").translate(None, b"0123456789-")
+    lines = separators.count(b"\n") + 1
+    if separators != b",,\n" * (lines - 1) + b",,":
+        return None
+    fields_text = body.replace("\n", ",")
+    if "-," in fields_text or fields_text.endswith("-"):
+        return None  # numpy would read a lone "-" as 0
+    try:
+        fields = np.fromstring(fields_text, dtype=np.int64, sep=",")
+    except ValueError:
+        return None
+    return fields.reshape(lines, 3) if fields.size == 3 * lines else None
+
+
+def _scan_fields(body: str) -> np.ndarray:
+    """The per-line reader: int() on each field, naming the first bad line."""
+    rows = []
+    for lineno, line in enumerate(body.splitlines(), start=1):
         parts = line.strip().split(",")
         if len(parts) != 3:
             raise ValueError(f"line {lineno}: expected x,y,value")
-        i, j, v = (int(s) for s in parts)
-        entries[(i, j)] = v
-    if not entries:
+        rows.append([int(s) for s in parts])
+    return np.array(rows, dtype=np.int64)
+
+
+def parse_csv(text: str) -> IterBuffer:
+    """Rebuild a buffer from write_csv output.
+
+    Lines may come in any order, but every cell of the grid they span must
+    appear exactly once; negative coordinates and values outside int32 are
+    rejected.
+    """
+    body = text.strip()
+    if not body:
         raise ValueError("no cells in CSV text")
-    width = max(i for i, _ in entries) + 1
-    height = max(j for _, j in entries) + 1
-    if len(entries) != width * height:
+    fields = _fast_fields(body)
+    if fields is None:
+        fields = _scan_fields(body)
+    xy = fields[:, :2]
+    bad = (xy < 0).any(axis=1)
+    if bad.any():
+        raise ValueError(f"line {int(np.argmax(bad)) + 1}: negative coordinate")
+    width = int(xy[:, 0].max()) + 1
+    height = int(xy[:, 1].max()) + 1
+    if len(fields) < width * height:
         raise ValueError("CSV text does not cover a full grid")
-    cells = np.empty((height, width), dtype=np.int32)
-    for (i, j), v in entries.items():
-        cells[j, i] = v
-    return IterBuffer(width, height, cells)
+    # each cell at most once: with at least width * height lines, that is exactly once
+    flat = xy[:, 1] * width + xy[:, 0]
+    if np.bincount(flat, minlength=width * height).max() > 1:
+        repeat = np.ones(len(flat), dtype=bool)
+        repeat[np.unique(flat, return_index=True)[1]] = False
+        k = int(np.argmax(repeat))
+        raise ValueError(f"line {k + 1}: cell ({xy[k, 0]}, {xy[k, 1]}) appears twice")
+    values = fields[:, 2].astype(np.int32)
+    bad = values != fields[:, 2]
+    if bad.any():
+        raise ValueError(f"line {int(np.argmax(bad)) + 1}: value outside the int32 range")
+    cells = np.empty(width * height, dtype=np.int32)
+    cells[flat] = values
+    return IterBuffer(width, height, cells.reshape(height, width))

@@ -6,9 +6,11 @@ recursion.  Boundedness of those products decides candidate point-spectrum
 membership; the escape locus of the recursion is the fibered Julia set E
 rendered by the sibling render module.
 
-Everything here is pure and reentrant; the grid kernel is vectorized with
-numpy and the scalar entry points run the same kernel on a 1x1 array so that
-scalar and raster answers agree bit for bit.
+Everything here is pure and reentrant.  The grid kernel is vectorized with
+numpy and steps only the pixels still active at each level.  The scalar
+membership test in_E runs the same step and exit tests in plain Python,
+dividing the way numpy does, so scalar and raster answers agree; only
+numpy's fused complex multiply and its modulus can differ, in the last bit.
 """
 
 from __future__ import annotations
@@ -211,49 +213,74 @@ def escape_levels(lam_grid: np.ndarray, p: ProbSeq, cfg: EscapeConfig) -> np.nda
     Returns int32 of the same shape: INSIDE (-1) where no test triggered by
     max_level, else the triggering level.  The two-consecutive rule (checked
     first) reports the first level of the offending pair; the radius rule
-    reports the level that crossed.  Settled lanes freeze at 0 so dead values
-    never overflow.
+    reports the level that crossed.  After every level that settles a pixel
+    the work arrays shrink to the still-active pixels, kept with their flat
+    indices into the output, so settled values are never stepped again.
     """
     lam = np.ascontiguousarray(lam_grid, dtype=np.complex128)
     out = np.full(lam.shape, INSIDE, dtype=np.int32)
-    active = np.ones(lam.shape, dtype=bool)
-    prev_big = np.zeros(lam.shape, dtype=bool)
+    flat = out.reshape(-1)
+    live = np.arange(flat.size)
     radius = cfg.radius
-    p1 = p.p(1)
-    cur = 1.0 + (lam - 1.0) / p1
-    prev = np.zeros_like(cur)
+    prev_big = np.zeros(flat.shape, dtype=bool)
     with np.errstate(over="ignore", invalid="ignore"):
+        cur = 1.0 + (lam.reshape(-1) - 1.0) / p.p(1)
+        prev = cur  # step 1 squares the seed
         for n in range(cfg.max_level + 1):
-            if n == 1:
-                r = p.p(r_index(1))
-                cur, prev = cur * cur / r - (1.0 / r - 1.0), cur
-            elif n >= 2:
+            if n >= 1:
                 r = p.p(r_index(n))
                 cur, prev = cur * prev / r - (1.0 / r - 1.0), cur
             mod = np.abs(cur)
             big = mod > 1.0 + ETA
-            hit_pair = active & big & prev_big if (cfg.early_exit and n >= 1) else None
-            hit_radius = active & ~(mod <= radius)
-            if hit_pair is not None:
-                out[hit_pair] = n - 1
-                active &= ~hit_pair
-                hit_radius &= active
-            out[hit_radius] = n
-            active &= ~hit_radius
-            if not active.any():
-                break
-            cur = np.where(active, cur, 0.0)
-            prev = np.where(active, prev, 0.0)
-            prev_big = big & active
+            hit = ~(mod <= radius)
+            del mod  # freed before the compaction copies, which set the peak memory
+            if cfg.early_exit:
+                pair = big & prev_big
+                hit |= pair
+            if hit.any():
+                flat[live[np.flatnonzero(hit)]] = n
+                if cfg.early_exit:  # the pair rule wins: it names the level before
+                    flat[live[np.flatnonzero(pair)]] = n - 1
+                kept = np.flatnonzero(~hit)
+                if kept.size == 0:
+                    break
+                # one array at a time, so each old one is freed before the next copy
+                live = live[kept]
+                cur = cur[kept]
+                prev = cur if n == 0 else prev[kept]
+                big = big[kept]
+            prev_big = big
     return out
 
 
 def in_E(lam: complex, p: ProbSeq, cfg: EscapeConfig) -> EscapeResult:
-    """Membership in the fibered Julia set E, by the same kernel the renderer runs."""
-    level = int(escape_levels(np.array([[complex(lam)]]), p, cfg)[0, 0])
-    if level == INSIDE:
-        return EscapeResult(False, None)
-    return EscapeResult(True, level)
+    """Membership in the fibered Julia set E, one lambda at a time.
+
+    Runs escape_levels' seed, step and exit tests in plain Python.  Division
+    by r is written as numpy divides a complex array by a real scalar, both
+    parts times 1/r, so the answer differs from the kernel's only where
+    numpy's fused complex multiply or its modulus moves a value across a
+    threshold by its last bit.
+    """
+    radius = cfg.radius
+    big_at = 1.0 + ETA
+    lam = complex(lam)
+    s = 1.0 / p.p(1)
+    cur = prev = complex(1.0 + (lam.real - 1.0) * s, lam.imag * s)
+    prev_big = False
+    for n in range(cfg.max_level + 1):
+        if n >= 1:
+            s = 1.0 / p.p(r_index(n))
+            z = cur * prev
+            cur, prev = complex(z.real * s - (s - 1.0), z.imag * s), cur
+        mod = math.hypot(cur.real, cur.imag)
+        big = mod > big_at
+        if cfg.early_exit and big and prev_big:
+            return EscapeResult(True, n - 1)
+        if not mod <= radius:
+            return EscapeResult(True, n)
+        prev_big = big
+    return EscapeResult(False, None)
 
 
 # ---------------------------------------------------------------------------

@@ -162,6 +162,58 @@ def test_csv_parse_errors():
         parse_csv("0,0,-1\n2,0,5\n")  # gap at (1,0)
 
 
+def test_csv_rejects_negative_and_repeated_coordinates():
+    # -1 used to wrap to the last column and leave cell (0, 0) uninitialized
+    with pytest.raises(ValueError, match="line 1: negative coordinate"):
+        parse_csv("-1,0,5\n1,0,7\n")
+    with pytest.raises(ValueError, match="line 2: negative coordinate"):
+        parse_csv("0,0,5\n0,-1,7\n")
+    # a repeated cell used to keep its last value silently
+    with pytest.raises(ValueError, match=r"line 2: cell \(0, 0\) appears twice"):
+        parse_csv("0,0,1\n0,0,2\n1,0,3\n")
+    # as many lines as cells, but one cell twice and one missing
+    with pytest.raises(ValueError, match=r"line 4: cell \(1, 1\) appears twice"):
+        parse_csv("0,0,1\n1,1,2\n0,1,3\n1,1,4\n")
+
+
+def test_csv_parse_messages_and_lenient_layouts():
+    for text, message in [
+        ("", "no cells in CSV text"),
+        ("  \n\n", "no cells in CSV text"),
+        ("0,0,1\n1,0\n", "line 2: expected x,y,value"),
+        ("0,0,1\n1,0,2,3\n", "line 2: expected x,y,value"),
+        ("0,0\n5,1,0,7\n", "line 1: expected x,y,value"),  # six fields, two bad lines
+        ("0,0,1\n\n1,0,2\n", "line 2: expected x,y,value"),
+        ("0,0,1\n2,0,5\n", "CSV text does not cover a full grid"),
+        ("0,0,4294967296\n", "line 1: value outside the int32 range"),
+    ]:
+        with pytest.raises(ValueError, match=message):
+            parse_csv(text)
+    for bad_field in ("-", "1.5", "x", "", "0x1"):
+        with pytest.raises(ValueError, match="invalid literal"):
+            parse_csv(f"0,0,{bad_field}\n")
+    want = np.array([[-1, 3], [7, 0]], dtype=np.int32)
+    for text in [
+        "0,0,-1\r\n1,0,3\r\n0,1,7\r\n1,1,0\r\n",  # CRLF
+        " 0 , 0 , -1\n1,0, 3\n\t0,1,+7 \n1,1,0",  # spaces, a sign, no final newline
+        "1,1,0\n0,1,7\n1,0,3\n0,0,-1\n",  # any line order
+    ]:
+        assert np.array_equal(parse_csv(text).cells, want)
+
+
+def test_csv_writer_matches_line_by_line_format():
+    rng = np.random.default_rng(3)
+    for cells in (
+        rng.integers(-1, 18, (7, 12)),
+        rng.integers(-(2**31), 2**31, (3, 5)),
+    ):
+        buf = IterBuffer(cells.shape[1], cells.shape[0], cells)
+        lines = [f"{i},{j},{v}" for j, row in enumerate(cells.tolist()) for i, v in enumerate(row)]
+        text = write_csv(buf)
+        assert text == "\n".join(lines) + "\n"
+        assert parse_csv(text).same_cells(buf)
+
+
 def test_png_round_trip_matches_ppm_payload():
     PIL = pytest.importorskip("PIL.Image")
     grid = GridSpec(pixels_x=8, pixels_y=6)
