@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import colorsys
 import io
+import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -219,10 +220,15 @@ def _fast_fields(body: str) -> np.ndarray | None:
     fields_text = body.replace("\n", ",")
     if "-," in fields_text or fields_text.endswith("-"):
         return None  # numpy would read a lone "-" as 0
-    try:
-        fields = np.fromstring(fields_text, dtype=np.int64, sep=",")
-    except ValueError:
-        return None
+    # numpy stops at text it cannot read, such as "5-3"; older releases only
+    # warn and return what came before, which at the end of the text could
+    # still have the right count
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", DeprecationWarning)
+        try:
+            fields = np.fromstring(fields_text, dtype=np.int64, sep=",")
+        except (ValueError, DeprecationWarning):
+            return None
     return fields.reshape(lines, 3) if fields.size == 3 * lines else None
 
 

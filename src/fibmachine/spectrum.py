@@ -7,10 +7,9 @@ membership; the escape locus of the recursion is the fibered Julia set E
 rendered by the sibling render module.
 
 Everything here is pure and reentrant.  The grid kernel is vectorized with
-numpy and steps only the pixels still active at each level.  The scalar
-membership test in_E runs the same step and exit tests in plain Python,
-dividing the way numpy does, so scalar and raster answers agree; only
-numpy's fused complex multiply and its modulus can differ, in the last bit.
+numpy and steps only the pixels still active at each level; the scalar
+membership test in_E runs that same kernel on a 1x1 array, so scalar and
+raster answers agree bit for bit.
 """
 
 from __future__ import annotations
@@ -254,33 +253,11 @@ def escape_levels(lam_grid: np.ndarray, p: ProbSeq, cfg: EscapeConfig) -> np.nda
 
 
 def in_E(lam: complex, p: ProbSeq, cfg: EscapeConfig) -> EscapeResult:
-    """Membership in the fibered Julia set E, one lambda at a time.
-
-    Runs escape_levels' seed, step and exit tests in plain Python.  Division
-    by r is written as numpy divides a complex array by a real scalar, both
-    parts times 1/r, so the answer differs from the kernel's only where
-    numpy's fused complex multiply or its modulus moves a value across a
-    threshold by its last bit.
-    """
-    radius = cfg.radius
-    big_at = 1.0 + ETA
-    lam = complex(lam)
-    s = 1.0 / p.p(1)
-    cur = prev = complex(1.0 + (lam.real - 1.0) * s, lam.imag * s)
-    prev_big = False
-    for n in range(cfg.max_level + 1):
-        if n >= 1:
-            s = 1.0 / p.p(r_index(n))
-            z = cur * prev
-            cur, prev = complex(z.real * s - (s - 1.0), z.imag * s), cur
-        mod = math.hypot(cur.real, cur.imag)
-        big = mod > big_at
-        if cfg.early_exit and big and prev_big:
-            return EscapeResult(True, n - 1)
-        if not mod <= radius:
-            return EscapeResult(True, n)
-        prev_big = big
-    return EscapeResult(False, None)
+    """Membership in the fibered Julia set E, by the same kernel the renderer runs."""
+    level = int(escape_levels(np.array([[complex(lam)]]), p, cfg)[0, 0])
+    if level == INSIDE:
+        return EscapeResult(False, None)
+    return EscapeResult(True, level)
 
 
 # ---------------------------------------------------------------------------

@@ -4,8 +4,8 @@
 oracle: it steps every pixel at every level and freezes settled lanes at 0.
 The shipped kernel steps only the still-active pixels; both run the same
 elementwise numpy expression on a live pixel, so their levels must agree bit
-for bit.  The scalar `in_E` runs the same step in plain Python and must give
-the same level as the kernel.
+for bit.  The scalar `in_E` runs the shipped kernel on a 1x1 array and must
+give the oracle's level too.
 """
 
 import cmath
@@ -131,11 +131,11 @@ def test_unit_disk_never_escapes_for_the_deterministic_machine():
 
 
 # ---------------------------------------------------------------------------
-# the scalar path
+# the scalar path: a 1x1 run of the compacted kernel against the oracle
 
 
 def _kernel_level(lam, p, cfg):
-    return int(escape_levels(np.array([lam]), p, cfg)[0])
+    return int(full_array_escape_levels(np.array([lam]), p, cfg)[0])
 
 
 def _scalar_level(lam, p, cfg):

@@ -1,5 +1,7 @@
 """Grid sampling, the threaded scan, and the three output encoders."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -189,7 +191,7 @@ def test_csv_parse_messages_and_lenient_layouts():
     ]:
         with pytest.raises(ValueError, match=message):
             parse_csv(text)
-    for bad_field in ("-", "1.5", "x", "", "0x1"):
+    for bad_field in ("-", "1.5", "x", "", "0x1", "5-3", "1--2"):
         with pytest.raises(ValueError, match="invalid literal"):
             parse_csv(f"0,0,{bad_field}\n")
     want = np.array([[-1, 3], [7, 0]], dtype=np.int32)
@@ -199,6 +201,18 @@ def test_csv_parse_messages_and_lenient_layouts():
         "1,1,0\n0,1,7\n1,0,3\n0,0,-1\n",  # any line order
     ]:
         assert np.array_equal(parse_csv(text).cells, want)
+
+
+def test_csv_parse_falls_back_when_numpy_only_warns(monkeypatch):
+    # numpy releases before the unread-data error only warned and returned
+    # the fields read so far; "0,0,5-3" then has the right count
+    def warning_fromstring(text, dtype, sep):
+        warnings.warn("string or file could not be read to its end", DeprecationWarning)
+        return np.array([0, 0, 5], dtype=dtype)
+
+    monkeypatch.setattr(np, "fromstring", warning_fromstring)
+    with pytest.raises(ValueError, match="invalid literal"):
+        parse_csv("0,0,5-3\n")
 
 
 def test_csv_writer_matches_line_by_line_format():
