@@ -18,7 +18,8 @@ import bisect
 import enum
 import math
 from dataclasses import dataclass
-from typing import Callable
+from operator import index
+from typing import Callable, Iterator
 
 from .errors import (
     BudgetExceeded,
@@ -27,12 +28,15 @@ from .errors import (
     InvalidProbability,
     UnsupportedVariant,
 )
-from .numeration import FIB64, UINT64_MAX, digits_of_int
+from .numeration import FIB64, UINT64_MAX, digits_of_int, fib_bits_of_int
 from .probseq import ConstantTail, Explicit, GeometricDecay, PowerLawComplement, ProbSeq
 from .rng import SplitMix64
 
 #: Largest truncation size (number of states) any dense-ish loop will accept.
 MATRIX_BUDGET = 1 << 22
+
+#: Largest number of steps `simulate` will take.
+STEP_BUDGET = 10**8
 
 #: phi^2 where phi is the golden ratio; scale values grow like phi^(2i) over
 #: two index steps, which drives the weighted-series ratio test below.
@@ -71,45 +75,116 @@ class ProbFactor:
         return "*".join(parts) if parts else "1"
 
 
-def transition_terms(state: int) -> tuple[tuple[int, ProbFactor], ...]:
-    """Symbolic transition row of `state`, sorted by target.
-
-    Walking the digit ladder from the bottom: each rung that must succeed for
-    the increment to keep propagating contributes a fallback term (the rung
-    after it fails), and the terminal rung contributes both the last fallback
-    and the completed increment.
-    """
+def _state_bits(state: int) -> int:
+    """Zeckendorf bits of a state whose row is asked for directly."""
     if state < 0:
         raise ValueError("states are nonnegative integers")
+    # `_ladder` refuses a state from UINT64_MAX up before it reads the bits
+    return fib_bits_of_int(state) if state < UINT64_MAX else 0
+
+
+def _ladder(state: int, bits: int) -> tuple[list[int], list[int]]:
+    """The row of `state` walked once: its targets ascending, and their bits.
+
+    `bits` holds the Zeckendorf digits of `state` (bit k = digit k).  The carry
+    ladder climbs every other digit, from digit 0 when it is set and from digit
+    1 otherwise, and the increment propagates past every set rung.  With K the
+    number of rungs that can fail, targets[j] for j < K is `state` with its
+    lowest K-1-j set ladder digits cleared, reached when rung K-j fails; it
+    has probability p_1...p_(K-j-1) * (1 - p_(K-j)).  targets[K] = state + 1 is
+    the completed increment, with probability p_1...p_K.  The second list
+    gives each target's bits, so a walk along the chain never re-encodes.
+    """
     if state >= UINT64_MAX:
         raise CapacityError("the incremented state would exceed the 64-bit range")
-    eps = digits_of_int(state)
+    k = (bits & 1) ^ 1
+    targets = [state + 1, state]
+    target_bits = [bits]
+    while bits >> k & 1:
+        state -= FIB64[k]
+        k += 2
+        targets.append(state)
+        target_bits.append(bits >> k << k)
+    targets.reverse()
+    target_bits.reverse()
+    # the set rungs below digit k sum to F_(k-1) - 1, so N + 1 sets digit k-1
+    target_bits.append(bits >> k << k | 1 << (k - 1))
+    return targets, target_bits
 
-    def digit(i: int) -> int:
-        return eps[i] if i < len(eps) else 0
 
-    terms: list[tuple[int, ProbFactor]] = []
-    cleared = 0
-    i = 0
-    rung = 1
-    if digit(0) == 1:
-        terms.append((state, ProbFactor(0, 1)))
-        cleared = FIB64[0]
-        i = 1
-        rung = 2
-    while True:
-        hi = digit(i + 1)
-        if hi == 1:
-            terms.append((state - cleared, ProbFactor(rung - 1, rung)))
-            cleared += FIB64[i + 1]
-            i += 2
-            rung += 1
-        else:
-            terms.append((state - cleared, ProbFactor(rung - 1, rung)))
-            terms.append((state + 1, ProbFactor(rung, None)))
-            break
-    terms.sort(key=lambda t: t[0])
-    return tuple(terms)
+class _RungTable:
+    """Transition probabilities of one descriptor by ladder depth, grown on demand.
+
+    full[k] = p_1*...*p_k, multiplied left to right from 1.0, and
+    fall[k] = full[k-1] * (1 - p_k): the floats ProbFactor.value gives.  The
+    row of depth K lines up with the targets of `_ladder`:
+    (fall[K], ..., fall[1], full[K]).  The table grows only to the deepest
+    rung asked for, so the descriptor sees the same p_k requests, in the same
+    order, as it would from evaluating the factors one by one.
+    """
+
+    def __init__(self, p: ProbSeq):
+        self._p = p
+        self._full = [1.0]
+        self._fall = [0.0]  # no rung 0
+        self._rows: list[tuple[float, ...]] = [()]
+
+    def row(self, depth: int) -> tuple[float, ...]:
+        rows = self._rows
+        if depth < len(rows):
+            return rows[depth]
+        full, fall = self._full, self._fall
+        while len(rows) <= depth:
+            pk = self._p.p(len(rows))
+            fall.append(full[-1] * (1.0 - pk))
+            full.append(full[-1] * pk)
+            rows.append((*fall[:0:-1], full[-1]))
+        return rows[depth]
+
+
+def ladder_rows(
+    start: int, stop: int, p: ProbSeq
+) -> Iterator[tuple[int, list[int], tuple[float, ...]]]:
+    """(state, targets, probabilities) of every row from `start` to `stop` - 1.
+
+    Targets ascend and line up with the probabilities, underflowed zeros
+    included.  Each row's walk hands the next state its bits.
+    """
+    row = _RungTable(p).row
+    bits = fib_bits_of_int(start)
+    for state in range(start, stop):
+        targets, target_bits = _ladder(state, bits)
+        bits = target_bits[-1]
+        yield state, targets, row(len(targets) - 1)
+
+
+def transition_terms(state: int) -> tuple[tuple[int, ProbFactor], ...]:
+    """Symbolic transition row of `state`, sorted by target."""
+    targets, _ = _ladder(state, _state_bits(state))
+    depth = len(targets) - 1
+    factors = [ProbFactor(k - 1, k) for k in range(depth, 0, -1)]
+    factors.append(ProbFactor(depth, None))
+    return tuple(zip(targets, factors))
+
+
+def _entries(targets: list[int], probs: tuple[float, ...]) -> tuple[tuple[int, float], ...]:
+    """(target, probability) pairs of a row, dropping underflowed zeros."""
+    if 0.0 in probs:
+        return tuple((t, v) for t, v in zip(targets, probs) if v > 0.0)
+    return tuple(zip(targets, probs))
+
+
+def _pick(u: float, probs: tuple[float, ...]) -> int:
+    """Index of the entry whose running total first exceeds u.
+
+    When rounding leaves the total at or below u, the last positive entry.
+    """
+    acc = 0.0
+    for j, prob in enumerate(probs):
+        acc += prob
+        if u < acc:
+            return j
+    return max(j for j, prob in enumerate(probs) if prob > 0.0)
 
 
 @dataclass(frozen=True)
@@ -129,23 +204,13 @@ class Distribution:
         return math.fsum(prob for _, prob in self.entries)
 
     def sample(self, rng: SplitMix64) -> int:
-        u = rng.random()
-        acc = 0.0
-        for target, prob in self.entries:
-            acc += prob
-            if u < acc:
-                return target
-        return self.entries[-1][0]
+        return self.entries[_pick(rng.random(), tuple(v for _, v in self.entries))][0]
 
 
 def transition_dist(state: int, p: ProbSeq) -> Distribution:
     """Numeric transition row of `state` under the descriptor p."""
-    entries = []
-    for target, factor in transition_terms(state):
-        v = factor.value(p)
-        if v > 0.0:
-            entries.append((target, v))
-    return Distribution(state, tuple(entries))
+    targets, _ = _ladder(state, _state_bits(state))
+    return Distribution(state, _entries(targets, _RungTable(p).row(len(targets) - 1)))
 
 
 def sample_step(state: int, p: ProbSeq, rng: SplitMix64) -> int:
@@ -170,20 +235,23 @@ class TruncatedMatrix:
         return self.rows[i]
 
 
-def transition_matrix(level: int, p: ProbSeq) -> TruncatedMatrix:
+def _truncation_size(level: int) -> int:
+    """F_level, the number of states below the truncation, within every limit."""
     if level < 1 or level >= len(FIB64):
         raise ValueError("level must index a 64-bit scale value")
     size = FIB64[level]
     if size > MATRIX_BUDGET:
         raise BudgetExceeded(f"truncation at {size} states exceeds the budget")
-    rows = []
-    leak = 0.0
-    for state in range(size):
-        dist = transition_dist(state, p)
-        kept = tuple((t, v) for t, v in dist.entries if t < size)
-        if state == size - 1:
-            leak = math.fsum(v for t, v in dist.entries if t >= size)
-        rows.append(Distribution(state, kept))
+    return size
+
+
+def transition_matrix(level: int, p: ProbSeq) -> TruncatedMatrix:
+    size = _truncation_size(level)
+    rows = [Distribution(i, _entries(t, v)) for i, t, v in ladder_rows(0, size, p)]
+    # only the top state's completed increment lands outside the block
+    top = rows[-1].entries
+    rows[-1] = Distribution(size - 1, tuple((t, v) for t, v in top if t < size))
+    leak = math.fsum(v for t, v in top if t >= size)
     return TruncatedMatrix(level, size, tuple(rows), size - 1, leak)
 
 
@@ -202,17 +270,33 @@ class SimulationSummary:
 
 
 def simulate(start: int, steps: int, p: ProbSeq, rng: SplitMix64 | int) -> SimulationSummary:
-    """Run `steps` transitions; deterministic for a fixed seed."""
+    """Run `steps` transitions; deterministic for a fixed seed.
+
+    Each step draws one uniform from `rng` and takes the same target as
+    `sample_step` would; the walk carries the state's bits from step to step.
+    """
+    try:
+        steps = index(steps)
+    except TypeError:
+        raise ValueError(f"steps must be an integer, got {steps!r}") from None
     if steps < 1:
         raise ValueError("steps must be at least 1")
+    if steps > STEP_BUDGET:
+        raise BudgetExceeded(f"{steps} steps exceed the budget of {STEP_BUDGET}")
     if isinstance(rng, int):
         rng = SplitMix64(rng)
+    random = rng.random
+    row = _RungTable(p).row
     state = start
+    bits = _state_bits(state)
     visits: dict[int, int] = {state: 1}
     max_state = state
     returns = 0
     for _ in range(steps):
-        state = sample_step(state, p, rng)
+        targets, target_bits = _ladder(state, bits)
+        j = _pick(random(), row(len(targets) - 1))
+        state = targets[j]
+        bits = target_bits[j]
         visits[state] = visits.get(state, 0) + 1
         if state > max_state:
             max_state = state
@@ -352,11 +436,7 @@ def beta_eigen_residual(level: int, p: ProbSeq) -> float:
     inside the truncation) the sum of transition probabilities weighted by the
     target betas must reproduce beta(i).
     """
-    if level < 1 or level >= len(FIB64):
-        raise ValueError("level must index a 64-bit scale value")
-    size = FIB64[level]
-    if size > MATRIX_BUDGET:
-        raise BudgetExceeded(f"truncation at {size} states exceeds the budget")
+    size = _truncation_size(level)
     betas = [0.0] * size
     r = 0
     while r < len(FIB64) and FIB64[r] < size:
@@ -365,11 +445,9 @@ def beta_eigen_residual(level: int, p: ProbSeq) -> float:
             betas[n] = val
         r += 1
     worst = 0.0
-    for i in range(1, size - 1):
+    for i, targets, probs in ladder_rows(1, size - 1, p):
         acc = [-betas[i]]
-        for target, factor in transition_terms(i):
-            if target >= 1:
-                acc.append(factor.value(p) * betas[target])
+        acc += [v * betas[t] for t, v in zip(targets, probs) if t >= 1]
         worst = max(worst, abs(math.fsum(acc)))
     return worst
 
@@ -392,12 +470,7 @@ def stationary_measure(
     measure is flagged unsummable (the normalized vector is still returned, as
     a truncated diagnostic object).
     """
-    if level < 1 or level >= len(FIB64):
-        raise ValueError("level must index a 64-bit scale value")
-    size = FIB64[level]
-    if size > MATRIX_BUDGET:
-        raise BudgetExceeded(f"truncation at {size} states exceeds the budget")
-    raw = _xi_array(size, p)
+    raw = _xi_array(_truncation_size(level), p)
     total = math.fsum(raw)
     weights = tuple(v / total for v in raw)
     return StationaryMeasure(level, weights, total, total > summable_threshold, summable_threshold)
@@ -409,17 +482,14 @@ def stationarity_residual(level: int, p: ProbSeq) -> float:
     State 0 is excluded: it receives mass from outside the truncation.  No
     other state does, so the truncated product is exact for j >= 1.
     """
-    if level < 1 or level >= len(FIB64):
-        raise ValueError("level must index a 64-bit scale value")
-    size = FIB64[level]
-    if size > MATRIX_BUDGET:
-        raise BudgetExceeded(f"truncation at {size} states exceeds the budget")
+    size = _truncation_size(level)
     mu = _xi_array(size, p)
-    inflow: list[list[float]] = [[] for _ in range(size)]
-    for i in range(size):
-        for target, prob in transition_dist(i, p).entries:
-            if target < size:
-                inflow[target].append(prob * mu[i])
+    # one spare slot takes the top state's increment, which leaves the block
+    inflow: list[list[float]] = [[] for _ in range(size + 1)]
+    for i, targets, probs in ladder_rows(0, size, p):
+        m = mu[i]
+        for target, prob in zip(targets, probs):
+            inflow[target].append(prob * m)
     return max(abs(math.fsum(inflow[j]) - mu[j]) for j in range(1, size))
 
 

@@ -190,10 +190,8 @@ def digits_of_int(n: int, base: BaseDef = FIBONACCI) -> tuple[int, ...]:
     return tuple(eps)
 
 
-def encode(n: int, base: BaseDef = FIBONACCI) -> str:
-    """Greedy expansion of n as an MSB-first word ("" encodes 0)."""
-    if base.coeffs != (1, 1):
-        return word_from_lsb(digits_of_int(n, base))
+def fib_bits_of_int(n: int) -> int:
+    """Greedy Fibonacci digits of n as the bits of one integer (bit k = digit k)."""
     _check_encodable(n)
     # take the largest F_k <= n, one bit per digit taken, until the rest is small
     fib = FIB64
@@ -203,7 +201,14 @@ def encode(n: int, base: BaseDef = FIBONACCI) -> str:
         k = bisect_right(fib, n, 0, k) - 1
         bits |= 1 << k
         n -= fib[k]
-    bits |= _LOW_BITS[n]
+    return bits | _LOW_BITS[n]
+
+
+def encode(n: int, base: BaseDef = FIBONACCI) -> str:
+    """Greedy expansion of n as an MSB-first word ("" encodes 0)."""
+    if base.coeffs != (1, 1):
+        return word_from_lsb(digits_of_int(n, base))
+    bits = fib_bits_of_int(n)
     return format(bits, "b") if bits else ""
 
 

@@ -26,7 +26,7 @@ from .errors import (
     InvalidSeed,
     ZeroDelta,
 )
-from .chain import MATRIX_BUDGET, transition_terms
+from .chain import MATRIX_BUDGET, ladder_rows
 from .numeration import FIB64, BaseDef, digits_of_int
 from .probseq import ProbSeq
 
@@ -365,15 +365,15 @@ def eigen_residual(lam: complex, p: ProbSeq, level: int) -> EigenResidual:
     p1 = p.p(1)
     interior = 0.0
     full = 0.0
-    for i in range(rows + 1):
+    for i, targets, probs in ladder_rows(0, rows + 1, p):
         re_parts = []
         im_parts = []
-        for target, factor in transition_terms(i):
-            if target <= top:
-                prob = factor.value(p)
-                wt = w[target]
-                re_parts.append(prob * wt.real)
-                im_parts.append(prob * wt.imag)
+        for target, prob in zip(targets, probs):
+            if target > top:
+                break
+            wt = w[target]
+            re_parts.append(prob * wt.real)
+            im_parts.append(prob * wt.imag)
         if i <= top:
             shift = lam * w[i]
             re_parts.append(-shift.real)

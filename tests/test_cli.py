@@ -12,6 +12,7 @@ from fibmachine import (
     stationary_measure,
     transition_terms,
 )
+from fibmachine.chain import STEP_BUDGET
 from fibmachine.cli import fmt, fmt_complex, main
 
 
@@ -118,6 +119,18 @@ def test_chain_simulate_deterministic(capsys, tmp_path):
     # the deterministic machine walks straight up
     code, out, _ = run(capsys, "chain", "simulate", "--steps", "50")
     assert code == 0 and "final_state 50" in out and "max_state 50" in out
+
+
+def test_chain_simulate_step_budget_exit(capsys):
+    code, out, err = run(capsys, "chain", "simulate", "--steps", str(STEP_BUDGET + 1))
+    assert code == 3 and out == "" and "budget" in err
+
+
+def test_chain_simulate_rejects_non_integer_steps(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["chain", "simulate", "--steps", "2.5"])
+    assert exc.value.code == 2
+    assert "--steps" in capsys.readouterr().err
 
 
 def test_chain_classify(capsys, tmp_path):
@@ -239,3 +252,4 @@ def test_bad_config_exit(capsys, tmp_path):
     bad = cfg_file(tmp_path, {"prob_seq": {"variant": "constant_tail"}, "oops": 1})
     code, _, err = run(capsys, "chain", "classify", "--config", bad)
     assert code == 2 and "error:" in err
+
