@@ -520,8 +520,16 @@ class ConstructedSeq(ProbSeq):
         self._a = [1.0, p2, 2.0 * p2]
         self._k = 2
         self._extend(count)
-        self.values = tuple(self._values)
-        self.a = tuple(self._a)
+
+    @property
+    def values(self) -> tuple[float, ...]:
+        """p_1..p_k computed so far; grows as later indices are requested."""
+        return tuple(self._values)
+
+    @property
+    def a(self) -> tuple[float, ...]:
+        """The block sums a_0..a_(2k-2) computed so far, alongside `values`."""
+        return tuple(self._a)
 
     def _extend(self, upto: int) -> None:
         while self._k < upto:

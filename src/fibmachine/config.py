@@ -89,13 +89,16 @@ def config_from_dict(doc: dict) -> RunConfig:
         esc = doc.get("escape", {})
         _require_keys(esc, {"radius", "margin", "max_level", "early_exit"}, "escape")
         radius = esc.get("radius")
+        max_level = esc.get("max_level", DEFAULT_MAX_LEVEL)
+        if isinstance(max_level, bool) or not isinstance(max_level, int):
+            raise ConfigError(f"escape max_level must be an integer, got {max_level!r}")
         return RunConfig(
             prob_seq=prob_seq,
             base=base,
             grid=grid,
             radius=None if radius is None else float(radius),
             margin=float(esc.get("margin", DEFAULT_MARGIN)),
-            max_level=int(esc.get("max_level", DEFAULT_MAX_LEVEL)),
+            max_level=max_level,
             early_exit=bool(esc.get("early_exit", True)),
             seed=int(doc.get("seed", DEFAULT_SEED)),
         )

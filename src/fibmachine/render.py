@@ -153,7 +153,7 @@ def _rgb_cells(buf: IterBuffer, palette: PaletteSpec) -> np.ndarray:
     lut[0] = palette.inside_rgb
     for level in range(0, top + 1):
         lut[level + 1] = palette.color(level)
-    return lut[buf.cells + 1]
+    return np.take(lut, buf.cells + 1, axis=0)
 
 
 def write_ppm(buf: IterBuffer, palette: PaletteSpec = DEFAULT_PALETTE) -> bytes:

@@ -25,5 +25,13 @@ class SplitMix64:
         return z ^ (z >> 31)
 
     def random(self) -> float:
-        """Uniform double in [0, 1) with 53 random bits."""
-        return (self.next_u64() >> 11) * 2.0**-53
+        """Uniform double in [0, 1) with 53 random bits.
+
+        The step of next_u64 is written out here, because this is the
+        sampler's hot call: it saves a method call and a second read of the
+        state.  The outputs are next_u64's, bit for bit.
+        """
+        z = self._state = (self._state + _INCREMENT) & MASK64
+        z = ((z ^ (z >> 30)) * _MIX1) & MASK64
+        z = ((z ^ (z >> 27)) * _MIX2) & MASK64
+        return ((z ^ (z >> 31)) >> 11) * 2.0**-53

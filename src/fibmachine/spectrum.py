@@ -7,14 +7,18 @@ membership; the escape locus of the recursion is the fibered Julia set E
 rendered by the sibling render module.
 
 Everything here is pure and reentrant.  The grid kernel is vectorized with
-numpy and steps only the pixels still active at each level; the scalar
-membership test in_E runs that same kernel on a 1x1 array, so scalar and
-raster answers agree bit for bit.
+numpy and runs the flat pixels in cache-sized blocks.  Inside a block a
+settled pixel rides along behind a mask until a quarter of the lanes have
+settled, and the work arrays then shrink to the live ones.  Each step
+multiplies by 1/r_n, which gives the moduli of numpy's division by r_n
+exactly.  The scalar membership test in_E runs that same kernel on a 1x1
+array, so scalar and raster answers agree bit for bit.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -40,6 +44,19 @@ CLAMP = 1e150
 
 #: Keeps the escape radius strictly above 1 even for an all-ones sequence.
 RADIUS_EPS = 1e-9
+
+#: Hard cap on escape levels per orbit, beside render.PIXEL_BUDGET: an orbit
+#: that never escapes (the unit disk of the all-ones sequence) is stepped
+#: max_level times.
+LEVEL_BUDGET = 10_000
+
+#: Flat pixels stepped together through the whole level loop; a block's
+#: work arrays then stay in cache.
+BLOCK = 1 << 15
+
+#: A block's work arrays shrink to the alive lanes once fewer than this
+#: share of them is alive; until then settled lanes ride along masked.
+COMPACT_AT = 0.75
 
 #: Plateau window for the boundedness verdict: the running maximum must not
 #: have grown over this many trailing levels to count as settled.
@@ -177,10 +194,18 @@ class EscapeConfig:
     early_exit: bool = True
 
     def __post_init__(self) -> None:
-        if not (self.radius > 1.0):
-            raise ValueError("escape radius must exceed 1")
+        if not (1.0 < self.radius < math.inf):
+            raise ValueError(
+                f"escape radius must be finite and exceed 1, got {self.radius!r}"
+            )
+        if isinstance(self.max_level, bool) or not isinstance(self.max_level, numbers.Integral):
+            raise ValueError(f"max_level must be an integer, got {self.max_level!r}")
         if self.max_level < 0:
             raise ValueError("max_level must be nonnegative")
+        if self.max_level > LEVEL_BUDGET:
+            raise BudgetExceeded(
+                f"max_level {self.max_level} exceeds the {LEVEL_BUDGET} level budget"
+            )
 
     @classmethod
     def for_probseq(
@@ -212,44 +237,99 @@ def escape_levels(lam_grid: np.ndarray, p: ProbSeq, cfg: EscapeConfig) -> np.nda
     Returns int32 of the same shape: INSIDE (-1) where no test triggered by
     max_level, else the triggering level.  The two-consecutive rule (checked
     first) reports the first level of the offending pair; the radius rule
-    reports the level that crossed.  After every level that settles a pixel
-    the work arrays shrink to the still-active pixels, kept with their flat
-    indices into the output, so settled values are never stepped again.
+    reports the level that crossed.
+
+    The flat pixels run in blocks of BLOCK, each block through the whole
+    level loop, so its work arrays stay in cache.  A lane that settles stays
+    in the work arrays behind an `alive` mask and is never written again;
+    once fewer than COMPACT_AT of the lanes are alive, the arrays shrink to
+    the alive ones, kept with their flat indices into the block.
+
+    Each step multiplies by 1/r where the recursion divides by r.  numpy
+    divides a complex x by a real r as (x.real + x.imag*0, x.imag - x.real*0)
+    times 1/r, and the product x * (1/r) differs from that only in the sign
+    of a zero, so every modulus, and hence every level, is the same.  The
+    seed is written the same way, (lambda - 1) * (1/p_1) + 1.  The
+    coefficient of level n is asked of `p` when a block first steps level n,
+    so `p` sees the same requests as a level-by-level sweep of all pixels
+    (an Explicit prefix without a tail raises TailUndefined at the same
+    inputs).
     """
-    lam = np.ascontiguousarray(lam_grid, dtype=np.complex128)
-    out = np.full(lam.shape, INSIDE, dtype=np.int32)
+    grid = np.ascontiguousarray(lam_grid, dtype=np.complex128)
+    out = np.full(grid.shape, INSIDE, dtype=np.int32)
+    lam = grid.reshape(-1)
     flat = out.reshape(-1)
-    live = np.arange(flat.size)
-    radius = cfg.radius
-    prev_big = np.zeros(flat.shape, dtype=bool)
+    inv_p1 = 1.0 / p.p(1)
+    steps: list[tuple[float, float]] = []  # (1/r_n, 1/r_n - 1) for n = 1, 2, ...
     with np.errstate(over="ignore", invalid="ignore"):
-        cur = 1.0 + (lam.reshape(-1) - 1.0) / p.p(1)
-        prev = cur  # step 1 squares the seed
-        for n in range(cfg.max_level + 1):
-            if n >= 1:
-                r = p.p(r_index(n))
-                cur, prev = cur * prev / r - (1.0 / r - 1.0), cur
-            mod = np.abs(cur)
-            big = mod > 1.0 + ETA
-            hit = ~(mod <= radius)
-            del mod  # freed before the compaction copies, which set the peak memory
-            if cfg.early_exit:
-                pair = big & prev_big
-                hit |= pair
-            if hit.any():
-                flat[live[np.flatnonzero(hit)]] = n
-                if cfg.early_exit:  # the pair rule wins: it names the level before
-                    flat[live[np.flatnonzero(pair)]] = n - 1
-                kept = np.flatnonzero(~hit)
-                if kept.size == 0:
-                    break
-                # one array at a time, so each old one is freed before the next copy
-                live = live[kept]
+        for start in range(0, flat.size, BLOCK):
+            block = slice(start, start + BLOCK)
+            _escape_block(lam[block], flat[block], inv_p1, steps, p, cfg)
+    return out
+
+
+def _escape_block(
+    lam: np.ndarray,
+    out: np.ndarray,
+    inv_p1: float,
+    steps: list[tuple[float, float]],
+    p: ProbSeq,
+    cfg: EscapeConfig,
+) -> None:
+    """Write the escape levels of one block of flat pixels into `out`."""
+    radius = cfg.radius
+    cur = (lam - 1.0) * inv_p1 + 1.0
+    prev = cur  # step 1 squares the seed
+    lanes = count = cur.size
+    levels = out  # the level of each lane, written through to `out` until compacted
+    live = None  # flat index into the block of each lane; None until compacted
+    alive = None  # lanes not yet settled; None while all of them are
+    prev_big = None
+    for n in range(cfg.max_level + 1):
+        if n >= 1:
+            if n > len(steps):
+                inv_r = 1.0 / p.p(r_index(n))
+                steps.append((inv_r, inv_r - 1.0))
+            inv_r, shift = steps[n - 1]
+            cur, prev = cur * prev * inv_r - shift, cur
+        mod = np.abs(cur)
+        big = mod > 1.0 + ETA
+        hit = ~(mod <= radius)
+        pair = None
+        if cfg.early_exit and n >= 1:
+            pair = big & prev_big
+            hit |= pair
+        if alive is not None:
+            hit &= alive
+        settled = np.count_nonzero(hit)
+        if settled:
+            np.copyto(levels, n, where=hit)
+            if pair is not None:  # the pair rule wins: it names the level before
+                pair &= hit
+                np.copyto(levels, n - 1, where=pair)
+            count -= settled
+            if count == 0:
+                break
+            if alive is None:
+                alive = ~hit
+            else:
+                alive ^= hit
+            if count < COMPACT_AT * lanes:
+                kept = alive.nonzero()[0]
+                if live is None:
+                    live = kept
+                else:
+                    out[live] = levels
+                    live = live[kept]
+                levels = np.full(count, INSIDE, dtype=np.int32)
                 cur = cur[kept]
                 prev = cur if n == 0 else prev[kept]
                 big = big[kept]
-            prev_big = big
-    return out
+                lanes = count
+                alive = None
+        prev_big = big
+    if live is not None:
+        out[live] = levels
 
 
 def in_E(lam: complex, p: ProbSeq, cfg: EscapeConfig) -> EscapeResult:

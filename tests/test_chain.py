@@ -467,3 +467,16 @@ def test_construct_budget_validation():
         construct_positive_recurrent(1.0, 0.5, bad, 8)
     with pytest.raises(InvalidBudget):
         geometric_budget(0.5, ratio=1.5)
+
+
+def test_constructed_values_follow_later_extensions():
+    q = construct_positive_recurrent(0.7, 0.4, geometric_budget(0.4), 3)
+    assert len(q.values) == 3 and len(q.a) == 5
+    assert "(3 values computed)" in q.describe()
+    p8 = q.p(8)
+    assert len(q.values) == 8 and q.values[-1] == p8
+    assert q.values == tuple(q.p(i) for i in range(1, 9))
+    assert len(q.a) == 15
+    assert "(8 values computed)" in q.describe()
+    with pytest.raises(AttributeError):
+        q.values = ()

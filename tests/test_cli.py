@@ -13,6 +13,7 @@ from fibmachine import (
     transition_terms,
 )
 from fibmachine.chain import STEP_BUDGET
+from fibmachine.spectrum import LEVEL_BUDGET
 from fibmachine.cli import fmt, fmt_complex, main
 
 
@@ -253,3 +254,20 @@ def test_bad_config_exit(capsys, tmp_path):
     code, _, err = run(capsys, "chain", "classify", "--config", bad)
     assert code == 2 and "error:" in err
 
+
+
+def test_render_level_budget_exit(capsys, tmp_path):
+    doc = {**SMALL_RENDER, "escape": {"max_level": LEVEL_BUDGET + 1}}
+    cfg = cfg_file(tmp_path, doc)
+    out_path = tmp_path / "never.ppm"
+    code, out, err = run(capsys, "render", "--config", cfg, "--out", str(out_path))
+    assert code == 3 and out == "" and "level budget" in err
+    assert not out_path.exists()
+    code, out, err = run(capsys, "spectrum", "member", "0.5", "0.0", "--config", cfg)
+    assert code == 3 and out == "" and "level budget" in err
+
+
+def test_render_rejects_non_integer_max_level(capsys, tmp_path):
+    cfg = cfg_file(tmp_path, {**SMALL_RENDER, "escape": {"max_level": 12.5}})
+    code, out, err = run(capsys, "render", "--config", cfg, "--out", str(tmp_path / "x.ppm"))
+    assert code == 2 and out == "" and "max_level" in err

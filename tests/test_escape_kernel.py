@@ -1,11 +1,12 @@
-"""The compacted escape kernel against the full-array kernel it replaced.
+"""The blocked escape kernel against the full-array kernel it replaced.
 
 `full_array_escape_levels` below is the earlier kernel, kept only as an
-oracle: it steps every pixel at every level and freezes settled lanes at 0.
-The shipped kernel steps only the still-active pixels; both run the same
-elementwise numpy expression on a live pixel, so their levels must agree bit
-for bit.  The scalar `in_E` runs the shipped kernel on a 1x1 array and must
-give the oracle's level too.
+oracle: it steps every pixel at every level, divides by r_n, and freezes
+settled lanes at 0.  The shipped kernel steps blocks of pixels, carries
+settled lanes behind a mask until it compacts, and multiplies by 1/r_n; on a
+live pixel its moduli equal the oracle's, so their levels must agree bit for
+bit.  The scalar `in_E` runs the shipped kernel on a 1x1 array and must give
+the oracle's level too.
 """
 
 import cmath
@@ -15,9 +16,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fibmachine import ConstantTail, EscapeConfig, all_ones, escape_levels, in_E
+from fibmachine import (
+    ConstantTail,
+    EscapeConfig,
+    Explicit,
+    ProbSeq,
+    TailUndefined,
+    all_ones,
+    escape_levels,
+    in_E,
+)
 from fibmachine.figures import PANEL_COUNT, panel_config
-from fibmachine.spectrum import ETA, INSIDE, r_index
+from fibmachine.spectrum import BLOCK, COMPACT_AT, ETA, INSIDE, r_index
 
 HALF = ConstantTail((), 0.5)
 MIXED = ConstantTail((0.75, 0.5, 0.8, 0.7), 0.6)
@@ -128,6 +138,152 @@ def test_unit_disk_never_escapes_for_the_deterministic_machine():
         cfg = EscapeConfig.for_probseq(ones, max_level=max_level)
         levels = assert_same_levels(lam, ones, cfg)
         assert np.all(levels == INSIDE)
+
+
+# ---------------------------------------------------------------------------
+# blocks, masked lanes, overflow and lazily requested coefficients
+
+
+class Recording(ProbSeq):
+    """Passes p(i) through to `inner` and records every index asked for."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.asked = set()
+
+    def p(self, i):
+        self.asked.add(i)
+        return self.inner.p(i)
+
+    def delta_lower_bound(self):
+        return self.inner.delta_lower_bound()
+
+
+def _random_lambda(rng, size, half_width=2.6):
+    return rng.uniform(-half_width, half_width, size) + 1j * rng.uniform(
+        -half_width, half_width, size
+    )
+
+
+@pytest.mark.parametrize("size", [BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 3])
+def test_flat_sizes_around_the_block(size):
+    rng = np.random.default_rng(size)
+    lam = _random_lambda(rng, size)
+    for early_exit in (True, False):
+        cfg = EscapeConfig.for_probseq(MIXED, max_level=17, early_exit=early_exit)
+        assert_same_levels(lam, MIXED, cfg)
+
+
+def test_grid_rows_straddle_blocks():
+    rows, cols = 3 * BLOCK // 1000 + 1, 1000  # BLOCK is no multiple of 1000
+    assert BLOCK % cols and rows * cols > 3 * BLOCK
+    lam = _grid(1000)[:rows]
+    for p in (HALF, PANEL_SEQS[4]):
+        cfg = EscapeConfig.for_probseq(p, max_level=17)
+        assert_same_levels(lam, p, cfg)
+
+
+def test_masked_lanes_when_few_settle_per_level():
+    # the all-ones orbit is lambda^(F_n): inside the unit disk it never
+    # escapes, and just outside it escapes at a level set by the radius, so
+    # a mostly-inside grid settles a few lanes at each of many levels, and
+    # never enough of them to compact
+    ones = all_ones()
+    rng = np.random.default_rng(3)
+    size = 3 * BLOCK // 2
+    rad = np.where(
+        rng.uniform(size=size) < 0.2,
+        1.0 + 10.0 ** rng.uniform(-9.0, -0.3, size),
+        np.sqrt(rng.uniform(0.0, 0.98, size)),
+    )
+    lam = rad * np.exp(2j * np.pi * rng.uniform(0.0, 1.0, size))
+    for early_exit in (True, False):
+        cfg = EscapeConfig.for_probseq(ones, max_level=40, early_exit=early_exit)
+        levels = assert_same_levels(lam, ones, cfg)
+        for block in (levels[:BLOCK], levels[BLOCK:]):
+            settled = np.bincount(block[block != INSIDE], minlength=cfg.max_level + 1)
+            assert np.count_nonzero(settled) >= 8  # settles at many levels
+            assert settled.sum() < (1.0 - COMPACT_AT) * block.size  # never compacts
+
+
+def test_lanes_compact_after_a_wide_level():
+    # most lanes escape at level 0 and the rest trickle out: compaction at
+    # level 0, then masked lanes again in the shrunk arrays
+    ones = all_ones()
+    rng = np.random.default_rng(4)
+    size = BLOCK + 500
+    rad = np.where(
+        rng.uniform(size=size) < 0.5,
+        rng.uniform(4.0, 9.0, size),
+        1.0 + 10.0 ** rng.uniform(-4.0, -0.3, size),
+    )
+    lam = rad * np.exp(2j * np.pi * rng.uniform(0.0, 1.0, size))
+    for early_exit in (True, False):
+        cfg = EscapeConfig.for_probseq(ones, max_level=40, early_exit=early_exit)
+        assert_same_levels(lam, ones, cfg)
+
+
+@pytest.mark.parametrize("early_exit", [True, False])
+def test_overflow_next_to_a_huge_radius(early_exit):
+    # with radius 1e200 and p = 0.01 a step jumps from under the radius to
+    # inf (or to NaN, inf * 0 in the complex product) in one level
+    small = ConstantTail((), 0.01)
+    cfg = EscapeConfig(radius=1e200, max_level=17, early_exit=early_exit)
+    rng = np.random.default_rng(5)
+    size = BLOCK + 7
+    lam = 10.0 ** rng.uniform(0.0, 200.0, size) * np.exp(2j * np.pi * rng.uniform(0.0, 1.0, size))
+    lam[:4] = [1.0, 0.5, 1e160, (1 + 1j) * 1e155]
+    with np.errstate(over="ignore", invalid="ignore"):
+        seed = (lam - 1.0) / 0.01 + 1.0
+        stepped = seed * seed / 0.01 - (1.0 / 0.01 - 1.0)
+    assert np.any(np.abs(seed) <= 1e200) and np.any(~np.isfinite(stepped))
+    assert np.any(np.isnan(stepped))
+    levels = assert_same_levels(lam, small, cfg)
+    assert levels[0] == INSIDE
+
+
+def test_explicit_prefix_escaping_before_it_runs_out():
+    # r_index(3) = 3 is the first index past the prefix: a grid that settles
+    # by level 2 never asks for it
+    p = Recording(Explicit((0.5, 0.6), tail=None))
+    cfg = EscapeConfig(radius=4.0, max_level=17)  # no tail, so no derived radius
+    rng = np.random.default_rng(6)
+    size = 2 * BLOCK + 3
+    far = rng.uniform(3.0, 50.0, size) * np.exp(2j * np.pi * rng.uniform(0.0, 1.0, size))
+    # seeds 2 lambda - 1 just inside the unit circle settle at level 1
+    near = (0.99 * np.exp(1j * rng.uniform(0.35, 2.8, size)) + 1.0) / 2.0
+    lam = np.where(rng.uniform(size=size) < 0.5, far, near)
+    levels = assert_same_levels(lam, p, cfg)
+    assert set(np.unique(levels)) == {0, 1}
+    assert p.asked == {1, 2}
+
+
+def test_explicit_prefix_raises_where_the_oracle_does():
+    p = Explicit((0.5, 0.6), tail=None)
+    cfg = EscapeConfig(radius=4.0, max_level=17)
+    lam = np.full(2 * BLOCK + 3, 20.0 + 0j)
+    lam[-1] = 1.0  # the fixed point, in the last block only
+    with pytest.raises(TailUndefined) as want:
+        full_array_escape_levels(lam, p, cfg)
+    with pytest.raises(TailUndefined) as got:
+        escape_levels(lam, p, cfg)
+    assert str(got.value) == str(want.value)
+    with pytest.raises(TailUndefined):
+        in_E(1.0, p, cfg)
+    assert in_E(20.0, p, cfg).level == 0
+
+
+def test_coefficients_requested_as_by_the_oracle():
+    rng = np.random.default_rng(8)
+    lam = _random_lambda(rng, BLOCK + 300)
+    for grid in (lam, lam[:1], lam[:0], np.full(5, 40.0 + 0j)):
+        for max_level in (0, 3, 17):
+            new, old = Recording(MIXED), Recording(MIXED)
+            cfg = EscapeConfig.for_probseq(MIXED, max_level=max_level)
+            escape_levels(grid, new, cfg)
+            with np.errstate(invalid="ignore"):
+                full_array_escape_levels(grid, old, cfg)
+            assert new.asked == old.asked
 
 
 # ---------------------------------------------------------------------------

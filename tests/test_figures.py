@@ -202,3 +202,18 @@ def test_small_parameter_shrinks_inside_set():
     baseline_cfg = RunConfig(prob_seq=all_ones(), grid=grid)
     baseline = scan_grid(grid, all_ones(), baseline_cfg.escape_config(), workers=1)
     assert dimmed.inside_count() < baseline.inside_count()
+
+
+@pytest.mark.parametrize("max_level", [17.9, 17.0, True, "17", None])
+def test_config_rejects_non_integer_max_level(max_level):
+    doc = {"prob_seq": {"variant": "constant_tail"}, "escape": {"max_level": max_level}}
+    with pytest.raises(ConfigError, match="max_level"):
+        config_from_dict(doc)
+
+
+def test_config_non_finite_radius_rejected_by_escape_config():
+    cfg = config_from_dict(
+        {"prob_seq": {"variant": "constant_tail"}, "escape": {"radius": float("inf")}}
+    )
+    with pytest.raises(ValueError, match="radius"):
+        cfg.escape_config()

@@ -238,3 +238,15 @@ def test_png_round_trip_matches_ppm_payload():
     assert img.size == (8, 6)
     payload = write_ppm(buf)[len(b"P6\n8 6\n255\n") :]
     assert img.tobytes() == payload
+
+
+def test_ppm_payload_is_the_palette_color_of_every_cell():
+    rng = np.random.default_rng(11)
+    cells = rng.integers(-1, 40, (17, 23)).astype(np.int32)
+    cells[0, 0] = 39  # the top level sizes the colour table
+    buf = IterBuffer(23, 17, cells)
+    for palette in (DEFAULT_PALETTE, PaletteSpec(inside_rgb=(10, 20, 30), hue_step=0.1)):
+        want = b"".join(bytes(palette.color(int(level))) for level in cells.reshape(-1))
+        assert write_ppm(buf, palette) == b"P6\n23 17\n255\n" + want
+    inside = IterBuffer(3, 2, np.full((2, 3), -1, dtype=np.int32))
+    assert write_ppm(inside) == b"P6\n3 2\n255\n" + bytes(18)

@@ -42,3 +42,15 @@ def test_determinism_and_seed_sensitivity():
     c = [SplitMix64(8).next_u64() for _ in range(5)]
     assert a == b
     assert a != c
+
+
+def test_random_interleaved_with_next_u64_follows_the_reference():
+    for seed in (0, 3, 2**64 - 1, 0x9E3779B97F4A7C15):
+        rng = SplitMix64(seed)
+        state = seed & MASK
+        for k in range(300):
+            state, z = reference_next(state)
+            if k % 3 == 1:
+                assert rng.next_u64() == z
+            else:
+                assert rng.random() == (z >> 11) * 2.0**-53

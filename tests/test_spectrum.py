@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from fibmachine import (
+    BudgetExceeded,
     ConstantTail,
     EscapeConfig,
     FIBONACCI,
@@ -35,7 +36,7 @@ from fibmachine import (
     subset_max_exhaustive,
 )
 from fibmachine.numeration import FIB64, BaseDef, base_sequence, digits_of_int
-from fibmachine.spectrum import CLAMP, INSIDE, r_index
+from fibmachine.spectrum import CLAMP, INSIDE, LEVEL_BUDGET, r_index
 
 HALF = ConstantTail((), 0.5)
 MIXED = ConstantTail((0.75, 0.5, 0.8, 0.7), 0.6)
@@ -402,3 +403,24 @@ def test_general_orbit_seed_validation_and_override():
     # level 3 divides by p_(1+1+0) with (n, i) = divmod(3, 3) = (1, 0)
     r = HALF.p(2)
     assert vals[3] == vals[2] * vals[1] * vals[0] / r - (1.0 / r - 1.0)
+
+
+@pytest.mark.parametrize("radius", [math.inf, -math.inf, math.nan, 1.0, 0.5])
+def test_escape_config_rejects_bad_radius(radius):
+    with pytest.raises(ValueError, match="radius"):
+        EscapeConfig(radius=radius, max_level=10)
+
+
+@pytest.mark.parametrize("max_level", [True, False, 17.0, 17.9, "17", None])
+def test_escape_config_rejects_non_integer_max_level(max_level):
+    with pytest.raises(ValueError, match="max_level"):
+        EscapeConfig(radius=4.0, max_level=max_level)
+
+
+def test_escape_config_level_budget():
+    assert EscapeConfig(4.0, LEVEL_BUDGET).max_level == LEVEL_BUDGET
+    assert EscapeConfig(4.0, np.int64(12)).max_level == 12
+    with pytest.raises(BudgetExceeded, match="level budget"):
+        EscapeConfig(4.0, LEVEL_BUDGET + 1)
+    with pytest.raises(BudgetExceeded):
+        EscapeConfig.for_probseq(HALF, max_level=10**9)
