@@ -6,10 +6,19 @@ the partially rewritten word.  Walking the digit ladder of N yields the exact
 transition row analytically: a self-loop, a fallback target for each rung that
 can fail mid-way, and the full increment when every rung succeeds.
 
-Also here: truncated sparse matrices, trajectory simulation, the
-transience/recurrence classification of a descriptor, the block-constant
-eigenvector weights (beta), the stationary weights (xi), and the budget-driven
-construction of a positive-recurrent sequence.
+The loops over every state below F_L (the truncated matrix, the stationarity
+and beta residuals, and the spectral residual) build those rows ROW_CHUNK at a time
+as numpy arrays: the Zeckendorf bits of the states follow the block rule
+bits(F_m + k) = bits(k) | 1<<m, the ladder depth is a count of trailing bits,
+and each row's targets and probabilities are read from small per-depth
+tables.  Each sum over a row or over a target's inflow is still one
+math.fsum over the same products, so the results are those of the per-row
+walk bit for bit.  Simulation draws its uniforms in blocks and keeps the rows
+of recently visited states in a bounded per-call cache.
+
+Also here: the transience/recurrence classification of a descriptor, the
+block-constant eigenvector weights (beta), the stationary weights (xi), and
+the budget-driven construction of a positive-recurrent sequence.
 """
 
 from __future__ import annotations
@@ -18,8 +27,11 @@ import bisect
 import enum
 import math
 from dataclasses import dataclass
+from itertools import accumulate
 from operator import index
 from typing import Callable, Iterator
+
+import numpy as np
 
 from .errors import (
     BudgetExceeded,
@@ -37,6 +49,13 @@ MATRIX_BUDGET = 1 << 22
 
 #: Largest number of steps `simulate` will take.
 STEP_BUDGET = 10**8
+
+#: Uniforms `simulate` draws at a time.
+DRAW_CHUNK = 4096
+
+#: States whose rows `simulate` keeps at once; a transient walk rarely
+#: revisits a state, so the cache is cleared when it reaches this size.
+ROW_CACHE = 4096
 
 #: phi^2 where phi is the golden ratio; scale values grow like phi^(2i) over
 #: two index steps, which drives the weighted-series ratio test below.
@@ -142,20 +161,75 @@ class _RungTable:
         return rows[depth]
 
 
-def ladder_rows(
-    start: int, stop: int, p: ProbSeq
-) -> Iterator[tuple[int, list[int], tuple[float, ...]]]:
-    """(state, targets, probabilities) of every row from `start` to `stop` - 1.
+#: Rows of the bulk ladder table handled together, so that no padded array
+#: or list built from the table spans more states than this.
+ROW_CHUNK = 2048
 
-    Targets ascend and line up with the probabilities, underflowed zeros
-    included.  Each row's walk hands the next state its bits.
+#: Every other bit, from bit 0: XOR with a ladder's rung pattern clears it.
+_EVEN_BITS = 0x5555555555555555
+
+
+def _zeckendorf_bits(stop: int) -> np.ndarray:
+    """Zeckendorf bits of every state below `stop`, by bits(F_m + k) = bits(k) | 1<<m."""
+    bits = np.zeros(stop, dtype=np.int64)
+    m = 0
+    while FIB64[m] < stop:
+        lo = FIB64[m]
+        count = min(FIB64[m + 1], stop) - lo
+        np.bitwise_or(bits[:count], 1 << m, out=bits[lo : lo + count])
+        m += 1
+    return bits
+
+
+def _ladder_chunks(
+    start: int, stop: int, rungs: _RungTable
+) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
+    """The rows of every state in [start, stop), as arrays of ROW_CHUNK rows.
+
+    Yields (states, depths, targets, probs).  Row r has depths[r] + 1
+    entries: targets[r] ascends as `_ladder`'s targets do and probs[r] is
+    `rungs.row(depths[r])`; columns past the row's entries hold a negative
+    target with probability 0.0.  With K set rungs from k0 = (bits & 1) ^ 1,
+    the depth is K + 1, target state - C[k0][m] (m = 0..K) has probability
+    fall[m + 1], and state + 1 has full[K + 1], where C[k0][m] is the sum of
+    F_k0, F_(k0+2), ..., m terms.  `rungs` grows to the deepest row in range
+    before the first chunk, so the descriptor sees the same p_k requests as
+    a row-by-row walk, and an empty range asks for none.
     """
-    row = _RungTable(p).row
-    bits = fib_bits_of_int(start)
-    for state in range(start, stop):
-        targets, target_bits = _ladder(state, bits)
-        bits = target_bits[-1]
-        yield state, targets, row(len(targets) - 1)
+    if stop <= start:
+        return
+    bits = _zeckendorf_bits(stop)[start:]
+    # the rungs make the low bits 0101...01, so the XOR leaves 2K trailing zeros
+    flip = (bits >> ((bits & 1) ^ 1)) ^ _EVEN_BITS
+    depths = np.bitwise_count((flip & -flip) - 1) // 2 + 1
+    deepest = int(depths.max())
+    rungs.row(deepest)
+    # row k0 * span + d of `offsets`, and row d of `probs`, lay out a row of depth d
+    span = deepest + 1
+    offsets = np.full((2 * span, span), -stop, dtype=np.int64)
+    probs = np.zeros((span, span))
+    for k0 in (0, 1):
+        rung_sums = np.cumsum((0, *FIB64[k0 : k0 + 2 * deepest - 2 : 2]))
+        for d in range(1, span):
+            offsets[k0 * span + d, :d] = -rung_sums[d - 1 :: -1]
+            offsets[k0 * span + d, d] = 1
+    for d in range(1, span):
+        probs[d, : d + 1] = rungs.row(d)
+    for lo in range(0, stop - start, ROW_CHUNK):
+        hi = min(lo + ROW_CHUNK, stop - start)
+        chunk_depths = depths[lo:hi].astype(np.intp)
+        width = int(chunk_depths.max()) + 1
+        states = np.arange(start + lo, start + hi, dtype=np.int64)
+        layout = ((bits[lo:hi] & 1) ^ 1) * span + chunk_depths
+        targets = np.take(offsets[:, :width], layout, axis=0)
+        targets += states[:, None]
+        yield states, chunk_depths, targets, np.take(probs[:, :width], chunk_depths, axis=0)
+
+
+def _runs(flat: list, counts: np.ndarray) -> Iterator[list]:
+    """Consecutive slices of `flat`, counts[r] items in slice r."""
+    ends = np.cumsum(counts).tolist()
+    return map(flat.__getitem__, map(slice, [0, *ends[:-1]], ends))
 
 
 def transition_terms(state: int) -> tuple[tuple[int, ProbFactor], ...]:
@@ -247,7 +321,16 @@ def _truncation_size(level: int) -> int:
 
 def transition_matrix(level: int, p: ProbSeq) -> TruncatedMatrix:
     size = _truncation_size(level)
-    rows = [Distribution(i, _entries(t, v)) for i, t, v in ladder_rows(0, size, p)]
+    rungs = _RungTable(p)
+    positive: list[tuple[float, ...]] = []  # by depth, without underflowed zeros
+    rows: list[Distribution] = []
+    for states, depths, targets, probs in _ladder_chunks(0, size, rungs):
+        while len(positive) <= depths.max():
+            positive.append(tuple(v for v in rungs.row(len(positive)) if v > 0.0))
+        kept = probs > 0.0
+        row_targets = _runs(targets[kept].tolist(), kept.sum(axis=1))
+        row_probs = map(positive.__getitem__, depths.tolist())
+        rows += map(Distribution, states.tolist(), map(tuple, map(zip, row_targets, row_probs)))
     # only the top state's completed increment lands outside the block
     top = rows[-1].entries
     rows[-1] = Distribution(size - 1, tuple((t, v) for t, v in top if t < size))
@@ -274,6 +357,11 @@ def simulate(start: int, steps: int, p: ProbSeq, rng: SplitMix64 | int) -> Simul
 
     Each step draws one uniform from `rng` and takes the same target as
     `sample_step` would; the walk carries the state's bits from step to step.
+    The uniforms come in blocks of at most DRAW_CHUNK.  The rows of the
+    states visited are kept, with their running totals, in a per-call cache
+    of at most ROW_CACHE states, cleared when full; `bisect_right` on a row's
+    running totals picks what `_pick` picks.  When a row raises
+    CapacityError, `rng` is left after one draw per step taken.
     """
     try:
         steps = index(steps)
@@ -285,23 +373,45 @@ def simulate(start: int, steps: int, p: ProbSeq, rng: SplitMix64 | int) -> Simul
         raise BudgetExceeded(f"{steps} steps exceed the budget of {STEP_BUDGET}")
     if isinstance(rng, int):
         rng = SplitMix64(rng)
-    random = rng.random
     row = _RungTable(p).row
+    totals_of: dict[int, tuple[float, ...]] = {}  # running totals by depth
+    cache: dict[int, tuple[list[int], list[int], tuple[float, ...], tuple[float, ...]]] = {}
     state = start
     bits = _state_bits(state)
-    visits: dict[int, int] = {state: 1}
+    visits = {state: 1}
     max_state = state
     returns = 0
-    for _ in range(steps):
-        targets, target_bits = _ladder(state, bits)
-        j = _pick(random(), row(len(targets) - 1))
-        state = targets[j]
-        bits = target_bits[j]
-        visits[state] = visits.get(state, 0) + 1
-        if state > max_state:
-            max_state = state
-        if state == 0:
-            returns += 1
+    for done in range(0, steps, DRAW_CHUNK):
+        mark = rng._state
+        try:
+            for taken, u in enumerate(rng.random_block(min(DRAW_CHUNK, steps - done)).tolist()):
+                entry = cache.get(state)
+                if entry is None:
+                    if len(cache) >= ROW_CACHE:
+                        cache.clear()
+                    targets, target_bits = _ladder(state, bits)
+                    depth = len(targets) - 1
+                    probs = row(depth)
+                    totals = totals_of.get(depth)
+                    if totals is None:
+                        totals = totals_of[depth] = tuple(accumulate(probs))
+                    entry = cache[state] = (targets, target_bits, totals, probs)
+                targets, target_bits, totals, probs = entry
+                j = bisect.bisect_right(totals, u)
+                if j == len(totals):
+                    j = _pick(u, probs)
+                state = targets[j]
+                bits = target_bits[j]
+                visits[state] = visits.get(state, 0) + 1
+                if state > max_state:
+                    max_state = state
+                if state == 0:
+                    returns += 1
+        except CapacityError:
+            # the per-step loop drew once for each step taken, and not for this one
+            rng._state = mark
+            rng.random_block(taken)
+            raise
     return SimulationSummary(start, steps, state, max_state, returns, visits)
 
 
@@ -437,18 +547,20 @@ def beta_eigen_residual(level: int, p: ProbSeq) -> float:
     target betas must reproduce beta(i).
     """
     size = _truncation_size(level)
-    betas = [0.0] * size
+    betas = np.zeros(size)
     r = 0
     while r < len(FIB64) and FIB64[r] < size:
-        val = _pi_block(r, p)
-        for n in range(FIB64[r], min(size, FIB64[r + 1])):
-            betas[n] = val
+        betas[FIB64[r] : FIB64[r + 1]] = _pi_block(r, p)
         r += 1
     worst = 0.0
-    for i, targets, probs in ladder_rows(1, size - 1, p):
-        acc = [-betas[i]]
-        acc += [v * betas[t] for t, v in zip(targets, probs) if t >= 1]
-        worst = max(worst, abs(math.fsum(acc)))
+    for states, _, targets, probs in _ladder_chunks(1, size - 1, _RungTable(p)):
+        with np.errstate(over="ignore", invalid="ignore"):
+            terms = probs * betas[targets]
+        # -beta_i, then the row's entries into states >= 1
+        acc = np.concatenate((-betas[states][:, None], terms), axis=1)
+        keep = np.concatenate((np.ones((len(states), 1), bool), targets >= 1), axis=1)
+        sums = map(math.fsum, _runs(acc[keep].tolist(), keep.sum(axis=1)))
+        worst = max([worst, *map(abs, sums)])
     return worst
 
 
@@ -483,14 +595,27 @@ def stationarity_residual(level: int, p: ProbSeq) -> float:
     other state does, so the truncated product is exact for j >= 1.
     """
     size = _truncation_size(level)
-    mu = _xi_array(size, p)
-    # one spare slot takes the top state's increment, which leaves the block
-    inflow: list[list[float]] = [[] for _ in range(size + 1)]
-    for i, targets, probs in ladder_rows(0, size, p):
-        m = mu[i]
-        for target, prob in zip(targets, probs):
-            inflow[target].append(prob * m)
-    return max(abs(math.fsum(inflow[j]) - mu[j]) for j in range(1, size))
+    mu = np.array(_xi_array(size, p))
+    into: list[np.ndarray] = []
+    inflow: list[np.ndarray] = []
+    for states, _, targets, probs in _ladder_chunks(0, size, _RungTable(p)):
+        # the top state's increment leaves the block
+        keep = (targets >= 0) & (targets < size)
+        into.append(targets[keep])
+        inflow.append((probs * mu[states][:, None])[keep])
+    # group the inflow by target, each group in the order of its sources
+    targets = np.concatenate(into)
+    values = np.concatenate(inflow)[np.argsort(targets, kind="stable")]
+    counts = np.bincount(targets, minlength=size)
+    ends = np.cumsum(counts)
+    worst = None
+    for lo in range(1, size, ROW_CHUNK):
+        hi = min(lo + ROW_CHUNK, size)
+        group = values[ends[lo - 1] : ends[hi - 1]].tolist()
+        sums = np.fromiter(map(math.fsum, _runs(group, counts[lo:hi])), float, hi - lo)
+        gaps = np.abs(sums - mu[lo:hi]).tolist()
+        worst = max(gaps if worst is None else [worst, *gaps])
+    return worst
 
 
 # ---------------------------------------------------------------------------

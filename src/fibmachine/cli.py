@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import sys
 from pathlib import Path
+from typing import Iterable, Iterator
 
 from . import chain, figures, odometer, render, spectrum
 from .config import RunConfig, load_config
@@ -18,6 +19,10 @@ from .errors import BudgetExceeded, CapacityError, FibmachineError
 from .numeration import decode, encode
 from .probseq import all_ones
 from .rng import SplitMix64
+
+
+#: Lines of `chain matrix` CSV joined before each write.
+CSV_BLOCK = 4096
 
 
 def fmt(x: float) -> str:
@@ -47,11 +52,12 @@ def _load(args: argparse.Namespace) -> RunConfig:
     return cfg
 
 
-def _write_or_print(text: str, out: str | None) -> None:
+def _write_or_print(pieces: Iterable[str], out: str | None) -> None:
     if out:
-        Path(out).write_text(text, encoding="utf-8")
+        with open(out, "w", encoding="utf-8") as fh:
+            fh.writelines(pieces)
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(pieces)
 
 
 # ---------------------------------------------------------------------------
@@ -101,13 +107,27 @@ def cmd_chain_row(args: argparse.Namespace) -> int:
 def cmd_chain_matrix(args: argparse.Namespace) -> int:
     cfg = _load(args)
     matrix = chain.transition_matrix(args.level, cfg.prob_seq)
-    lines = ["from,to,prob"]
+    _write_or_print(_matrix_csv(matrix), args.out)
+    return 0
+
+
+def _matrix_csv(matrix: chain.TruncatedMatrix) -> Iterator[str]:
+    """The CSV text of a truncated matrix, some thousand lines at a time."""
+    # a row's probabilities are among 2*depth rung values: format each once
+    text: dict[float, str] = {}
+    yield "from,to,prob\n"
+    lines: list[str] = []
     for row in matrix.rows:
         for target, prob in row.entries:
-            lines.append(f"{row.state},{target},{fmt(prob)}")
-    lines.append(f"# leak from state {matrix.leak_state}: {fmt(matrix.leak_prob)}")
-    _write_or_print("\n".join(lines) + "\n", args.out)
-    return 0
+            shown = text.get(prob)
+            if shown is None:
+                shown = text[prob] = fmt(prob)
+            lines.append(f"{row.state},{target},{shown}\n")
+        if len(lines) >= CSV_BLOCK:
+            yield "".join(lines)
+            lines.clear()
+    yield "".join(lines)
+    yield f"# leak from state {matrix.leak_state}: {fmt(matrix.leak_prob)}\n"
 
 
 def cmd_chain_simulate(args: argparse.Namespace) -> int:

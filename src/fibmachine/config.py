@@ -47,6 +47,14 @@ def _require_keys(d: dict, allowed: set[str], where: str) -> None:
         raise ConfigError(f"unknown {where} keys: {sorted(unknown)}")
 
 
+def _int_field(d: dict, key: str, default: int, where: str) -> int:
+    """A JSON integer, not a bool and not a float with an integral value."""
+    value = d.get(key, default)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigError(f"{where}{key} must be an integer, got {value!r}")
+    return value
+
+
 def _grid_from_dict(d: dict) -> GridSpec:
     _require_keys(
         d, {"center", "width", "height", "pixels_x", "pixels_y", "pixels"}, "grid"
@@ -58,8 +66,9 @@ def _grid_from_dict(d: dict) -> GridSpec:
         center = complex(float(center[0]), float(center[1]))
     else:
         raise ConfigError("grid center must be a number or a [re, im] pair")
-    px = int(d.get("pixels_x", d.get("pixels", 800)))
-    py = int(d.get("pixels_y", d.get("pixels", 800)))
+    pixels = _int_field(d, "pixels", 800, "grid ")
+    px = _int_field(d, "pixels_x", pixels, "grid ")
+    py = _int_field(d, "pixels_y", pixels, "grid ")
     return GridSpec(
         center=center,
         width=float(d.get("width", 5.0)),
@@ -89,9 +98,10 @@ def config_from_dict(doc: dict) -> RunConfig:
         esc = doc.get("escape", {})
         _require_keys(esc, {"radius", "margin", "max_level", "early_exit"}, "escape")
         radius = esc.get("radius")
-        max_level = esc.get("max_level", DEFAULT_MAX_LEVEL)
-        if isinstance(max_level, bool) or not isinstance(max_level, int):
-            raise ConfigError(f"escape max_level must be an integer, got {max_level!r}")
+        max_level = _int_field(esc, "max_level", DEFAULT_MAX_LEVEL, "escape ")
+        early_exit = esc.get("early_exit", True)
+        if not isinstance(early_exit, bool):
+            raise ConfigError(f"escape early_exit must be true or false, got {early_exit!r}")
         return RunConfig(
             prob_seq=prob_seq,
             base=base,
@@ -99,8 +109,8 @@ def config_from_dict(doc: dict) -> RunConfig:
             radius=None if radius is None else float(radius),
             margin=float(esc.get("margin", DEFAULT_MARGIN)),
             max_level=max_level,
-            early_exit=bool(esc.get("early_exit", True)),
-            seed=int(doc.get("seed", DEFAULT_SEED)),
+            early_exit=early_exit,
+            seed=_int_field(doc, "seed", DEFAULT_SEED, ""),
         )
     except ConfigError:
         raise

@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import colorsys
 import io
+import math
+import numbers
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -39,8 +41,17 @@ class GridSpec:
     pixels_y: int = 800
 
     def __post_init__(self) -> None:
-        if not (self.width > 0.0 and self.height > 0.0):
-            raise ValueError("grid width and height must be positive")
+        c = self.center
+        if not (isinstance(c, numbers.Complex) and math.isfinite(c.real) and math.isfinite(c.imag)):
+            raise ValueError(f"grid center must be a finite number, got {c!r}")
+        for name in ("width", "height"):
+            value = getattr(self, name)
+            if not (isinstance(value, numbers.Real) and 0.0 < value < math.inf):
+                raise ValueError(f"grid {name} must be positive and finite, got {value!r}")
+        for name in ("pixels_x", "pixels_y"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ValueError(f"grid {name} must be an integer, got {value!r}")
         if self.pixels_x < 1 or self.pixels_y < 1:
             raise ValueError("pixel counts must be at least 1")
 

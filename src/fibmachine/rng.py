@@ -3,9 +3,15 @@
 One small, documented generator keeps simulations reproducible across
 platforms: the state walks a fixed odd increment and each output is a
 finalizing bit mix of it.  random() maps the top 53 bits to [0, 1).
+
+The generator is counter-based: draw k from state s mixes s + k*increment
+(mod 2^64).  random_block uses that to compute a run of random() draws with
+a handful of wrapping uint64 array operations.
 """
 
 from __future__ import annotations
+
+import numpy as np
 
 MASK64 = (1 << 64) - 1
 _INCREMENT = 0x9E3779B97F4A7C15
@@ -35,3 +41,21 @@ class SplitMix64:
         z = ((z ^ (z >> 30)) * _MIX1) & MASK64
         z = ((z ^ (z >> 27)) * _MIX2) & MASK64
         return ((z ^ (z >> 31)) >> 11) * 2.0**-53
+
+    def random_block(self, n: int) -> np.ndarray:
+        """The next n random() draws as a float64 array, bit for bit.
+
+        The state is left where n calls of random() would leave it.  numpy's
+        uint64 array arithmetic wraps modulo 2^64, as the masks above do.
+        """
+        z = np.arange(1, n + 1, dtype=np.uint64)
+        z *= np.uint64(_INCREMENT)
+        z += np.uint64(self._state)
+        self._state = (self._state + n * _INCREMENT) & MASK64
+        z ^= z >> np.uint64(30)
+        z *= np.uint64(_MIX1)
+        z ^= z >> np.uint64(27)
+        z *= np.uint64(_MIX2)
+        z ^= z >> np.uint64(31)
+        z >>= np.uint64(11)
+        return z.astype(np.float64) * 2.0**-53

@@ -30,7 +30,7 @@ from .errors import (
     InvalidSeed,
     ZeroDelta,
 )
-from .chain import MATRIX_BUDGET, ladder_rows
+from .chain import MATRIX_BUDGET, _ladder_chunks, _RungTable, _runs
 from .numeration import FIB64, BaseDef, digits_of_int
 from .probseq import ProbSeq
 
@@ -97,10 +97,13 @@ def q_fib_orbit(lam: complex, p: ProbSeq, levels: int) -> QOrbit:
     Seed (lambda - (1 - p_1))/p_1, evaluated as 1 + (lambda - 1)/p_1 so that
     lambda = 1 maps to exactly 1 for every p_1; step 1 squares the seed; step
     n multiplies the two previous values, each step dividing by its
-    coefficient r_n and subtracting (1/r_n - 1).
+    coefficient r_n and subtracting (1/r_n - 1).  More than LEVEL_BUDGET
+    levels raise BudgetExceeded before any step.
     """
     if levels < 0:
         raise ValueError("levels must be nonnegative")
+    if levels > LEVEL_BUDGET:
+        raise BudgetExceeded(f"{levels} levels exceed the {LEVEL_BUDGET} level budget")
     lam = complex(lam)
     p1 = p.p(1)
     values = [1.0 + (lam - 1.0) / p1]
@@ -441,27 +444,31 @@ def eigen_residual(lam: complex, p: ProbSeq, level: int) -> EigenResidual:
         raise BudgetExceeded(f"residual check needs {rows + 1} rows, over the budget")
     lam = complex(lam)
     w = q_values_upto(level, lam, p)
-    sup_norm = max(abs(v) for v in w)
+    sup_norm = max(map(abs, w))
     p1 = p.p(1)
+    wc = np.array(w)
+    wr, wi = wc.real, wc.imag
+    # lambda * w_i component by component, as CPython multiplies complex numbers
+    lr, li = lam.real, lam.imag
+    with np.errstate(over="ignore", invalid="ignore"):
+        shift_re = np.concatenate((lr * wr - li * wi, np.zeros(rows - top)))
+        shift_im = np.concatenate((lr * wi + li * wr, np.zeros(rows - top)))
     interior = 0.0
     full = 0.0
-    for i, targets, probs in ladder_rows(0, rows + 1, p):
-        re_parts = []
-        im_parts = []
-        for target, prob in zip(targets, probs):
-            if target > top:
-                break
-            wt = w[target]
-            re_parts.append(prob * wt.real)
-            im_parts.append(prob * wt.imag)
-        if i <= top:
-            shift = lam * w[i]
-            re_parts.append(-shift.real)
-            im_parts.append(-shift.imag)
-        res = abs(complex(math.fsum(re_parts), math.fsum(im_parts)))
-        if i < top:
-            interior = max(interior, res)
-        full = max(full, res)
+    for states, _, targets, probs in _ladder_chunks(0, rows + 1, _RungTable(p)):
+        # the row's entries into w's support, then -lambda*w_i for i <= top
+        inside = (targets >= 0) & (targets <= top)
+        keep = np.concatenate((inside, (states <= top)[:, None]), axis=1)
+        counts = keep.sum(axis=1)
+        at = np.where(inside, targets, 0)
+        with np.errstate(over="ignore", invalid="ignore"):
+            re_acc = np.concatenate((probs * wr[at], -shift_re[states][:, None]), axis=1)
+            im_acc = np.concatenate((probs * wi[at], -shift_im[states][:, None]), axis=1)
+        re_sums = map(math.fsum, _runs(re_acc[keep].tolist(), counts))
+        im_sums = map(math.fsum, _runs(im_acc[keep].tolist(), counts))
+        res = list(map(abs, map(complex, re_sums, im_sums)))
+        interior = max([interior, *res[: max(top - int(states[0]), 0)]])
+        full = max([full, *res])
     q_top = abs(w[top])
     bound = (abs(1.0 - p1 - lam) * q_top + p1 * q_top + p1) / sup_norm
     return EigenResidual(

@@ -14,8 +14,12 @@ import json
 import math
 import random
 from dataclasses import astuple, is_dataclass
+from itertools import accumulate
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fibmachine import (
     BudgetExceeded,
@@ -36,9 +40,21 @@ from fibmachine import (
     transition_matrix,
     transition_terms,
 )
-from fibmachine.chain import STEP_BUDGET, ProbFactor, _pi_block, _pick, _xi_array
+from fibmachine.chain import (
+    ROW_CACHE,
+    ROW_CHUNK,
+    STEP_BUDGET,
+    ProbFactor,
+    _ladder,
+    _ladder_chunks,
+    _pi_block,
+    _pick,
+    _RungTable,
+    _xi_array,
+)
 from fibmachine.cli import main
-from fibmachine.numeration import FIB64, UINT64_MAX, digits_of_int
+from fibmachine.numeration import FIB64, UINT64_MAX, digits_of_int, fib_bits_of_int
+from fibmachine.probseq import ProbSeq
 from fibmachine.spectrum import EigenResidual, q_values_upto
 
 NULL = ConstantTail((1.0,), 0.5)
@@ -367,6 +383,111 @@ def test_bulk_loops_raise_tail_undefined_where_they_did():
 
 
 # ---------------------------------------------------------------------------
+# the bulk ladder table
+
+
+def table_rows(start, stop, p):
+    """(state, targets, probability bits) of each row the table yields."""
+    rows = []
+    for states, depths, targets, probs in _ladder_chunks(start, stop, _RungTable(p)):
+        assert len(states) <= ROW_CHUNK
+        for state, depth, t, v in zip(states.tolist(), depths.tolist(), targets.tolist(), probs.tolist()):
+            # past the row's entries: negative targets with probability 0.0
+            assert all(x < 0 for x in t[depth + 1 :]) and all(x == 0.0 for x in v[depth + 1 :])
+            rows.append((state, t[: depth + 1], [x.hex() for x in v[: depth + 1]]))
+    return rows
+
+
+def walked_rows(start, stop, p):
+    """The same rows from one `_ladder` walk per state."""
+    rungs = _RungTable(p)
+    rows = []
+    for state in range(start, stop):
+        targets, _ = _ladder(state, fib_bits_of_int(state))
+        rows.append((state, targets, [x.hex() for x in rungs.row(len(targets) - 1)]))
+    return rows
+
+
+@pytest.mark.parametrize("index", range(len(sequences())))
+def test_ladder_table_matches_the_walk(index):
+    for start, stop in ((0, FIB64[15]), (FIB64[16] - 5, FIB64[16] + 2 * ROW_CHUNK + 7)):
+        p = sequences()[index]
+        assert table_rows(start, stop, p) == walked_rows(start, stop, sequences()[index])
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    start=st.integers(0, 3 * ROW_CHUNK),
+    length=st.integers(0, 3 * ROW_CHUNK),
+    index=st.integers(0, len(sequences()) - 1),
+)
+def test_ladder_table_matches_the_walk_on_random_ranges(start, length, index):
+    got = table_rows(start, start + length, sequences()[index])
+    assert got == walked_rows(start, start + length, sequences()[index])
+
+
+class Recording(ProbSeq):
+    """A descriptor that records every index asked of it."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.asked = []
+
+    def p(self, i):
+        self.asked.append(i)
+        return self.inner.p(i)
+
+    def delta_lower_bound(self):
+        return self.inner.delta_lower_bound()
+
+
+def requests(call, make):
+    """The indices `call(p)` asks for, in order of first request, and its outcome."""
+    p = Recording(make())
+    result = float_outcome(call, p)
+    return list(dict.fromkeys(p.asked)), result
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: MIXED,
+        lambda: Explicit((), None),
+        lambda: Explicit((0.9,), None),
+        lambda: Explicit((0.9, 0.8, 0.7), None),
+        constructed,
+    ],
+    ids=["mixed", "explicit-empty", "explicit-1", "explicit-3", "constructed"],
+)
+def test_bulk_loops_ask_for_the_same_probabilities(make):
+    for level in range(1, 12):
+        pairs = [
+            (
+                lambda p: [row.entries for row in transition_matrix(level, p).rows],
+                lambda p: oracle_matrix(level, p)[0],
+            ),
+            (lambda p: stationarity_residual(level, p), lambda p: oracle_stationarity_residual(level, p)),
+            (lambda p: beta_eigen_residual(level, p), lambda p: oracle_beta_eigen_residual(level, p)),
+        ]
+        for lam in (0.5, 0.2 + 0.1j):
+            pairs.append(
+                (
+                    lambda p, lam=lam: eigen_residual(lam, p, level),
+                    lambda p, lam=lam: oracle_eigen_residual(lam, p, level),
+                )
+            )
+        for f, oracle in pairs:
+            (got_asked, got), (want_asked, want) = requests(f, make), requests(oracle, make)
+            assert (got_asked, got) == (want_asked, want), level
+    # level 1 of an empty explicit prefix: every loop with rows asks for p_1
+    # and fails there; the beta loop has no rows and asks for nothing
+    empty = lambda: Explicit((), None)  # noqa: E731
+    assert requests(lambda p: stationarity_residual(1, p), empty)[0] == [1]
+    assert requests(lambda p: beta_eigen_residual(1, p), empty) == ([], ("ok", ("0x0.0p+0",)))
+    assert requests(lambda p: eigen_residual(0.5, p, 1), empty)[0] == [1]
+
+
+# ---------------------------------------------------------------------------
 # simulation
 
 
@@ -379,6 +500,36 @@ def test_simulate_matches_oracle_sampler(p):
         )
 
 
+def test_simulate_matches_oracle_past_a_cache_clear():
+    steps = 15_000
+    got = simulate(0, steps, TRANSIENT, 11)
+    want = oracle_simulate(0, steps, TRANSIENT, 11)
+    assert (got.final_state, got.max_state, got.returns_to_zero, got.visits) == want
+    assert len(got.visits) > ROW_CACHE
+
+
+@pytest.mark.parametrize("steps", [1, 4095, 4096, 4097, 9000])
+def test_simulate_leaves_the_generator_after_one_draw_a_step(steps):
+    rng = SplitMix64(2**64 - 3)
+    simulate(0, steps, HALF, rng)
+    reference = SplitMix64(2**64 - 3)
+    for _ in range(steps):
+        reference.random()
+    assert rng._state == reference._state
+    assert rng.random() == reference.random()
+
+
+def test_simulate_capacity_error_leaves_the_generator_where_it_was():
+    # three increments reach UINT64_MAX; the fourth step's row raises before its draw
+    rng = SplitMix64(9)
+    with pytest.raises(CapacityError):
+        simulate(UINT64_MAX - 3, 10, ConstantTail((), 1.0), rng)
+    reference = SplitMix64(9)
+    for _ in range(3):
+        reference.random()
+    assert rng._state == reference._state
+
+
 def test_pick_falls_back_to_the_last_positive_entry():
     # when rounding leaves the row total at or below u, the old sampler took
     # the last entry it kept, and it kept only positive ones
@@ -386,6 +537,29 @@ def test_pick_falls_back_to_the_last_positive_entry():
     entries = tuple(zip((3, 4, 5), probs))
     for u in (0.1, 0.6, 0.75, 0.9):
         assert (3, 4, 5)[_pick(u, probs)] == oracle_sample(entries[:2], u)
+
+
+class GivenDraws(SplitMix64):
+    """A generator whose uniforms are given in advance."""
+
+    def __init__(self, draws):
+        super().__init__(0)
+        self.draws = list(draws)
+
+    def random_block(self, n):
+        block, self.draws = self.draws[:n], self.draws[n:]
+        return np.array(block)
+
+
+def test_simulate_falls_back_when_a_draw_passes_the_row_total():
+    # the row of 12 (depth 4) sums to 1 - 2^-53 and its increment underflows to 0.0
+    p = Explicit((0.7360520742121478, 0.05189544801599963, 1e-300, 1e-300), 1e-300)
+    u = 1.0 - 2.0**-53
+    entries = oracle_entries(12, p)
+    *_, total = accumulate(v for _, v in entries)
+    assert total <= u and len(entries) == 4
+    got = simulate(12, 1, p, GivenDraws([u]))
+    assert got.final_state == oracle_sample(entries, u) == 12
 
 
 def test_simulate_near_capacity_fails_where_it_did():

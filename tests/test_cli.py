@@ -6,15 +6,17 @@ import pytest
 
 from fibmachine import (
     ConstantTail,
+    PowerLawComplement,
     all_ones,
     eigen_residual,
     encode,
     stationary_measure,
+    transition_matrix,
     transition_terms,
 )
 from fibmachine.chain import STEP_BUDGET
 from fibmachine.spectrum import LEVEL_BUDGET
-from fibmachine.cli import fmt, fmt_complex, main
+from fibmachine.cli import CSV_BLOCK, fmt, fmt_complex, main
 
 
 def run(capsys, *argv):
@@ -105,6 +107,22 @@ def test_chain_matrix_csv(capsys, tmp_path):
     assert lines[-1].startswith("# leak from state 4:")
 
 
+def test_chain_matrix_csv_text_past_one_block(capsys, tmp_path):
+    # level 18 has about 11k lines, so the text is written in several blocks
+    cfg = cfg_file(tmp_path, {"prob_seq": {"variant": "power_law_complement", "param": {"c": 0.5, "alpha": 2.0}}})
+    matrix = transition_matrix(18, PowerLawComplement(0.5, 2.0))
+    lines = ["from,to,prob"]
+    for row in matrix.rows:
+        lines += [f"{row.state},{target},{fmt(prob)}" for target, prob in row.entries]
+    lines.append(f"# leak from state {matrix.leak_state}: {fmt(matrix.leak_prob)}")
+    want = "\n".join(lines) + "\n"
+    assert len(lines) > 2 * CSV_BLOCK
+    assert run(capsys, "chain", "matrix", "18", "--config", cfg) == (0, want, "")
+    out_file = tmp_path / "m.csv"
+    assert run(capsys, "chain", "matrix", "18", "--config", cfg, "--out", str(out_file)) == (0, "", "")
+    assert out_file.read_text(encoding="utf-8") == want
+
+
 def test_chain_matrix_budget_exit(capsys):
     code, _, err = run(capsys, "chain", "matrix", "32")
     assert code == 3 and "error:" in err
@@ -162,6 +180,18 @@ def test_spectrum_orbit_fixed_point(capsys):
     assert len(lines) == 6
     assert lines[0] == f"0 {fmt_complex(1 + 0j)}"
     assert all(line.endswith(fmt_complex(1 + 0j)) for line in lines)
+
+
+def test_spectrum_orbit_level_budget_exit(capsys, tmp_path):
+    code, out, err = run(capsys, "spectrum", "orbit", "0.5", "0", "--levels", "20000")
+    assert code == 3 and out == "" and "level budget" in err
+    assert run(capsys, "spectrum", "orbit", "0.5", "0", "--levels", str(LEVEL_BUDGET))[0] == 0
+
+
+def test_spectrum_orbit_config_max_level_budget_exit(capsys, tmp_path):
+    cfg = cfg_file(tmp_path, {**HALF_DOC, "escape": {"max_level": LEVEL_BUDGET + 1}})
+    code, out, err = run(capsys, "spectrum", "orbit", "0.5", "0", "--config", cfg)
+    assert code == 3 and out == "" and "level budget" in err
 
 
 def test_spectrum_member_inside_and_escaped(capsys):

@@ -217,3 +217,44 @@ def test_config_non_finite_radius_rejected_by_escape_config():
     )
     with pytest.raises(ValueError, match="radius"):
         cfg.escape_config()
+
+
+@pytest.mark.parametrize(
+    "doc,field",
+    [
+        ({"seed": 1.5}, "seed"),
+        ({"seed": True}, "seed"),
+        ({"seed": "7"}, "seed"),
+        ({"grid": {"pixels": 2.7}}, "pixels"),
+        ({"grid": {"pixels": False}}, "pixels"),
+        ({"grid": {"pixels_x": 3.0}}, "pixels_x"),
+        ({"grid": {"pixels_x": True}}, "pixels_x"),
+        ({"grid": {"pixels_y": "64"}}, "pixels_y"),
+        ({"grid": {"pixels_y": 2.5}}, "pixels_y"),
+        ({"escape": {"early_exit": "no"}}, "early_exit"),
+        ({"escape": {"early_exit": 0}}, "early_exit"),
+        ({"escape": {"early_exit": None}}, "early_exit"),
+    ],
+)
+def test_config_refuses_coercing_integers_and_booleans(doc, field):
+    with pytest.raises(ConfigError, match=field):
+        config_from_dict({"prob_seq": {"variant": "constant_tail"}, **doc})
+
+
+def test_config_keeps_json_integers_and_booleans():
+    cfg = config_from_dict(
+        {
+            "prob_seq": {"variant": "constant_tail"},
+            "grid": {"pixels": 24, "pixels_y": 12},
+            "escape": {"early_exit": False},
+            "seed": 2**63,
+        }
+    )
+    assert (cfg.grid.pixels_x, cfg.grid.pixels_y) == (24, 12)
+    assert cfg.early_exit is False and cfg.seed == 2**63
+
+
+@pytest.mark.parametrize("grid,field", [({"width": float("inf")}, "width"), ({"center": [0.0, float("nan")]}, "center")])
+def test_config_refuses_non_finite_grid_values(grid, field):
+    with pytest.raises(ConfigError, match=field):
+        config_from_dict({"prob_seq": {"variant": "constant_tail"}, "grid": grid})

@@ -51,6 +51,32 @@ def test_grid_validation():
         GridSpec(pixels_x=0)
 
 
+@pytest.mark.parametrize(
+    "kwargs,field",
+    [
+        ({"center": complex(float("inf"), 0.0)}, "center"),
+        ({"center": complex(0.0, float("nan"))}, "center"),
+        ({"center": "0"}, "center"),
+        ({"width": float("inf")}, "width"),
+        ({"width": float("nan")}, "width"),
+        ({"height": float("inf")}, "height"),
+        ({"height": -1.0}, "height"),
+        ({"pixels_x": 2.5}, "pixels_x"),
+        ({"pixels_x": True}, "pixels_x"),
+        ({"pixels_y": 4.0}, "pixels_y"),
+        ({"pixels_y": "8"}, "pixels_y"),
+    ],
+)
+def test_grid_refuses_non_finite_and_non_integer_fields(kwargs, field):
+    with pytest.raises(ValueError, match=field):
+        GridSpec(**kwargs)
+
+
+def test_grid_accepts_numpy_and_real_values():
+    grid = GridSpec(center=0.5, width=np.float64(2.0), height=3, pixels_x=np.int64(4), pixels_y=3)
+    assert grid.lam_array().shape == (3, 4)
+
+
 # ---------------------------------------------------------------------------
 # scanning
 

@@ -1,5 +1,9 @@
 """Deterministic RNG used by the trajectory sampler."""
 
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from fibmachine import SplitMix64
 
 MASK = (1 << 64) - 1
@@ -54,3 +58,39 @@ def test_random_interleaved_with_next_u64_follows_the_reference():
                 assert rng.next_u64() == z
             else:
                 assert rng.random() == (z >> 11) * 2.0**-53
+
+
+SEEDS_NEAR_ENDS = st.one_of(
+    st.integers(min_value=0, max_value=1 << 16),
+    st.integers(min_value=(1 << 64) - (1 << 16), max_value=(1 << 64) - 1),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    seed=SEEDS_NEAR_ENDS,
+    plan=st.lists(st.tuples(st.integers(0, 40), st.booleans()), max_size=8),
+)
+def test_random_block_equals_calls_of_random(seed, plan):
+    block = SplitMix64(seed)
+    single = SplitMix64(seed)
+    for n, then_u64 in plan:
+        draws = block.random_block(n)
+        assert draws.dtype == np.float64 and draws.shape == (n,)
+        assert draws.tolist() == [single.random() for _ in range(n)]
+        assert block._state == single._state
+        if then_u64:
+            assert block.next_u64() == single.next_u64()
+    assert block.random() == single.random()
+
+
+def test_random_block_wraps_past_two_to_the_64():
+    # the first draw's state addition wraps, as do the later multiplies
+    rng = SplitMix64((1 << 64) - 1)
+    state = (1 << 64) - 1
+    expected = []
+    for _ in range(5):
+        state, z = reference_next(state)
+        expected.append((z >> 11) * 2.0**-53)
+    assert rng.random_block(5).tolist() == expected
+    assert rng._state == state
