@@ -51,6 +51,7 @@ from .errors import (
     InvalidProbability,
     InvalidSeed,
     NoPath,
+    OrbitEscaped,
     TailUndefined,
     UnsupportedVariant,
     ZeroDelta,
@@ -114,7 +115,6 @@ from .spectrum import (
     q_fib_orbit,
     q_general_orbit,
     q_values_upto,
-    subset_max_exhaustive,
 )
 
 __version__ = "0.1.0"

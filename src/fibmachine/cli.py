@@ -9,6 +9,8 @@ printed results match direct library use exactly.
 from __future__ import annotations
 
 import argparse
+import dataclasses
+import math
 import sys
 from pathlib import Path
 from typing import Iterable, Iterator
@@ -39,17 +41,16 @@ def _load(args: argparse.Namespace) -> RunConfig:
     else:
         cfg = RunConfig(prob_seq=all_ones())
     if getattr(args, "seed", None) is not None:
-        cfg = RunConfig(
-            prob_seq=cfg.prob_seq,
-            base=cfg.base,
-            grid=cfg.grid,
-            radius=cfg.radius,
-            margin=cfg.margin,
-            max_level=cfg.max_level,
-            early_exit=cfg.early_exit,
-            seed=args.seed,
-        )
+        cfg = dataclasses.replace(cfg, seed=args.seed)
     return cfg
+
+
+def _point(args: argparse.Namespace) -> complex:
+    """The point `re im` of a spectral command; both parts must be finite."""
+    for name in ("re", "im"):
+        if not math.isfinite(getattr(args, name)):
+            raise ValueError(f"{name} must be finite, got {getattr(args, name)!r}")
+    return complex(args.re, args.im)
 
 
 def _write_or_print(pieces: Iterable[str], out: str | None) -> None:
@@ -165,25 +166,26 @@ def cmd_chain_stationary(args: argparse.Namespace) -> int:
 
 def cmd_spectrum_orbit(args: argparse.Namespace) -> int:
     cfg = _load(args)
+    lam = _point(args)
     levels = args.levels if args.levels is not None else cfg.max_level
-    orbit = spectrum.q_fib_orbit(complex(args.re, args.im), cfg.prob_seq, levels)
-    for n, value in enumerate(orbit.values):
+    values, _, escaped_at = spectrum._walk(cfg.prob_seq, levels, cfg.base.coeffs, lam=lam)
+    for n, value in enumerate(values):
         print(f"{n} {fmt_complex(value)}")
-    if orbit.escaped_at is not None:
-        print(f"escaped_at {orbit.escaped_at}")
+    if escaped_at is not None:
+        print(f"escaped_at {escaped_at}")
     return 0
 
 
 def cmd_spectrum_member(args: argparse.Namespace) -> int:
     cfg = _load(args)
-    lam = complex(args.re, args.im)
+    lam = _point(args)
     esc_cfg = cfg.escape_config()
+    verdict = spectrum.in_point_spectrum(lam, cfg.prob_seq, esc_cfg, args.bound)
     result = spectrum.in_E(lam, cfg.prob_seq, esc_cfg)
     if result.escaped:
         print(f"E escaped at level {result.level}")
     else:
         print("E inside")
-    verdict = spectrum.in_point_spectrum(lam, cfg.prob_seq, esc_cfg, args.bound)
     line = f"point_spectrum {verdict.status}"
     if verdict.level is not None:
         line += f" at level {verdict.level}"
@@ -193,8 +195,7 @@ def cmd_spectrum_member(args: argparse.Namespace) -> int:
 
 def cmd_spectrum_connectivity(args: argparse.Namespace) -> int:
     cfg = _load(args)
-    levels = args.levels if args.levels is not None else 40
-    result = spectrum.non_connectedness_test(cfg.prob_seq, levels)
+    result = spectrum.non_connectedness_test(cfg.prob_seq, args.levels)
     if result.non_connected:
         print(f"NonConnected at level {result.level} (modulus {fmt(result.modulus)})")
     else:
@@ -204,7 +205,7 @@ def cmd_spectrum_connectivity(args: argparse.Namespace) -> int:
 
 def cmd_spectrum_residual(args: argparse.Namespace) -> int:
     cfg = _load(args)
-    res = spectrum.eigen_residual(complex(args.re, args.im), cfg.prob_seq, args.level)
+    res = spectrum.eigen_residual(_point(args), cfg.prob_seq, args.level)
     print(f"value {fmt(res.value)}")
     print(f"interior {fmt(res.interior)}")
     print(f"bound {fmt(res.bound)}")
@@ -316,7 +317,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_spectrum_member)
 
     p = spec_sub.add_parser("connectivity", help="sufficient non-connectedness test")
-    p.add_argument("--levels", type=int)
+    p.add_argument("--levels", type=int, default=40)
     add_config(p)
     p.set_defaults(func=cmd_spectrum_connectivity)
 

@@ -93,7 +93,10 @@ def config_from_dict(doc: dict) -> RunConfig:
         if "base" in doc:
             b = doc["base"]
             _require_keys(b, {"coeffs", "name"}, "base")
-            base = BaseDef(tuple(int(c) for c in b["coeffs"]), b.get("name", "custom"))
+            coeffs = b["coeffs"]
+            if not isinstance(coeffs, list) or any(type(c) is not int for c in coeffs):
+                raise ConfigError(f"base coeffs must be a list of integers, got {coeffs!r}")
+            base = BaseDef(tuple(coeffs), b.get("name", "custom"))
         grid = _grid_from_dict(doc.get("grid", {}))
         esc = doc.get("escape", {})
         _require_keys(esc, {"radius", "margin", "max_level", "early_exit"}, "escape")

@@ -57,3 +57,7 @@ class InvalidSeed(FibmachineError, ValueError):
 
 class ConfigError(FibmachineError, ValueError):
     """A configuration file or value could not be interpreted."""
+
+
+class OrbitEscaped(FibmachineError, IndexError):
+    """The q orbit passed CLAMP short of the level asked for: no value to index."""

@@ -10,6 +10,7 @@ authoritative where the two disagree.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import re
 from importlib import resources
@@ -72,13 +73,7 @@ def render_panel(number: int, workers: int = 1, pixels: int | None = None) -> It
     cfg = panel_config(number)
     grid = cfg.grid
     if pixels is not None:
-        grid = type(grid)(
-            center=grid.center,
-            width=grid.width,
-            height=grid.height,
-            pixels_x=pixels,
-            pixels_y=pixels,
-        )
+        grid = dataclasses.replace(grid, pixels_x=pixels, pixels_y=pixels)
     return scan_grid(grid, cfg.prob_seq, cfg.escape_config(), workers=workers)
 
 

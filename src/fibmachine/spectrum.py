@@ -28,6 +28,7 @@ from .errors import (
     BudgetExceeded,
     InvalidPolynomial,
     InvalidSeed,
+    OrbitEscaped,
     ZeroDelta,
 )
 from .chain import MATRIX_BUDGET, _ladder_chunks, _RungTable, _runs
@@ -63,11 +64,11 @@ COMPACT_AT = 0.75
 PLATEAU_WINDOW = 5
 
 
-def r_index(n: int) -> int:
-    """Index of the probability dividing recursion step n (n >= 1)."""
+def r_index(n: int, d: int = 2) -> int:
+    """Index of the probability dividing recursion step n (n >= 1) of an order-d base."""
     if n < 1:
         raise ValueError("recursion coefficients start at step 1")
-    return (n + 1) // 2 + 1
+    return n // d + n % d + 1
 
 
 # ---------------------------------------------------------------------------
@@ -91,36 +92,78 @@ class QOrbit:
         return len(self.values)
 
 
-def q_fib_orbit(lam: complex, p: ProbSeq, levels: int) -> QOrbit:
-    """Run the q recursion up to q_{F_levels}.
+def _walk(
+    p: ProbSeq,
+    levels: int,
+    powers: Sequence[int] = (1, 1),
+    seeds: Sequence[complex] | None = None,
+    lam: complex = 0j,
+) -> tuple[list[complex], list[float], int | None]:
+    """The one scalar q-recursion: (values, step coefficients, escape level).
 
-    Seed (lambda - (1 - p_1))/p_1, evaluated as 1 + (lambda - 1)/p_1 so that
-    lambda = 1 maps to exactly 1 for every p_1; step 1 squares the seed; step
-    n multiplies the two previous values, each step dividing by its
-    coefficient r_n and subtracting (1/r_n - 1).  More than LEVEL_BUDGET
-    levels raise BudgetExceeded before any step.
+    Without seeds the orbit starts at q_{F_0} = 1 + (lambda - 1)/p_1, escaped
+    at level 0 past CLAMP; supplied seeds are not tested.  Level m of the
+    order d = len(powers) divides by p_(r_index(m, d)); below d it squares the
+    previous value, from d on it multiplies the a_j-th powers of the d
+    previous values.  The walk stops at the first value it computes past
+    CLAMP, a power past the float range counting as inf.
     """
     if levels < 0:
         raise ValueError("levels must be nonnegative")
     if levels > LEVEL_BUDGET:
         raise BudgetExceeded(f"{levels} levels exceed the {LEVEL_BUDGET} level budget")
-    lam = complex(lam)
-    p1 = p.p(1)
-    values = [1.0 + (lam - 1.0) / p1]
+    if seeds is None:
+        values = [1.0 + (lam - 1.0) / p.p(1)]
+        if abs(values[0]) > CLAMP:
+            return values, [], 0
+    else:
+        values = [complex(s) for s in seeds[: levels + 1]]
+    d, first, rest = len(powers), powers[0], list(enumerate(powers[1:], start=2))
     coeffs: list[float] = []
-    escaped_at = 0 if abs(values[0]) > CLAMP else None
-    n = 1
-    while escaped_at is None and n <= levels:
-        r = p.p(r_index(n))
+    for m in range(len(values), levels + 1):
+        r = p.p(r_index(m, d))
         coeffs.append(r)
-        prev = values[n - 1]
-        prev2 = values[n - 2] if n >= 2 else values[0]
-        q = prev * prev2 / r - (1.0 / r - 1.0)
+        prod = values[m - 1]
+        try:
+            if m < d:
+                prod = prod * prod
+            else:
+                if first != 1:
+                    prod = prod**first
+                for j, a in rest:
+                    prod *= values[m - j] if a == 1 else values[m - j] ** a
+        except OverflowError:
+            q = complex(math.inf)
+        else:
+            q = prod / r - (1.0 / r - 1.0)
         values.append(q)
         if not (abs(q) <= CLAMP):
-            escaped_at = n
-        n += 1
+            return values, coeffs, m
+    return values, coeffs, None
+
+
+def q_fib_orbit(lam: complex, p: ProbSeq, levels: int) -> QOrbit:
+    """Run the q recursion up to q_{F_levels}.
+
+    Seed (lambda - (1 - p_1))/p_1, evaluated as 1 + (lambda - 1)/p_1 so that
+    lambda = 1 maps to exactly 1 for every p_1; step n multiplies the two
+    previous values (step 1 squares the seed), divides by r_n and subtracts
+    (1/r_n - 1).  More than LEVEL_BUDGET levels raise BudgetExceeded.
+    """
+    lam = complex(lam)
+    values, coeffs, escaped_at = _walk(p, levels, lam=lam)
     return QOrbit(lam, tuple(values), tuple(coeffs), escaped_at)
+
+
+def _orbit_through(lam: complex, p: ProbSeq, level: int) -> tuple[complex, ...]:
+    """q_{F_0}..q_{F_level}; OrbitEscaped when the orbit stops short of level."""
+    orbit = q_fib_orbit(lam, p, level)
+    if orbit.escaped_at is not None and orbit.escaped_at < level:
+        raise OrbitEscaped(
+            f"the q orbit at lambda {orbit.lam} passes {CLAMP:g} at level "
+            f"{orbit.escaped_at}, before the requested level {level}"
+        )
+    return orbit.values
 
 
 def q_at_integer(n: int, lam: complex, p: ProbSeq) -> complex:
@@ -128,11 +171,11 @@ def q_at_integer(n: int, lam: complex, p: ProbSeq) -> complex:
     if n < 0:
         raise ValueError("q is indexed by nonnegative integers")
     eps = digits_of_int(n)
-    orbit = q_fib_orbit(lam, p, max(len(eps) - 1, 0))
+    values = _orbit_through(lam, p, max(len(eps) - 1, 0))
     result = complex(1.0)
     for i, e in enumerate(eps):
         if e:
-            result *= orbit.values[i]
+            result *= values[i]
     return result
 
 
@@ -141,12 +184,11 @@ def q_values_upto(level: int, lam: complex, p: ProbSeq) -> list[complex]:
     if level < 0 or level >= len(FIB64):
         raise ValueError("level must index a 64-bit scale value")
     top = FIB64[level]
-    orbit = q_fib_orbit(lam, p, level)
+    values = _orbit_through(lam, p, level)
     out = [complex(1.0)] * (top + 1)
-    for m in range(level + 1):
+    for m, qf in enumerate(values):
         lo = FIB64[m]
         hi = min(top + 1, FIB64[m + 1])
-        qf = orbit.values[m]
         for idx in range(lo, hi):
             out[idx] = qf * out[idx - lo]
     return out
@@ -156,20 +198,11 @@ def fibered_pair(lam: complex, p: ProbSeq, levels: int) -> list[tuple[complex, c
     """Iterate the planar maps g_n from (lambda, lambda); returns psi_0..psi_N.
 
     g_0 applies the seed affine map to both coordinates; g_n maps (x, y) to
-    (x y / r_n - (1/r_n - 1), x), so psi_n = (q_{F_n}, q_{F_(n-1)}).
+    (x y / r_n - (1/r_n - 1), x), so psi_n = (q_{F_n}, q_{F_(n-1)}).  The
+    pairs stop with the orbit, at the first one past CLAMP.
     """
-    if levels < 0:
-        raise ValueError("levels must be nonnegative")
-    lam = complex(lam)
-    p1 = p.p(1)
-    x = 1.0 + (lam - 1.0) / p1
-    y = x
-    pairs = [(x, y)]
-    for n in range(1, levels + 1):
-        r = p.p(r_index(n))
-        x, y = x * y / r - (1.0 / r - 1.0), x
-        pairs.append((x, y))
-    return pairs
+    values = q_fib_orbit(lam, p, levels).values
+    return list(zip(values, values[:1] + values[:-1]))
 
 
 # ---------------------------------------------------------------------------
@@ -365,52 +398,22 @@ def in_point_spectrum(
     when B has plateaued below the bound by max_level; undetermined when it
     was still growing there.  The inside verdict therefore implies in_E's.
     """
-    if bound <= 0.0:
-        raise ValueError("bound must be positive")
-    lam = complex(lam)
+    if not bound > 0.0:
+        raise ValueError(f"bound must be positive (inf allowed), got {bound!r}")
     orbit = q_fib_orbit(lam, p, cfg.max_level)
-    b_prev2 = 1.0
-    b_prev1 = 1.0
-    history = []
+    history = [1.0, 1.0]  # B_(-2) and B_(-1)
     for n, q in enumerate(orbit.values):
-        b_cur = max(b_prev1, b_prev2 * abs(q))
-        history.append(b_cur)
-        if b_cur > bound:
-            return SpectrumResult("escaped", n, b_cur)
-        b_prev2, b_prev1 = b_prev1, b_cur
+        b = max(history[-1], history[-2] * abs(q))
+        if b > bound:
+            return SpectrumResult("escaped", n, b)
+        history.append(b)
     esc = in_E(lam, p, cfg)
     if esc.escaped:
         return SpectrumResult("escaped", esc.level, history[-1])
-    window = min(PLATEAU_WINDOW, len(history) - 1)
+    window = min(PLATEAU_WINDOW, len(history) - 3)
     if window >= 1 and history[-1] > history[-1 - window]:
         return SpectrumResult("undetermined", None, history[-1])
     return SpectrumResult("inside", None, history[-1])
-
-
-def subset_max_exhaustive(lam: complex, p: ProbSeq, level: int) -> float:
-    """Brute-force |q_m| maximum over all m with digits inside {0..level}.
-
-    Slow reference used to pin the DP above; walks every admissible digit
-    subset explicitly.  When the orbit stops early at the overflow clamp the
-    walk covers the same truncated index set the DP sees.
-    """
-    orbit = q_fib_orbit(lam, p, level)
-    mods = [abs(v) for v in orbit.values]
-    level = min(level, len(mods) - 1)
-    best = 1.0
-
-    def walk(i: int, prod: float) -> None:
-        nonlocal best
-        if i > level:
-            best = max(best, prod)
-            return
-        walk(i + 1, prod)
-        walk(i + 2, prod * mods[i])
-        if i == level:
-            best = max(best, prod * mods[i])
-
-    walk(0, 1.0)
-    return best
 
 
 # ---------------------------------------------------------------------------
@@ -488,24 +491,12 @@ class PhiOrbit:
     values: tuple[complex, ...]
 
 
-def _phi_values(phi1: complex, p: ProbSeq, levels: int) -> list[complex]:
-    # phi_0 is the identity map, so the critical orbit starts at 0; the
-    # recursion then only ever sees phi_1 and the step coefficients.
-    values = [complex(0.0), complex(phi1)]
-    for n in range(2, levels + 1):
-        r = p.p(r_index(n))
-        q = values[n - 1] * values[n - 2] / r - (1.0 / r - 1.0)
-        values.append(q)
-        if not (abs(q) <= CLAMP):
-            break
-    return values[: levels + 1]
-
-
 def phi_orbit(h: Sequence[complex], p: ProbSeq, levels: int) -> PhiOrbit:
     """Critical orbit phi_n(0) for h given by low-to-high coefficients.
 
-    h must have zero constant and linear coefficients, so the critical value
-    h(0) is 0 and the orbit is controlled by the step coefficients alone.
+    phi_0 is the identity, so the orbit starts at 0.  h must have zero
+    constant and linear coefficients, so phi_1(0) = h(0) is 0 as well and the
+    orbit is controlled by the step coefficients alone.
     """
     if levels < 1:
         raise ValueError("levels must be at least 1")
@@ -516,8 +507,7 @@ def phi_orbit(h: Sequence[complex], p: ProbSeq, levels: int) -> PhiOrbit:
         )
     if all(c == 0 for c in coeffs[2:]):
         raise InvalidPolynomial("h must not be identically zero")
-    critical_value = complex(0.0)  # h(0) with no constant term
-    return PhiOrbit(coeffs[2:], tuple(_phi_values(critical_value, p, levels)))
+    return PhiOrbit(coeffs[2:], tuple(_walk(p, levels, seeds=(0.0, 0.0))[0]))
 
 
 @dataclass(frozen=True)
@@ -540,8 +530,7 @@ def non_connectedness_test(p: ProbSeq, levels: int = 40) -> ConnectivityResult:
     radius) certifies non-connectedness; anything else is Inconclusive.
     """
     radius = escape_radius(p, 0.0)
-    p2 = p.p(2)
-    values = _phi_values(1.0 - 1.0 / p2, p, levels)
+    values = _walk(p, levels, seeds=(0.0, 1.0 - 1.0 / p.p(2)))[0]
     prev_big = False
     for n, v in enumerate(values):
         mod = abs(v)
@@ -567,33 +556,12 @@ def q_general_orbit(
 ) -> list[complex]:
     """The q recursion for an order-d base with coefficients a_1..a_d.
 
-    Level m >= d divides by p_(n+1+i) where (n, i) = divmod(m, d) and takes
-    the a_j-fold products of the d previous values.  Seeds q_{F_0}..q_{F_(d-1)}
-    may be supplied; the default chains squares, dividing level i by p_(i+1).
-    For the order-2 all-ones base this reproduces q_fib_orbit exactly.
+    Level m divides by p_(r_index(m, d)) and, from level d on, takes the
+    a_j-fold products of the d previous values.  Seeds q_{F_0}..q_{F_(d-1)}
+    may be supplied; the default chains squares from the q_fib_orbit seed.
+    The orbit stops at the first value it computes past CLAMP, so for the
+    order-2 all-ones base it is q_fib_orbit's values bit for bit.
     """
-    if levels < 0:
-        raise ValueError("levels must be nonnegative")
-    lam = complex(lam)
-    d = base.degree
-    if seeds is not None:
-        if len(seeds) != d:
-            raise InvalidSeed(f"need exactly {d} seed values, got {len(seeds)}")
-        values = [complex(s) for s in seeds]
-    else:
-        values = [1.0 + (lam - 1.0) / p.p(1)]
-        for i in range(1, d):
-            r = p.p(i + 1)
-            values.append(values[i - 1] * values[i - 1] / r - (1.0 / r - 1.0))
-    values = values[: levels + 1]
-    for m in range(d, levels + 1):
-        n, i = divmod(m, d)
-        r = p.p(n + 1 + i)
-        prod = complex(1.0)
-        for j, aj in enumerate(base.coeffs, start=1):
-            prod *= values[m - j] ** aj
-        q = prod / r - (1.0 / r - 1.0)
-        values.append(q)
-        if not (abs(q) <= CLAMP):
-            break
-    return values
+    if seeds is not None and len(seeds) != base.degree:
+        raise InvalidSeed(f"need exactly {base.degree} seed values, got {len(seeds)}")
+    return _walk(p, levels, base.coeffs, seeds, complex(lam))[0]

@@ -35,7 +35,6 @@ from fibmachine import (
     scan_grid,
     stationarity_residual,
     stationary_measure,
-    subset_max_exhaustive,
     succ_carry,
     succ_transducer,
     transition_dist,
@@ -44,6 +43,7 @@ from fibmachine import (
     write_ppm,
 )
 from fibmachine.numeration import FIB64
+from oracles import subset_max_exhaustive
 
 HALF = ConstantTail((), 0.5)
 DECREASING = ConstantTail((0.9, 0.8, 0.7, 0.6), 0.5)

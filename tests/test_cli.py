@@ -8,8 +8,10 @@ from fibmachine import (
     ConstantTail,
     PowerLawComplement,
     all_ones,
+    BaseDef,
     eigen_residual,
     encode,
+    q_general_orbit,
     stationary_measure,
     transition_matrix,
     transition_terms,
@@ -301,3 +303,61 @@ def test_render_rejects_non_integer_max_level(capsys, tmp_path):
     cfg = cfg_file(tmp_path, {**SMALL_RENDER, "escape": {"max_level": 12.5}})
     code, out, err = run(capsys, "render", "--config", cfg, "--out", str(tmp_path / "x.ppm"))
     assert code == 2 and out == "" and "max_level" in err
+
+
+# ---------------------------------------------------------------------------
+# spectral input at the boundary
+
+
+NULL_DOC = {"prob_seq": {"variant": "constant_tail", "prefix": [1.0], "param": 0.5}}
+
+
+def test_spectrum_residual_escaped_orbit_exit(capsys, tmp_path):
+    # the q orbit at 0.9+0.1i passes CLAMP at level 15, short of level 16
+    cfg = cfg_file(tmp_path, NULL_DOC)
+    code, out, err = run(capsys, "spectrum", "residual", "0.9", "0.1", "16", "--config", cfg)
+    assert code == 2 and out == ""
+    assert err == (
+        "error: the q orbit at lambda (0.9+0.1j) passes 1e+150 at level 15, "
+        "before the requested level 16\n"
+    )
+    assert run(capsys, "spectrum", "residual", "0.9", "0.1", "14", "--config", cfg)[0] == 0
+
+
+@pytest.mark.parametrize("command", [["orbit"], ["member"], ["residual"]])
+@pytest.mark.parametrize("point", [["nan", "0"], ["0", "inf"], ["inf", "nan"]])
+def test_spectrum_refuses_non_finite_point(capsys, command, point):
+    level = ["8"] if command == ["residual"] else []
+    code, out, err = run(capsys, "spectrum", *command, *point, *level)
+    name = "re" if point[0] != "0" else "im"
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: {name} must be finite")
+
+
+def test_spectrum_member_refuses_nan_bound(capsys):
+    code, out, err = run(capsys, "spectrum", "member", "0.5", "0", "--bound", "nan")
+    assert code == 2 and out == "" and "bound" in err
+    code, out, _ = run(capsys, "spectrum", "member", "1", "0", "--bound", "inf")
+    assert code == 0 and "point_spectrum inside" in out
+
+
+def test_spectrum_orbit_reads_the_config_base(capsys, tmp_path):
+    orbit = ("spectrum", "orbit", "0.5", "0.25")
+    plain = run(capsys, *orbit, "--config", cfg_file(tmp_path, HALF_DOC))
+    fib = cfg_file(tmp_path, {**HALF_DOC, "base": {"coeffs": [1, 1]}}, "fib.json")
+    assert run(capsys, *orbit, "--config", fib) == plain
+    order3 = cfg_file(tmp_path, {**HALF_DOC, "base": {"coeffs": [1, 1, 1]}}, "order3.json")
+    code, out, _ = run(capsys, *orbit, "--levels", "9", "--config", order3)
+    want = q_general_orbit(0.5 + 0.25j, ConstantTail((), 0.5), BaseDef((1, 1, 1)), levels=9)
+    assert code == 0 and len(want) == 10 and not plain[1].startswith(out)
+    assert out == "".join(f"{n} {fmt_complex(v)}\n" for n, v in enumerate(want))
+    # an order-3 orbit that passes CLAMP names its escape level like order 2
+    code, out, _ = run(capsys, "spectrum", "orbit", "1e100", "0", "--config", order3)
+    assert code == 0 and out.splitlines()[-1] == "escaped_at 1"
+
+
+def test_config_base_coeffs_must_be_integers(capsys, tmp_path):
+    for coeffs in ([1.9, True], [1, 1.0], "11", [2, None]):
+        cfg = cfg_file(tmp_path, {**HALF_DOC, "base": {"coeffs": coeffs}})
+        code, out, err = run(capsys, "spectrum", "orbit", "0.5", "0", "--config", cfg)
+        assert code == 2 and out == "" and "base coeffs" in err, coeffs

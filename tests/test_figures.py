@@ -258,3 +258,11 @@ def test_config_keeps_json_integers_and_booleans():
 def test_config_refuses_non_finite_grid_values(grid, field):
     with pytest.raises(ConfigError, match=field):
         config_from_dict({"prob_seq": {"variant": "constant_tail"}, "grid": grid})
+
+
+@pytest.mark.parametrize("coeffs", [[1.9, True], [True, True], [2, 1.0], "21", 3])
+def test_config_refuses_non_integer_base_coeffs(coeffs):
+    base = {"prob_seq": {"variant": "constant_tail"}}
+    with pytest.raises(ConfigError, match="base coeffs"):
+        config_from_dict({**base, "base": {"coeffs": coeffs}})
+    assert config_from_dict({**base, "base": {"coeffs": [2, 1]}}).base.coeffs == (2, 1)

@@ -33,10 +33,10 @@ from fibmachine import (
     q_fib_orbit,
     q_general_orbit,
     q_values_upto,
-    subset_max_exhaustive,
 )
 from fibmachine.numeration import FIB64, BaseDef, base_sequence, digits_of_int
 from fibmachine.spectrum import CLAMP, INSIDE, LEVEL_BUDGET, r_index
+from oracles import subset_max_exhaustive
 
 HALF = ConstantTail((), 0.5)
 MIXED = ConstantTail((0.75, 0.5, 0.8, 0.7), 0.6)
