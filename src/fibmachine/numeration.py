@@ -18,6 +18,7 @@ All integer values are checked against an unsigned 64-bit cap.
 
 from __future__ import annotations
 
+import numbers
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
@@ -39,6 +40,8 @@ class BaseDef:
     name: str = ""
 
     def __post_init__(self):
+        if any(isinstance(x, bool) or not isinstance(x, numbers.Integral) for x in self.coeffs):
+            raise ValueError(f"base coeffs must be integers, got {self.coeffs!r}")
         c = tuple(int(x) for x in self.coeffs)
         object.__setattr__(self, "coeffs", c)
         if len(c) < 2:

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import InvalidProbability, TailUndefined, UnsupportedVariant
+from .errors import ConfigError, InvalidProbability, TailUndefined, UnsupportedVariant
 
 #: Lower clamp applied by the derived families so values stay inside (0, 1].
 PROB_FLOOR = 1e-12
@@ -171,12 +171,17 @@ def from_config(cfg: dict) -> ProbSeq:
     if not isinstance(cfg, dict) or "variant" not in cfg:
         raise UnsupportedVariant("probability sequence config needs a 'variant' key")
     variant = str(cfg["variant"]).lower()
-    prefix = tuple(cfg.get("prefix", ()) or ())
+    prefix = cfg.get("prefix", [])
+    if not isinstance(prefix, (list, tuple)):
+        raise ConfigError(f"prob_seq prefix must be a list, got {prefix!r}")
+    prefix = tuple(prefix)
     param = cfg.get("param")
     if variant == "explicit":
         return Explicit(prefix, None if param is None else float(param))
     if variant == "constant_tail":
         return ConstantTail(prefix, 1.0 if param is None else float(param))
+    if prefix and variant in ("power_law_complement", "geometric_decay"):
+        raise ConfigError(f"{variant} takes no prob_seq prefix, got {list(prefix)!r}")
     if variant == "power_law_complement":
         if not isinstance(param, dict):
             raise UnsupportedVariant("power_law_complement needs param {'c':..., 'alpha':...}")

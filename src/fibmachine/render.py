@@ -12,7 +12,9 @@ import colorsys
 import io
 import math
 import numbers
+import re
 import warnings
+from collections.abc import Iterator
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -24,6 +26,17 @@ from .spectrum import INSIDE, EscapeConfig, escape_levels
 
 #: Hard cap on pixels per scan.
 PIXEL_BUDGET = 10**8
+
+#: Lines of CSV text built or read per block, so its temporaries stay in cache.
+CSV_BLOCK = 1 << 14
+
+_NEWLINE, _MINUS, _ZERO = ord("\n"), ord("-"), ord("0")
+
+#: The place values of the at most ten digits of an int32.
+_PLACES = (10 ** np.arange(10)).astype(np.int32)
+
+#: The last line of write_csv output: x, y and a value.
+_LAST_LINE = re.compile(r"(\d{1,9}),(\d{1,9}),-?\d+\n", re.ASCII)
 
 #: Successive hues advance by the golden-ratio conjugate, so nearby escape
 #: levels land on well-separated colors.
@@ -62,12 +75,20 @@ class GridSpec:
         return (self.center + x) + 1j * y
 
     def lam_array(self) -> np.ndarray:
-        """All pixel centers as one (pixels_y, pixels_x) complex array."""
+        """All pixel centers as one (pixels_y, pixels_x) complex array.
+
+        The two parts are written directly.  They are bit for bit those of
+        (center + x) + 1j * y, whose zero addends change nothing because
+        neither x nor y is ever -0.0.
+        """
         i = np.arange(self.pixels_x, dtype=np.float64)
         j = np.arange(self.pixels_y, dtype=np.float64)
         x = ((i + 0.5) / self.pixels_x - 0.5) * self.width
         y = ((j + 0.5) / self.pixels_y - 0.5) * self.height
-        return (self.center + x[None, :]) + 1j * y[:, None]
+        lam = np.empty((self.pixels_y, self.pixels_x), dtype=np.complex128)
+        lam.real = self.center.real + x
+        lam.imag = self.center.imag + y[:, None]
+        return lam
 
 
 @dataclass(eq=False)
@@ -185,35 +206,103 @@ def write_png(buf: IterBuffer, palette: PaletteSpec = DEFAULT_PALETTE) -> bytes:
     return out.getvalue()
 
 
-def _ascii_rows(strings: list[str]) -> np.ndarray:
-    """One row of bytes per string, NUL-padded to the longest."""
-    width = max(map(len, strings))
-    return np.array(strings, dtype=f"S{width}").view(np.uint8).reshape(len(strings), width)
+def _word_rows(strings: list[str]) -> np.ndarray:
+    """One row of 4-byte words per string, NUL-padded to the longest."""
+    words = -(-max(map(len, strings)) // 4)
+    return np.array(strings, dtype=f"S{4 * words}").view(np.uint32).reshape(len(strings), words)
+
+
+def _csv_blocks(cells: np.ndarray) -> Iterator[bytes]:
+    """The text of write_csv as ASCII bytes, CSV_BLOCK lines of whole rows at a time.
+
+    Each line is assembled from word tables of the "x,", "y," and "value\n"
+    fields, one row per column, row and value, and the NUL padding is
+    dropped from each block at once.  The value table covers min..max when
+    that range is no longer than the grid, which escape levels always are,
+    or than 64 values, which cost less than np.unique; otherwise it holds
+    the distinct values.
+    """
+    h, w = cells.shape
+    lo, hi = int(cells.min()), int(cells.max())
+    if hi - lo < max(cells.size, 64):
+        index, values = cells, range(lo, hi + 1)
+    else:
+        distinct, which = np.unique(cells, return_inverse=True)
+        index, values, lo = which.reshape(h, w), distinct.tolist(), 0
+    xs = _word_rows([f"{i}," for i in range(w)])
+    ys = _word_rows([f"{j}," for j in range(h)])
+    vs = _word_rows([f"{v}\n" for v in values])
+    kx, ky = xs.shape[1], ys.shape[1]
+    rows = max(1, min(h, CSV_BLOCK // w))
+    block = np.empty((rows, w, kx + ky + vs.shape[1]), dtype=np.uint32)
+    block[:, :, :kx] = xs
+    for j0 in range(0, h, rows):
+        part = block[: min(rows, h - j0)]
+        part[:, :, kx : kx + ky] = ys[j0 : j0 + len(part), None]
+        part[:, :, kx + ky :] = vs[index[j0 : j0 + len(part)] - lo]
+        yield part.tobytes().translate(None, b"\0")
 
 
 def write_csv(buf: IterBuffer) -> str:
-    """Row-major "x,y,value" lines; INSIDE encoded as -1.
-
-    Each line is assembled from byte tables of the "x,", "y," and "value\n"
-    fields, one row per column, row and distinct value, and the NUL
-    padding is dropped from the whole block at once.
-    """
+    """Row-major "x,y,value" lines; INSIDE encoded as -1."""
     if buf.cells.size == 0:
         return "\n"
-    h, w = buf.cells.shape
-    xs = _ascii_rows([f"{i}," for i in range(w)])
-    ys = _ascii_rows([f"{j}," for j in range(h)])
-    values, which = np.unique(buf.cells, return_inverse=True)
-    vs = _ascii_rows([f"{v}\n" for v in values.tolist()])
-    block = np.concatenate(
-        [
-            np.broadcast_to(xs[None, :, :], (h, w, xs.shape[1])),
-            np.broadcast_to(ys[:, None, :], (h, w, ys.shape[1])),
-            vs[which.reshape(h, w)],
-        ],
-        axis=2,
-    )
-    return block[block != 0].tobytes().decode("ascii")
+    return b"".join(_csv_blocks(buf.cells)).decode("ascii")
+
+
+def _canonical_cells(text: str) -> np.ndarray | None:
+    """The cells when text.strip() + "\n" is what write_csv writes for them, else None.
+
+    w and h come from the last line, and each value is read back digit by
+    digit from the end of its line, CSV_BLOCK lines' worth of bytes at a
+    time.  The cells count only if writing them gives the text again, so
+    any cells returned are the ones the general readers would return.
+    """
+    if not text.startswith("0,0,"):
+        return None
+    if text[-1] != "\n" or text[-2].isspace():  # else text is text.strip() + "\n"
+        text = text.rstrip() + "\n"
+    last = _LAST_LINE.fullmatch(text, text.rfind("\n", 0, -1) + 1)
+    if last is None:
+        return None
+    w, h = int(last[1]) + 1, int(last[2]) + 1
+    if 6 * w * h > len(text):  # no line is shorter than "0,0,0\n"
+        return None
+    try:
+        raw = text.encode("ascii")
+    except UnicodeEncodeError:
+        return None
+    data = np.frombuffer(raw, dtype=np.uint8)
+    cells = np.zeros(w * h, dtype=np.int32)
+    done = 0
+    step = 8 * CSV_BLOCK  # bytes, about CSV_BLOCK lines of an 800-wide grid
+    for start in range(0, len(raw), step):
+        pos = (data[start : start + step] == _NEWLINE).nonzero()[0]
+        out = cells[done : done + len(pos)]
+        if len(out) < len(pos):
+            return None
+        done += len(pos)
+        pos += start - 1
+        live = np.ones(len(pos), dtype=bool)
+        for place in _PLACES:
+            digit = data[pos] - _ZERO  # other bytes wrap past 9
+            live &= digit < 10
+            if not np.count_nonzero(live):
+                break
+            # a value past int32 wraps here or is cut at ten digits; writing
+            # it again then differs
+            np.add(out, digit * place, out=out, where=live)
+            pos -= live
+        np.negative(out, out=out, where=data[pos] == _MINUS)
+    if done != w * h:
+        return None
+    cells = cells.reshape(h, w)
+    at = 0
+    for chunk in _csv_blocks(cells):
+        if not raw.startswith(chunk, at):
+            return None
+        at += len(chunk)
+    return cells if at == len(raw) else None
 
 
 def _fast_fields(body: str) -> np.ndarray | None:
@@ -257,10 +346,14 @@ def _scan_fields(body: str) -> np.ndarray:
 def parse_csv(text: str) -> IterBuffer:
     """Rebuild a buffer from write_csv output.
 
-    Lines may come in any order, but every cell of the grid they span must
-    appear exactly once; negative coordinates and values outside int32 are
-    rejected.
+    Text that write_csv wrote, give or take trailing whitespace, is read on
+    a fast path.  Otherwise lines may come in any order and end in CRLF,
+    but every cell of the grid they span must appear exactly once; negative
+    coordinates and values outside int32 are rejected.
     """
+    cells = _canonical_cells(text)
+    if cells is not None:
+        return IterBuffer(cells.shape[1], cells.shape[0], cells)
     body = text.strip()
     if not body:
         raise ValueError("no cells in CSV text")

@@ -92,6 +92,14 @@ class QOrbit:
         return len(self.values)
 
 
+def _modulus(z: complex) -> float:
+    """|z|, and inf where abs() overflows: finite parts, modulus past the float range."""
+    try:
+        return abs(z)
+    except OverflowError:
+        return math.inf
+
+
 def _walk(
     p: ProbSeq,
     levels: int,
@@ -106,7 +114,7 @@ def _walk(
     order d = len(powers) divides by p_(r_index(m, d)); below d it squares the
     previous value, from d on it multiplies the a_j-th powers of the d
     previous values.  The walk stops at the first value it computes past
-    CLAMP, a power past the float range counting as inf.
+    CLAMP, a power or a modulus past the float range counting as inf.
     """
     if levels < 0:
         raise ValueError("levels must be nonnegative")
@@ -114,7 +122,7 @@ def _walk(
         raise BudgetExceeded(f"{levels} levels exceed the {LEVEL_BUDGET} level budget")
     if seeds is None:
         values = [1.0 + (lam - 1.0) / p.p(1)]
-        if abs(values[0]) > CLAMP:
+        if _modulus(values[0]) > CLAMP:
             return values, [], 0
     else:
         values = [complex(s) for s in seeds[: levels + 1]]
@@ -137,7 +145,7 @@ def _walk(
         else:
             q = prod / r - (1.0 / r - 1.0)
         values.append(q)
-        if not (abs(q) <= CLAMP):
+        if not (_modulus(q) <= CLAMP):
             return values, coeffs, m
     return values, coeffs, None
 
@@ -403,7 +411,7 @@ def in_point_spectrum(
     orbit = q_fib_orbit(lam, p, cfg.max_level)
     history = [1.0, 1.0]  # B_(-2) and B_(-1)
     for n, q in enumerate(orbit.values):
-        b = max(history[-1], history[-2] * abs(q))
+        b = max(history[-1], history[-2] * _modulus(q))
         if b > bound:
             return SpectrumResult("escaped", n, b)
         history.append(b)
@@ -533,7 +541,7 @@ def non_connectedness_test(p: ProbSeq, levels: int = 40) -> ConnectivityResult:
     values = _walk(p, levels, seeds=(0.0, 1.0 - 1.0 / p.p(2)))[0]
     prev_big = False
     for n, v in enumerate(values):
-        mod = abs(v)
+        mod = _modulus(v)
         big = mod > 1.0 + ETA
         if n >= 1 and big and prev_big:
             return ConnectivityResult("NonConnected", n - 1, abs(values[n - 1]))

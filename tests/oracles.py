@@ -4,11 +4,19 @@ subset_max_exhaustive is the brute-force oracle for the boundedness DP of
 in_point_spectrum.  The old_* functions are the scalar q-recursions as they
 were written before the package ran them all through one walk, copied
 unchanged apart from their names; the walk is checked against them bit for
-bit wherever they stay within CLAMP.
+bit wherever they stay within CLAMP.  The old_* raster functions are the
+lambda grid, CSV writer and CSV reader from before the writer's value table,
+the reader's fast path and the part-by-part lambda grid; the new ones must
+match them byte for byte, message for message and bit for bit.
 """
 
-from fibmachine.spectrum import CLAMP, LEVEL_BUDGET, q_fib_orbit, r_index
+import warnings
+
+import numpy as np
+
 from fibmachine.errors import BudgetExceeded, InvalidSeed
+from fibmachine.render import IterBuffer
+from fibmachine.spectrum import CLAMP, LEVEL_BUDGET, q_fib_orbit, r_index
 
 
 def subset_max_exhaustive(lam, p, level):
@@ -114,3 +122,93 @@ def old_q_general_orbit(lam, p, base, seeds=None, levels=20):
         if not (abs(q) <= CLAMP):
             break
     return values
+
+
+def old_lam_array(grid):
+    i = np.arange(grid.pixels_x, dtype=np.float64)
+    j = np.arange(grid.pixels_y, dtype=np.float64)
+    x = ((i + 0.5) / grid.pixels_x - 0.5) * grid.width
+    y = ((j + 0.5) / grid.pixels_y - 0.5) * grid.height
+    return (grid.center + x[None, :]) + 1j * y[:, None]
+
+
+def _ascii_rows(strings):
+    width = max(map(len, strings))
+    return np.array(strings, dtype=f"S{width}").view(np.uint8).reshape(len(strings), width)
+
+
+def old_write_csv(buf):
+    if buf.cells.size == 0:
+        return "\n"
+    h, w = buf.cells.shape
+    xs = _ascii_rows([f"{i}," for i in range(w)])
+    ys = _ascii_rows([f"{j}," for j in range(h)])
+    values, which = np.unique(buf.cells, return_inverse=True)
+    vs = _ascii_rows([f"{v}\n" for v in values.tolist()])
+    block = np.concatenate(
+        [
+            np.broadcast_to(xs[None, :, :], (h, w, xs.shape[1])),
+            np.broadcast_to(ys[:, None, :], (h, w, ys.shape[1])),
+            vs[which.reshape(h, w)],
+        ],
+        axis=2,
+    )
+    return block[block != 0].tobytes().decode("ascii")
+
+
+def _old_fast_fields(body):
+    body = body.replace("\r\n", "\n")
+    separators = body.encode("utf-8").translate(None, b"0123456789-")
+    lines = separators.count(b"\n") + 1
+    if separators != b",,\n" * (lines - 1) + b",,":
+        return None
+    fields_text = body.replace("\n", ",")
+    if "-," in fields_text or fields_text.endswith("-"):
+        return None
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", DeprecationWarning)
+        try:
+            fields = np.fromstring(fields_text, dtype=np.int64, sep=",")
+        except (ValueError, DeprecationWarning):
+            return None
+    return fields.reshape(lines, 3) if fields.size == 3 * lines else None
+
+
+def _old_scan_fields(body):
+    rows = []
+    for lineno, line in enumerate(body.splitlines(), start=1):
+        parts = line.strip().split(",")
+        if len(parts) != 3:
+            raise ValueError(f"line {lineno}: expected x,y,value")
+        rows.append([int(s) for s in parts])
+    return np.array(rows, dtype=np.int64)
+
+
+def old_parse_csv(text):
+    body = text.strip()
+    if not body:
+        raise ValueError("no cells in CSV text")
+    fields = _old_fast_fields(body)
+    if fields is None:
+        fields = _old_scan_fields(body)
+    xy = fields[:, :2]
+    bad = (xy < 0).any(axis=1)
+    if bad.any():
+        raise ValueError(f"line {int(np.argmax(bad)) + 1}: negative coordinate")
+    width = int(xy[:, 0].max()) + 1
+    height = int(xy[:, 1].max()) + 1
+    if len(fields) < width * height:
+        raise ValueError("CSV text does not cover a full grid")
+    flat = xy[:, 1] * width + xy[:, 0]
+    if np.bincount(flat, minlength=width * height).max() > 1:
+        repeat = np.ones(len(flat), dtype=bool)
+        repeat[np.unique(flat, return_index=True)[1]] = False
+        k = int(np.argmax(repeat))
+        raise ValueError(f"line {k + 1}: cell ({xy[k, 0]}, {xy[k, 1]}) appears twice")
+    values = fields[:, 2].astype(np.int32)
+    bad = values != fields[:, 2]
+    if bad.any():
+        raise ValueError(f"line {int(np.argmax(bad)) + 1}: value outside the int32 range")
+    cells = np.empty(width * height, dtype=np.int32)
+    cells[flat] = values
+    return IterBuffer(width, height, cells.reshape(height, width))

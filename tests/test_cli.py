@@ -361,3 +361,29 @@ def test_config_base_coeffs_must_be_integers(capsys, tmp_path):
         cfg = cfg_file(tmp_path, {**HALF_DOC, "base": {"coeffs": coeffs}})
         code, out, err = run(capsys, "spectrum", "orbit", "0.5", "0", "--config", cfg)
         assert code == 2 and out == "" and "base coeffs" in err, coeffs
+
+
+def test_config_prefix_errors_exit_2(capsys, tmp_path):
+    for prob_seq, message in [
+        ({"variant": "constant_tail", "prefix": "1", "param": 0.5}, "prefix must be a list"),
+        ({"variant": "constant_tail", "prefix": "0.5", "param": 0.5}, "prefix must be a list"),
+        (
+            {"variant": "power_law_complement", "prefix": [0.5], "param": {"c": 0.5, "alpha": 2}},
+            "power_law_complement takes no prob_seq prefix",
+        ),
+        (
+            {"variant": "geometric_decay", "prefix": [0.5], "param": {"c": 1.0, "rho": 0.9}},
+            "geometric_decay takes no prob_seq prefix",
+        ),
+    ]:
+        cfg = cfg_file(tmp_path, {"prob_seq": prob_seq})
+        code, out, err = run(capsys, "spectrum", "orbit", "0.5", "0", "--config", cfg)
+        assert code == 2 and out == "" and message in err, prob_seq
+
+
+def test_spectrum_orbit_past_the_float_range_escapes_at_level_0(capsys):
+    code, out, err = run(capsys, "spectrum", "orbit", "1.3e308", "1.3e308")
+    assert (code, err) == (0, "")
+    assert out == "0 1.3e+308+1.3e+308j\nescaped_at 0\n"
+    code, out, _ = run(capsys, "spectrum", "member", "1.3e308", "1.3e308")
+    assert code == 0 and out.startswith("E escaped at level 0\npoint_spectrum escaped at level 0")

@@ -1,5 +1,6 @@
 """Digit words: greedy encoding, decoding, admissibility, generalized bases."""
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -153,6 +154,14 @@ def test_base_validation():
         BaseDef((1, 2), name="increasing")
     with pytest.raises(ValueError):
         BaseDef((1, 0), name="zero")
+
+
+def test_base_refuses_bool_and_non_integer_coefficients():
+    for coeffs in [(1.9, True), (2, 1.0), (True, 1), (1, True), ("1", 1), (2, np.bool_(True))]:
+        with pytest.raises(ValueError, match="base coeffs must be integers"):
+            BaseDef(coeffs)
+    base = BaseDef((np.int64(2), np.int32(1)))
+    assert base.coeffs == (2, 1) and all(type(c) is int for c in base.coeffs)
 
 
 @given(st.integers(min_value=0, max_value=10**12))

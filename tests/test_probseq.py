@@ -105,6 +105,25 @@ def test_config_rejects_unknown_variant():
         from_config({"variant": "geometric_decay", "param": 0.5})
 
 
+def test_config_prefix_must_be_a_list():
+    for prefix in ["1", "0.5", "", 0.5, None, {"0": 0.5}]:
+        with pytest.raises(ValueError, match="prefix must be a list"):
+            from_config({"variant": "constant_tail", "prefix": prefix, "param": 0.5})
+    assert from_config({"variant": "explicit", "prefix": [1, 0.5]}) == Explicit((1.0, 0.5), None)
+    assert from_config({"variant": "constant_tail", "param": 0.5}) == ConstantTail((), 0.5)
+
+
+def test_derived_families_refuse_a_prefix():
+    for variant, param in [
+        ("power_law_complement", {"c": 0.5, "alpha": 2.0}),
+        ("geometric_decay", {"c": 1.0, "rho": 0.9}),
+    ]:
+        with pytest.raises(ValueError, match=f"{variant} takes no prob_seq prefix"):
+            from_config({"variant": variant, "prefix": [0.5], "param": param})
+        want = from_config({"variant": variant, "param": param})
+        assert from_config({"variant": variant, "prefix": [], "param": param}) == want
+
+
 @given(
     st.lists(st.floats(min_value=0.01, max_value=1.0), max_size=8),
     st.floats(min_value=0.01, max_value=1.0),

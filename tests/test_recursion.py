@@ -30,6 +30,7 @@ from fibmachine import (
     all_ones,
     eigen_residual,
     fibered_pair,
+    in_E,
     in_point_spectrum,
     non_connectedness_test,
     phi_orbit,
@@ -325,3 +326,25 @@ def test_point_spectrum_bound_must_be_a_number():
     with pytest.raises(ValueError, match="bound"):
         in_point_spectrum(0.5, NULL, cfg, bound=math.nan)
     assert in_point_spectrum(1.0, NULL, cfg, bound=math.inf).status == "inside"
+
+
+def test_modulus_past_the_float_range_is_an_escape():
+    # finite parts, but abs() overflows: the seed escapes at level 0 as in_E says
+    lam = complex(1.3e308, 1.3e308)
+    p = all_ones()
+    with pytest.raises(OverflowError):
+        old_q_fib_orbit(lam, p, 5)
+    orbit = q_fib_orbit(lam, p, 5)
+    assert (orbit.values, orbit.coeffs, orbit.escaped_at) == ((lam,), (), 0)
+    cfg = EscapeConfig(radius=4.0, max_level=12)
+    assert in_E(lam, p, cfg).level == 0
+    assert in_point_spectrum(lam, p, cfg, 10.0).level == 0
+    assert fibered_pair(lam, p, 5) == [(lam, lam)]
+    assert q_general_orbit(lam, p, FIBONACCI, levels=5) == [lam]
+    # a step whose modulus overflows ends the walk at that level
+    seeds = [complex(1e154, 0.0), complex(1.3e154, 1.3e154)]
+    with pytest.raises(OverflowError):
+        old_q_general_orbit(0j, p, FIBONACCI, seeds=seeds, levels=4)
+    got = q_general_orbit(0j, p, FIBONACCI, seeds=seeds, levels=4)
+    assert got == seeds + [seeds[0] * seeds[1]]
+    assert math.isfinite(got[2].real) and math.isfinite(got[2].imag)
