@@ -13,8 +13,11 @@ bits(F_m + k) = bits(k) | 1<<m, the ladder depth is a count of trailing bits,
 and each row's targets and probabilities are read from small per-depth
 tables.  Each sum over a row or over a target's inflow is still one
 math.fsum over the same products, so the results are those of the per-row
-walk bit for bit.  Simulation draws its uniforms in blocks and keeps the rows
-of recently visited states in a bounded per-call cache.
+walk bit for bit.  The truncated matrix keeps those rows as arrays, its
+targets and probabilities in compressed-row form, and builds a row's
+Distribution only when it is asked for.  Simulation draws its uniforms in
+blocks and keeps the rows of recently visited states in a bounded per-call
+cache.
 
 Also here: the transience/recurrence classification of a descriptor, the
 block-constant eigenvector weights (beta), the stationary weights (xi), and
@@ -26,7 +29,9 @@ from __future__ import annotations
 import bisect
 import enum
 import math
-from dataclasses import dataclass
+import numbers
+from dataclasses import dataclass, fields
+from functools import cached_property
 from itertools import accumulate
 from operator import index
 from typing import Callable, Iterator
@@ -291,22 +296,52 @@ def sample_step(state: int, p: ProbSeq, rng: SplitMix64) -> int:
     return transition_dist(state, p).sample(rng)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TruncatedMatrix:
     """The square block of the transition operator on states < F_level.
 
     Only the top state F_level - 1 can leave the block (its completed
     increment lands on F_level); that single leak is recorded explicitly.
+    The entries are kept as read-only arrays in compressed-row form: row i
+    is targets[indptr[i]:indptr[i + 1]] with the matching probs, targets
+    ascending.  `row` builds one row's Distribution, and `rows` builds them
+    all on first use.
     """
 
     level: int
     size: int
-    rows: tuple[Distribution, ...]
     leak_state: int
     leak_prob: float
+    indptr: np.ndarray
+    targets: np.ndarray
+    probs: np.ndarray
 
     def row(self, i: int) -> Distribution:
-        return self.rows[i]
+        if isinstance(i, bool) or not isinstance(i, numbers.Integral):
+            raise ValueError(f"state must be an integer, got {i!r}")
+        if not 0 <= i < self.size:
+            raise ValueError(f"state {i} is outside the truncation 0..{self.size - 1}")
+        lo, hi = self.indptr[i : i + 2].tolist()
+        entries = zip(self.targets[lo:hi].tolist(), self.probs[lo:hi].tolist())
+        return Distribution(int(i), tuple(entries))
+
+    @cached_property
+    def rows(self) -> tuple[Distribution, ...]:
+        counts = np.diff(self.indptr)
+        row_targets = _runs(self.targets.tolist(), counts)
+        row_probs = _runs(self.probs.tolist(), counts)
+        entries = map(tuple, map(zip, row_targets, row_probs))
+        return tuple(map(Distribution, range(self.size), entries))
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, TruncatedMatrix):
+            return NotImplemented
+        return all(
+            np.array_equal(getattr(self, f.name), getattr(other, f.name)) for f in fields(self)
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.level, self.size, self.leak_prob, len(self.targets)))
 
 
 def _truncation_size(level: int) -> int:
@@ -321,21 +356,26 @@ def _truncation_size(level: int) -> int:
 
 def transition_matrix(level: int, p: ProbSeq) -> TruncatedMatrix:
     size = _truncation_size(level)
-    rungs = _RungTable(p)
-    positive: list[tuple[float, ...]] = []  # by depth, without underflowed zeros
-    rows: list[Distribution] = []
-    for states, depths, targets, probs in _ladder_chunks(0, size, rungs):
-        while len(positive) <= depths.max():
-            positive.append(tuple(v for v in rungs.row(len(positive)) if v > 0.0))
-        kept = probs > 0.0
-        row_targets = _runs(targets[kept].tolist(), kept.sum(axis=1))
-        row_probs = map(positive.__getitem__, depths.tolist())
-        rows += map(Distribution, states.tolist(), map(tuple, map(zip, row_targets, row_probs)))
-    # only the top state's completed increment lands outside the block
-    top = rows[-1].entries
-    rows[-1] = Distribution(size - 1, tuple((t, v) for t, v in top if t < size))
-    leak = math.fsum(v for t, v in top if t >= size)
-    return TruncatedMatrix(level, size, tuple(rows), size - 1, leak)
+    counts: list[np.ndarray] = [np.zeros(1, dtype=np.int64)]
+    targets: list[np.ndarray] = []
+    probs: list[np.ndarray] = []
+    for _, _, chunk_targets, chunk_probs in _ladder_chunks(0, size, _RungTable(p)):
+        kept = chunk_probs > 0.0  # drops underflowed zeros and the padding
+        counts.append(np.count_nonzero(kept, axis=1))
+        targets.append(chunk_targets[kept])
+        probs.append(chunk_probs[kept])
+    indptr = np.cumsum(np.concatenate(counts))
+    all_targets, all_probs = np.concatenate(targets), np.concatenate(probs)
+    # only the top state's completed increment lands outside the block; the
+    # row ascends, so it is the row's tail
+    top = int(indptr[-2])
+    end = top + int(np.count_nonzero(all_targets[top:] < size))
+    leak = math.fsum(all_probs[end:].tolist())
+    indptr[-1] = end
+    arrays = (indptr, all_targets[:end], all_probs[:end])
+    for array in arrays:
+        array.flags.writeable = False
+    return TruncatedMatrix(level, size, size - 1, leak, *arrays)
 
 
 # ---------------------------------------------------------------------------

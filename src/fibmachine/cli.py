@@ -15,6 +15,8 @@ import sys
 from pathlib import Path
 from typing import Iterable, Iterator
 
+import numpy as np
+
 from . import chain, figures, odometer, render, spectrum
 from .config import RunConfig, load_config
 from .errors import BudgetExceeded, CapacityError, FibmachineError
@@ -23,7 +25,7 @@ from .probseq import all_ones
 from .rng import SplitMix64
 
 
-#: Lines of `chain matrix` CSV joined before each write.
+#: Lines of `chain matrix` CSV written at a time, rounded to whole rows.
 CSV_BLOCK = 4096
 
 
@@ -113,21 +115,31 @@ def cmd_chain_matrix(args: argparse.Namespace) -> int:
 
 
 def _matrix_csv(matrix: chain.TruncatedMatrix) -> Iterator[str]:
-    """The CSV text of a truncated matrix, some thousand lines at a time."""
-    # a row's probabilities are among 2*depth rung values: format each once
-    text: dict[float, str] = {}
+    """The CSV text of a truncated matrix, about CSV_BLOCK lines at a time.
+
+    As in render._csv_blocks, each line is assembled from word tables: one
+    of the f"{i}," fields for the state and target columns, and one of the
+    formatted probabilities, of which there are at most 2*depth distinct
+    rung values.  The tables are kept transposed, so a block is filled one
+    contiguous word column at a time, and its NUL padding is dropped at once.
+    """
     yield "from,to,prob\n"
-    lines: list[str] = []
-    for row in matrix.rows:
-        for target, prob in row.entries:
-            shown = text.get(prob)
-            if shown is None:
-                shown = text[prob] = fmt(prob)
-            lines.append(f"{row.state},{target},{shown}\n")
-        if len(lines) >= CSV_BLOCK:
-            yield "".join(lines)
-            lines.clear()
-    yield "".join(lines)
+    states = render._word_rows([f"{i}," for i in range(matrix.size)]).T.copy()
+    values = np.unique(matrix.probs)
+    probs = render._word_rows([fmt(v) + "\n" for v in values.tolist()]).T.copy()
+    indptr = matrix.indptr
+    counts = np.diff(indptr)
+    bounds = np.searchsorted(indptr, range(0, len(matrix.targets), CSV_BLOCK)).tolist()
+    for r0, r1 in zip(bounds, bounds[1:] + [matrix.size]):
+        lo, hi = indptr[r0], indptr[r1]
+        block = np.concatenate(
+            (
+                np.repeat(states[:, r0:r1], counts[r0:r1], axis=1),
+                states.take(matrix.targets[lo:hi], axis=1),
+                probs.take(np.searchsorted(values, matrix.probs[lo:hi]), axis=1),
+            )
+        )
+        yield block.T.tobytes().translate(None, b"\0").decode("ascii")
     yield f"# leak from state {matrix.leak_state}: {fmt(matrix.leak_prob)}\n"
 
 
@@ -356,6 +368,10 @@ def main(argv: list[str] | None = None) -> int:
         return 3
     except (FibmachineError, ValueError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except OSError as exc:  # an output path that cannot be written
+        where = exc.filename or "the output"
+        print(f"error: cannot write {where}: {exc.strerror or exc}", file=sys.stderr)
         return 2
 
 

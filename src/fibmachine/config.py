@@ -14,7 +14,7 @@ from typing import Any
 
 from .errors import ConfigError, FibmachineError
 from .numeration import FIBONACCI, BaseDef
-from .probseq import ProbSeq, all_ones, from_config as probseq_from_config, to_config
+from .probseq import ProbSeq, all_ones, from_config as probseq_from_config, json_number, to_config
 from .render import GridSpec
 from .spectrum import EscapeConfig, escape_radius
 
@@ -42,6 +42,8 @@ class RunConfig:
 
 
 def _require_keys(d: dict, allowed: set[str], where: str) -> None:
+    if not isinstance(d, dict):
+        raise ConfigError(f"{where} must be a JSON object, got {d!r}")
     unknown = set(d) - allowed
     if unknown:
         raise ConfigError(f"unknown {where} keys: {sorted(unknown)}")
@@ -60,19 +62,21 @@ def _grid_from_dict(d: dict) -> GridSpec:
         d, {"center", "width", "height", "pixels_x", "pixels_y", "pixels"}, "grid"
     )
     center = d.get("center", [0.0, 0.0])
-    if isinstance(center, (int, float)):
-        center = complex(center)
-    elif isinstance(center, (list, tuple)) and len(center) == 2:
-        center = complex(float(center[0]), float(center[1]))
+    if isinstance(center, (list, tuple)) and len(center) == 2:
+        parts = zip(center, ("re", "im"))
+        real, imag = (json_number(x, f"grid center {part}") for x, part in parts)
+        center = complex(real, imag)
+    elif isinstance(center, (int, float)):
+        center = complex(json_number(center, "grid center"))
     else:
-        raise ConfigError("grid center must be a number or a [re, im] pair")
+        raise ConfigError(f"grid center must be a number or a [re, im] pair, got {center!r}")
     pixels = _int_field(d, "pixels", 800, "grid ")
     px = _int_field(d, "pixels_x", pixels, "grid ")
     py = _int_field(d, "pixels_y", pixels, "grid ")
     return GridSpec(
         center=center,
-        width=float(d.get("width", 5.0)),
-        height=float(d.get("height", 5.0)),
+        width=json_number(d.get("width", 5.0), "grid width"),
+        height=json_number(d.get("height", 5.0), "grid height"),
         pixels_x=px,
         pixels_y=py,
     )
@@ -109,8 +113,8 @@ def config_from_dict(doc: dict) -> RunConfig:
             prob_seq=prob_seq,
             base=base,
             grid=grid,
-            radius=None if radius is None else float(radius),
-            margin=float(esc.get("margin", DEFAULT_MARGIN)),
+            radius=None if radius is None else json_number(radius, "escape radius"),
+            margin=json_number(esc.get("margin", DEFAULT_MARGIN), "escape margin"),
             max_level=max_level,
             early_exit=early_exit,
             seed=_int_field(doc, "seed", DEFAULT_SEED, ""),

@@ -166,6 +166,23 @@ class GeometricDecay(ProbSeq):
         return f"p_i = {self.c:g} * {self.rho:g}^i"
 
 
+def json_number(value: object, what: str) -> float:
+    """A JSON number as a float; a bool, a string or any other type is refused, naming `what`."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"{what} must be a number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:
+        raise ConfigError(f"{what} is out of the float range, got {value!r}") from None
+
+
+#: The param keys of the two parametric families, in constructor order.
+_FAMILY_PARAMS = {
+    "power_law_complement": (PowerLawComplement, ("c", "alpha")),
+    "geometric_decay": (GeometricDecay, ("c", "rho")),
+}
+
+
 def from_config(cfg: dict) -> ProbSeq:
     """Build a descriptor from its JSON form {"variant", "prefix", "param"}."""
     if not isinstance(cfg, dict) or "variant" not in cfg:
@@ -174,23 +191,23 @@ def from_config(cfg: dict) -> ProbSeq:
     prefix = cfg.get("prefix", [])
     if not isinstance(prefix, (list, tuple)):
         raise ConfigError(f"prob_seq prefix must be a list, got {prefix!r}")
-    prefix = tuple(prefix)
+    prefix = tuple(json_number(v, "prob_seq prefix entry") for v in prefix)
     param = cfg.get("param")
-    if variant == "explicit":
-        return Explicit(prefix, None if param is None else float(param))
-    if variant == "constant_tail":
-        return ConstantTail(prefix, 1.0 if param is None else float(param))
-    if prefix and variant in ("power_law_complement", "geometric_decay"):
+    if variant in ("explicit", "constant_tail"):
+        tail = None if param is None else json_number(param, "prob_seq param")
+        if variant == "explicit":
+            return Explicit(prefix, tail)
+        return ConstantTail(prefix, 1.0 if tail is None else tail)
+    if variant not in _FAMILY_PARAMS:
+        raise UnsupportedVariant(f"unknown probability sequence variant {variant!r}")
+    if prefix:
         raise ConfigError(f"{variant} takes no prob_seq prefix, got {list(prefix)!r}")
-    if variant == "power_law_complement":
-        if not isinstance(param, dict):
-            raise UnsupportedVariant("power_law_complement needs param {'c':..., 'alpha':...}")
-        return PowerLawComplement(float(param["c"]), float(param["alpha"]))
-    if variant == "geometric_decay":
-        if not isinstance(param, dict):
-            raise UnsupportedVariant("geometric_decay needs param {'c':..., 'rho':...}")
-        return GeometricDecay(float(param["c"]), float(param["rho"]))
-    raise UnsupportedVariant(f"unknown probability sequence variant {variant!r}")
+    family, keys = _FAMILY_PARAMS[variant]
+    if not isinstance(param, dict) or set(param) != set(keys):
+        raise UnsupportedVariant(
+            f"{variant} needs param {{'c':..., '{keys[1]}':...}}, got {param!r}"
+        )
+    return family(*(json_number(param[k], f"prob_seq param {k}") for k in keys))
 
 
 def to_config(p: ProbSeq) -> dict:

@@ -219,8 +219,8 @@ def fibered_pair(lam: complex, p: ProbSeq, levels: int) -> list[tuple[complex, c
 
 def escape_radius(p: ProbSeq, margin: float = 0.0) -> float:
     """Safe escape radius max(1 + eps, 2/delta - 1) + margin."""
-    if margin < 0.0:
-        raise ValueError("margin must be nonnegative")
+    if not 0.0 <= margin < math.inf:
+        raise ValueError(f"margin must be nonnegative and finite, got {margin!r}")
     delta = p.delta_lower_bound()
     if delta <= 0.0:
         raise ZeroDelta(

@@ -7,13 +7,20 @@ unchanged apart from their names; the walk is checked against them bit for
 bit wherever they stay within CLAMP.  The old_* raster functions are the
 lambda grid, CSV writer and CSV reader from before the writer's value table,
 the reader's fast path and the part-by-part lambda grid; the new ones must
-match them byte for byte, message for message and bit for bit.
+match them byte for byte, message for message and bit for bit.  The
+old_*matrix* functions are the truncated matrix built as one Distribution
+per row and the `chain matrix` CSV writer that formatted it line by line;
+the array-backed matrix and its block writer must match them bit for bit
+and byte for byte.
 """
 
+import math
 import warnings
 
 import numpy as np
 
+from fibmachine.chain import Distribution, _ladder_chunks, _RungTable, _runs, _truncation_size
+from fibmachine.cli import CSV_BLOCK, fmt
 from fibmachine.errors import BudgetExceeded, InvalidSeed
 from fibmachine.render import IterBuffer
 from fibmachine.spectrum import CLAMP, LEVEL_BUDGET, q_fib_orbit, r_index
@@ -212,3 +219,40 @@ def old_parse_csv(text):
     cells = np.empty(width * height, dtype=np.int32)
     cells[flat] = values
     return IterBuffer(width, height, cells.reshape(height, width))
+
+
+def old_transition_matrix(level, p):
+    """The truncated matrix built one Distribution per row; returns its rows and leak."""
+    size = _truncation_size(level)
+    rungs = _RungTable(p)
+    positive = []  # by depth, without underflowed zeros
+    rows = []
+    for states, depths, targets, probs in _ladder_chunks(0, size, rungs):
+        while len(positive) <= depths.max():
+            positive.append(tuple(v for v in rungs.row(len(positive)) if v > 0.0))
+        kept = probs > 0.0
+        row_targets = _runs(targets[kept].tolist(), kept.sum(axis=1))
+        row_probs = map(positive.__getitem__, depths.tolist())
+        rows += map(Distribution, states.tolist(), map(tuple, map(zip, row_targets, row_probs)))
+    top = rows[-1].entries
+    rows[-1] = Distribution(size - 1, tuple((t, v) for t, v in top if t < size))
+    leak = math.fsum(v for t, v in top if t >= size)
+    return tuple(rows), leak
+
+
+def old_matrix_csv(rows, leak_state, leak_prob):
+    """The `chain matrix` text written one f-string per line."""
+    text = {}
+    yield "from,to,prob\n"
+    lines = []
+    for row in rows:
+        for target, prob in row.entries:
+            shown = text.get(prob)
+            if shown is None:
+                shown = text[prob] = fmt(prob)
+            lines.append(f"{row.state},{target},{shown}\n")
+        if len(lines) >= CSV_BLOCK:
+            yield "".join(lines)
+            lines.clear()
+    yield "".join(lines)
+    yield f"# leak from state {leak_state}: {fmt(leak_prob)}\n"

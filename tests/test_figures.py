@@ -3,11 +3,16 @@
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fibmachine import (
     ConfigError,
     ConstantTail,
+    Explicit,
     GeometricDecay,
+    GridSpec,
+    PowerLawComplement,
     RunConfig,
     ZeroDelta,
     all_ones,
@@ -39,6 +44,53 @@ def test_config_round_trip():
     )
     again = config_from_dict(config_to_dict(cfg))
     assert again == cfg
+
+
+PROBS = st.floats(min_value=0.0, max_value=1.0, exclude_min=True)
+POSITIVE = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+PREFIXES = st.lists(PROBS, max_size=5).map(tuple)
+
+PROB_SEQS = st.one_of(
+    st.builds(Explicit, PREFIXES, st.none() | PROBS),
+    st.builds(ConstantTail, PREFIXES, PROBS),
+    st.builds(PowerLawComplement, POSITIVE, POSITIVE),
+    st.builds(GeometricDecay, POSITIVE, PROBS.filter(lambda rho: rho < 1.0)),
+)
+
+# non-increasing coefficients, as BaseDef requires
+COEFFS = st.lists(st.integers(1, 9), min_size=2, max_size=5).map(lambda c: sorted(c)[::-1])
+BASES = st.just(FIBONACCI) | st.builds(BaseDef, COEFFS.map(tuple), st.text(max_size=8))
+
+GRIDS = st.builds(
+    GridSpec,
+    st.builds(complex, FINITE, FINITE),
+    POSITIVE,
+    POSITIVE,
+    st.integers(1, 10**6),
+    st.integers(1, 10**6),
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.builds(
+        RunConfig,
+        prob_seq=PROB_SEQS,
+        base=BASES,
+        grid=GRIDS,
+        radius=st.none() | st.floats(allow_nan=False),
+        margin=st.floats(allow_nan=False),
+        max_level=st.integers(),
+        early_exit=st.booleans(),
+        seed=st.integers(),
+    )
+)
+def test_config_round_trip_property(cfg):
+    doc = config_to_dict(cfg)
+    assert config_from_dict(doc) == cfg
+    # and through JSON text, which carries every float exactly
+    assert config_from_dict(json.loads(json.dumps(doc))) == cfg
 
 
 def test_config_bare_variant_shorthand():
