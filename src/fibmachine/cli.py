@@ -124,7 +124,7 @@ def _matrix_csv(matrix: chain.TruncatedMatrix) -> Iterator[str]:
     contiguous word column at a time, and its NUL padding is dropped at once.
     """
     yield "from,to,prob\n"
-    states = render._word_rows([f"{i}," for i in range(matrix.size)]).T.copy()
+    states = render._index_words(matrix.size).T.copy()
     values = np.unique(matrix.probs)
     probs = render._word_rows([fmt(v) + "\n" for v in values.tolist()]).T.copy()
     indptr = matrix.indptr

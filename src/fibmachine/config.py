@@ -57,6 +57,14 @@ def _int_field(d: dict, key: str, default: int, where: str) -> int:
     return value
 
 
+def _pixel_field(d: dict, key: str, default: int) -> int:
+    """A grid pixel count: a JSON integer of at least 1."""
+    value = _int_field(d, key, default, "grid ")
+    if value < 1:
+        raise ConfigError(f"grid {key} must be at least 1, got {value!r}")
+    return value
+
+
 def _grid_from_dict(d: dict) -> GridSpec:
     _require_keys(
         d, {"center", "width", "height", "pixels_x", "pixels_y", "pixels"}, "grid"
@@ -70,9 +78,9 @@ def _grid_from_dict(d: dict) -> GridSpec:
         center = complex(json_number(center, "grid center"))
     else:
         raise ConfigError(f"grid center must be a number or a [re, im] pair, got {center!r}")
-    pixels = _int_field(d, "pixels", 800, "grid ")
-    px = _int_field(d, "pixels_x", pixels, "grid ")
-    py = _int_field(d, "pixels_y", pixels, "grid ")
+    pixels = _pixel_field(d, "pixels", 800)
+    px = _pixel_field(d, "pixels_x", pixels)
+    py = _pixel_field(d, "pixels_y", pixels)
     return GridSpec(
         center=center,
         width=json_number(d.get("width", 5.0), "grid width"),

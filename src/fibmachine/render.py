@@ -30,7 +30,7 @@ PIXEL_BUDGET = 10**8
 #: Lines of CSV text built or read per block, so its temporaries stay in cache.
 CSV_BLOCK = 1 << 14
 
-_NEWLINE, _MINUS, _ZERO = ord("\n"), ord("-"), ord("0")
+_NEWLINE, _MINUS, _ZERO, _COMMA = ord("\n"), ord("-"), ord("0"), ord(",")
 
 #: The place values of the at most ten digits of an int32.
 _PLACES = (10 ** np.arange(10)).astype(np.int32)
@@ -65,8 +65,8 @@ class GridSpec:
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, numbers.Integral):
                 raise ValueError(f"grid {name} must be an integer, got {value!r}")
-        if self.pixels_x < 1 or self.pixels_y < 1:
-            raise ValueError("pixel counts must be at least 1")
+            if value < 1:
+                raise ValueError(f"grid {name} must be at least 1, got {value!r}")
 
     def pixel(self, i: int, j: int) -> complex:
         """Center of pixel column i, row j."""
@@ -212,6 +212,24 @@ def _word_rows(strings: list[str]) -> np.ndarray:
     return np.array(strings, dtype=f"S{4 * words}").view(np.uint32).reshape(len(strings), words)
 
 
+def _index_words(n: int) -> np.ndarray:
+    """_word_rows of the fields "0,", "1,", .., f"{n - 1},", built from their decimal digits.
+
+    The numbers of d digits are the run 10^(d-1)..10^d - 1 (0 joins the
+    one-digit run), so each run fills d digit columns, one division by a
+    place value each, and a comma after them.
+    """
+    width = len(str(max(n - 1, 0)))
+    chars = np.zeros((n, -(-(width + 1) // 4) * 4), dtype=np.uint8)
+    for d in range(1, width + 1):
+        lo, hi = 10 ** (d - 1) if d > 1 else 0, min(n, 10**d)
+        run = np.arange(lo, hi)
+        for k in range(d):
+            chars[lo:hi, k] = run // 10 ** (d - 1 - k) % 10 + _ZERO
+        chars[lo:hi, d] = _COMMA
+    return chars.view(np.uint32)
+
+
 def _csv_blocks(cells: np.ndarray) -> Iterator[bytes]:
     """The text of write_csv as ASCII bytes, CSV_BLOCK lines of whole rows at a time.
 
@@ -229,8 +247,7 @@ def _csv_blocks(cells: np.ndarray) -> Iterator[bytes]:
     else:
         distinct, which = np.unique(cells, return_inverse=True)
         index, values, lo = which.reshape(h, w), distinct.tolist(), 0
-    xs = _word_rows([f"{i}," for i in range(w)])
-    ys = _word_rows([f"{j}," for j in range(h)])
+    xs, ys = _index_words(w), _index_words(h)
     vs = _word_rows([f"{v}\n" for v in values])
     kx, ky = xs.shape[1], ys.shape[1]
     rows = max(1, min(h, CSV_BLOCK // w))

@@ -11,8 +11,9 @@ numpy and runs the flat pixels in cache-sized blocks.  Inside a block a
 settled pixel rides along behind a mask until a quarter of the lanes have
 settled, and the work arrays then shrink to the live ones.  Each step
 multiplies by 1/r_n, which gives the moduli of numpy's division by r_n
-exactly.  The scalar membership test in_E runs that same kernel on a 1x1
-array, so scalar and raster answers agree bit for bit.
+exactly.  The scalar membership test in_E walks one lambda through the
+same numpy expressions and tests without the block bookkeeping, so scalar
+and raster answers agree bit for bit.
 """
 
 from __future__ import annotations
@@ -377,11 +378,33 @@ def _escape_block(
 
 
 def in_E(lam: complex, p: ProbSeq, cfg: EscapeConfig) -> EscapeResult:
-    """Membership in the fibered Julia set E, by the same kernel the renderer runs."""
-    level = int(escape_levels(np.array([[complex(lam)]]), p, cfg)[0, 0])
-    if level == INSIDE:
-        return EscapeResult(False, None)
-    return EscapeResult(True, level)
+    """Membership in the fibered Julia set E: escape_levels' level at one lambda.
+
+    One lane of the escape walk, without the block bookkeeping.  The steps
+    are the kernel's numpy expressions on a 1-element complex128 array, since
+    numpy's products and moduli can differ in the last bit from Python's; the
+    tests run on the modulus as a float, the pair rule first; and `p` is asked
+    for the same coefficients in the same order.  The level, and any error,
+    are therefore those of escape_levels on a 1x1 grid.
+    """
+    radius, pair_rule = cfg.radius, cfg.early_exit
+    prev_big = False
+    inv_p1 = 1.0 / p.p(1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        cur = (np.array([complex(lam)]) - 1.0) * inv_p1 + 1.0
+        prev = cur  # step 1 squares the seed
+        for n in range(cfg.max_level + 1):
+            if n >= 1:
+                inv_r = 1.0 / p.p(r_index(n))
+                cur, prev = cur * prev * inv_r - (inv_r - 1.0), cur
+            m = np.abs(cur).item()
+            big = m > 1.0 + ETA
+            if pair_rule and big and prev_big:
+                return EscapeResult(True, n - 1)
+            if not m <= radius:
+                return EscapeResult(True, n)
+            prev_big = big
+    return EscapeResult(False, None)
 
 
 # ---------------------------------------------------------------------------
@@ -471,6 +494,9 @@ def eigen_residual(lam: complex, p: ProbSeq, level: int) -> EigenResidual:
         inside = (targets >= 0) & (targets <= top)
         keep = np.concatenate((inside, (states <= top)[:, None]), axis=1)
         counts = keep.sum(axis=1)
+        # a row with no entries sums to 0.0, which raises neither maximum; all
+        # such rows lie past top, behind the interior rows
+        counts = counts[counts > 0]
         at = np.where(inside, targets, 0)
         with np.errstate(over="ignore", invalid="ignore"):
             re_acc = np.concatenate((probs * wr[at], -shift_re[states][:, None]), axis=1)

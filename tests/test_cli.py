@@ -281,6 +281,22 @@ def test_repro_bad_target_exit(capsys, tmp_path):
     assert code == 2 and "error:" in err
 
 
+@pytest.mark.parametrize("key", ["pixels", "pixels_x", "pixels_y"])
+def test_pixel_count_below_one_exits_2_naming_the_key(capsys, tmp_path, key):
+    doc = {**SMALL_RENDER, "grid": {"pixels": 20, key: 0}}
+    out_path = tmp_path / "never.ppm"
+    code, out, err = run(capsys, "render", "--config", cfg_file(tmp_path, doc), "--out", str(out_path))
+    assert (code, out) == (2, "")
+    assert err == f"error: grid {key} must be at least 1, got 0\n"
+    assert not out_path.exists()
+
+
+def test_repro_pixels_below_one_exits_2(capsys, tmp_path):
+    code, out, err = run(capsys, "repro", "3", "--out-dir", str(tmp_path), "--pixels", "-4")
+    assert (code, out) == (2, "")
+    assert err == "error: grid pixels_x must be at least 1, got -4\n"
+
+
 def test_bad_config_exit(capsys, tmp_path):
     bad = cfg_file(tmp_path, {"prob_seq": {"variant": "constant_tail"}, "oops": 1})
     code, _, err = run(capsys, "chain", "classify", "--config", bad)

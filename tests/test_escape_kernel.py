@@ -5,8 +5,10 @@ oracle: it steps every pixel at every level, divides by r_n, and freezes
 settled lanes at 0.  The shipped kernel steps blocks of pixels, carries
 settled lanes behind a mask until it compacts, and multiplies by 1/r_n; on a
 live pixel its moduli equal the oracle's, so their levels must agree bit for
-bit.  The scalar `in_E` runs the shipped kernel on a 1x1 array and must give
-the oracle's level too.
+bit.  The scalar `in_E` walks one lambda through the kernel's expressions and
+tests without the block bookkeeping; it must give the level of the shipped
+kernel on a 1x1 array and of the oracle, ask `p` for the same coefficients,
+and raise the same errors.
 """
 
 import cmath
@@ -20,6 +22,7 @@ from fibmachine import (
     ConstantTail,
     EscapeConfig,
     Explicit,
+    GeometricDecay,
     ProbSeq,
     TailUndefined,
     all_ones,
@@ -287,7 +290,7 @@ def test_coefficients_requested_as_by_the_oracle():
 
 
 # ---------------------------------------------------------------------------
-# the scalar path: a 1x1 run of the compacted kernel against the oracle
+# the scalar path: in_E against the oracle at random lambda
 
 
 def _kernel_level(lam, p, cfg):
@@ -337,3 +340,99 @@ def test_in_E_matches_kernel_on_escape_boundaries(p, theta, early_exit):
     lam = cmath.exp(1j * theta)
     assert _scalar_level(lam, ones, unit) == _kernel_level(lam, ones, unit)
     assert _scalar_level(lam, p, cfg) == _kernel_level(lam, p, cfg)
+
+
+# ---------------------------------------------------------------------------
+# the one-lane walk of in_E against the kernel on a 1x1 grid and the oracle
+
+# p_n = c * rho^n with an explicit radius: 1/p_n reaches 1e60 and more, and
+# for the second sequence it is inf (p_n clamps to 5e-324) from level 19 on
+LANE_SEQS = [HALF, MIXED, all_ones()] + PANEL_SEQS
+GEOMETRIC = [GeometricDecay(0.9, 0.001), GeometricDecay(0.5, 1e-30)]
+
+
+def _lane_configs(max_level, early_exit):
+    for p in LANE_SEQS:
+        yield p, EscapeConfig.for_probseq(p, max_level=max_level, early_exit=early_exit)
+    for p in GEOMETRIC:
+        yield p, EscapeConfig(radius=50.0, max_level=max_level, early_exit=early_exit)
+
+
+def _lane_lambdas(rng, p, cfg):
+    nan, inf, big = float("nan"), float("inf"), 1e308
+    p1 = p.p(1)
+    special = [
+        complex(nan, 0.5), complex(0.5, nan), complex(nan, nan), complex(inf, 0.0),
+        complex(0.0, -inf), complex(nan, inf), complex(-inf, -inf),
+        complex(big, big), complex(big, -big), complex(-big, 0.5), complex(0.25, big),
+        1.0, -0.0, complex(-0.0, -0.0),
+    ]
+    # seeds on the radius and on 1 + ETA, real and imaginary (seed - 1 = (lambda - 1)/p_1)
+    for edge in (cfg.radius, 1.0 + ETA):
+        for sign in (1.0, -1.0):
+            special.append(1.0 + (sign * edge - 1.0) * p1)
+            special.append(complex(1.0 - p1, sign * edge * p1))
+    # half of the rest have seeds in a box around the unit disk, which is all
+    # that survives level 0 when p_1 is tiny
+    seeds = _random_lambda(rng, 32 - len(special) // 2, 1.3)
+    return _random_lambda(rng, 32, 3.0).tolist() + (1.0 + (seeds - 1.0) * p1).tolist() + special
+
+
+@pytest.mark.parametrize("max_level", [0, 1, 2, 17, 40])
+@pytest.mark.parametrize("early_exit", [True, False])
+def test_lane_equals_the_kernel_on_one_pixel_and_the_oracle(max_level, early_exit):
+    rng = np.random.default_rng(1000 + 2 * max_level + early_exit)
+    checked = 0
+    for p, cfg in _lane_configs(max_level, early_exit):
+        lams = _lane_lambdas(rng, p, cfg)
+        with np.errstate(over="ignore", invalid="ignore"):  # the oracle's seed warns
+            oracle = full_array_escape_levels(np.array(lams), p, cfg).tolist()
+        for lam, want in zip(lams, oracle):
+            one_pixel = int(escape_levels(np.array([[lam]]), p, cfg)[0, 0])
+            assert _scalar_level(lam, p, cfg) == one_pixel == want, (p, lam)
+        checked += len(lams)
+    assert checked * 10 >= 10_000  # over the ten (max_level, early_exit) cases
+
+
+class OrderedRecording(Recording):
+    """A Recording that also keeps every request in order, repeats included."""
+
+    def __init__(self, inner):
+        super().__init__(inner)
+        self.order = []
+
+    def p(self, i):
+        self.order.append(i)
+        return super().p(i)
+
+
+def test_lane_requests_the_kernels_coefficients_in_its_order():
+    rng = np.random.default_rng(1100)
+    for p, base in _lane_configs(17, True):
+        for lam in _lane_lambdas(rng, p, base)[::4]:
+            for max_level in (0, 1, 17):
+                for early_exit in (True, False):
+                    cfg = EscapeConfig(base.radius, max_level, early_exit)
+                    lane, kernel = OrderedRecording(p), OrderedRecording(p)
+                    in_E(lam, lane, cfg)
+                    escape_levels(np.array([[lam]]), kernel, cfg)
+                    assert lane.order == kernel.order, (p, lam, cfg)
+                    assert lane.asked == kernel.asked
+
+
+@pytest.mark.parametrize("prefix", [(0.5, 0.6), (0.5, 0.6, 0.7, 0.8)])
+def test_lane_raises_the_kernels_tail_error(prefix):
+    p = Explicit(prefix, tail=None)
+    cfg = EscapeConfig(radius=4.0, max_level=17)
+    raised = 0
+    for lam in [1.0, 0.9, 0.6 + 0.3j, 20.0, 0.3 - 0.9j, 2.0, complex(float("nan"), 0.0)]:
+        try:
+            want = int(escape_levels(np.array([[lam]]), p, cfg)[0, 0])
+        except TailUndefined as err:
+            with pytest.raises(TailUndefined) as got:
+                in_E(lam, p, cfg)
+            assert str(got.value) == str(err)
+            raised += 1
+        else:
+            assert _scalar_level(lam, p, cfg) == want
+    assert 0 < raised < 7

@@ -306,6 +306,23 @@ def test_config_keeps_json_integers_and_booleans():
     assert cfg.early_exit is False and cfg.seed == 2**63
 
 
+@pytest.mark.parametrize(
+    "grid,message",
+    [
+        ({"pixels": 0}, "grid pixels must be at least 1, got 0"),
+        ({"pixels": -5, "pixels_x": 8, "pixels_y": 8}, "grid pixels must be at least 1, got -5"),
+        ({"pixels_x": 0}, "grid pixels_x must be at least 1, got 0"),
+        ({"pixels": 8, "pixels_x": -2}, "grid pixels_x must be at least 1, got -2"),
+        ({"pixels_y": 0}, "grid pixels_y must be at least 1, got 0"),
+        ({"pixels_x": 4, "pixels_y": -1}, "grid pixels_y must be at least 1, got -1"),
+    ],
+)
+def test_config_refuses_a_pixel_count_below_one_naming_the_key(grid, message):
+    with pytest.raises(ConfigError) as err:
+        config_from_dict({"prob_seq": {"variant": "constant_tail"}, "grid": grid})
+    assert str(err.value) == message
+
+
 @pytest.mark.parametrize("grid,field", [({"width": float("inf")}, "width"), ({"center": [0.0, float("nan")]}, "center")])
 def test_config_refuses_non_finite_grid_values(grid, field):
     with pytest.raises(ConfigError, match=field):

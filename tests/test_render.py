@@ -4,6 +4,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fibmachine import (
     BudgetExceeded,
@@ -72,6 +74,13 @@ def test_grid_refuses_non_finite_and_non_integer_fields(kwargs, field):
         GridSpec(**kwargs)
 
 
+@pytest.mark.parametrize("key", ["pixels_x", "pixels_y"])
+@pytest.mark.parametrize("value", [0, -3])
+def test_grid_refuses_a_pixel_count_below_one_naming_it(key, value):
+    with pytest.raises(ValueError, match=f"grid {key} must be at least 1, got {value}$"):
+        GridSpec(**{key: value})
+
+
 def test_grid_accepts_numpy_and_real_values():
     grid = GridSpec(center=0.5, width=np.float64(2.0), height=3, pixels_x=np.int64(4), pixels_y=3)
     assert grid.lam_array().shape == (3, 4)
@@ -100,6 +109,24 @@ def test_worker_counts_are_bit_identical():
     for workers in (2, 3, 7, 48, 64):
         other = scan_grid(grid, HALF, _cfg(HALF), workers=workers)
         assert base.same_cells(other), workers
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    pixels_x=st.integers(min_value=1, max_value=24),
+    pixels_y=st.integers(min_value=1, max_value=24),
+    workers=st.integers(min_value=2, max_value=4),
+    max_level=st.integers(min_value=0, max_value=17),
+    early_exit=st.booleans(),
+    p=st.sampled_from([HALF, all_ones(), ConstantTail((0.75, 0.5, 0.8, 0.7), 0.6)]),
+)
+def test_scan_cells_do_not_depend_on_the_worker_count(
+    pixels_x, pixels_y, workers, max_level, early_exit, p
+):
+    grid = GridSpec(center=0.1 - 0.2j, width=5.0, height=4.0, pixels_x=pixels_x, pixels_y=pixels_y)
+    cfg = EscapeConfig.for_probseq(p, max_level=max_level, early_exit=early_exit)
+    one = scan_grid(grid, p, cfg, workers=1)
+    assert one.same_cells(scan_grid(grid, p, cfg, workers=workers))
 
 
 def test_conjugation_symmetry_with_mirrored_rows():
