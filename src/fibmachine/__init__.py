@@ -22,7 +22,6 @@ from .chain import (
     classify,
     construct_positive_recurrent,
     geometric_budget,
-    sample_step,
     simulate,
     stationarity_residual,
     stationary_measure,
@@ -76,7 +75,6 @@ from .odometer import (
 )
 from .probseq import (
     ConstantTail,
-    Explicit,
     GeometricDecay,
     PowerLawComplement,
     ProbSeq,

@@ -46,7 +46,7 @@ from .errors import (
     UnsupportedVariant,
 )
 from .numeration import FIB64, UINT64_MAX, digits_of_int, fib_bits_of_int
-from .probseq import ConstantTail, Explicit, GeometricDecay, PowerLawComplement, ProbSeq
+from .probseq import ConstantTail, GeometricDecay, PowerLawComplement, ProbSeq
 from .rng import SplitMix64
 
 #: Largest truncation size (number of states) any dense-ish loop will accept.
@@ -292,10 +292,6 @@ def transition_dist(state: int, p: ProbSeq) -> Distribution:
     return Distribution(state, _entries(targets, _RungTable(p).row(len(targets) - 1)))
 
 
-def sample_step(state: int, p: ProbSeq, rng: SplitMix64) -> int:
-    return transition_dist(state, p).sample(rng)
-
-
 @dataclass(frozen=True, eq=False)
 class TruncatedMatrix:
     """The square block of the transition operator on states < F_level.
@@ -396,7 +392,8 @@ def simulate(start: int, steps: int, p: ProbSeq, rng: SplitMix64 | int) -> Simul
     """Run `steps` transitions; deterministic for a fixed seed.
 
     Each step draws one uniform from `rng` and takes the same target as
-    `sample_step` would; the walk carries the state's bits from step to step.
+    `Distribution.sample` on the state's `transition_dist` row would; the
+    walk carries the state's bits from step to step.
     The uniforms come in blocks of at most DRAW_CHUNK.  The rows of the
     states visited are kept, with their running totals, in a per-call cache
     of at most ROW_CACHE states, cleared when full; `bisect_right` on a row's
@@ -486,7 +483,7 @@ def classify(p: ProbSeq) -> Classification:
             "budget-driven construction: stationary weight partial sums are "
             "bounded by the summable budget",
         )
-    if isinstance(p, (Explicit, ConstantTail)):
+    if isinstance(p, ConstantTail):
         tail = p.tail
         if tail is None:
             raise UnsupportedVariant(

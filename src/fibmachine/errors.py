@@ -32,7 +32,7 @@ class InvalidProbability(FibmachineError, ValueError):
 
 
 class TailUndefined(FibmachineError, ValueError):
-    """An explicit probability sequence was queried beyond its prefix."""
+    """A probability sequence without a tail rule was queried beyond its prefix."""
 
 
 class UnsupportedVariant(FibmachineError, ValueError):

@@ -3,10 +3,11 @@
 Two independent routes compute the same map and are cross-checked in tests:
 
 * succ_carry: digit rewriting with an auxiliary carry bit.  The update rules
-  use integer-division expressions and come in two branches, selected by the
-  lowest digit of N.  With digit 0 clear the carry walks the even/odd digit
-  pairs (eps_2i, eps_2i+1); with digit 0 set the machine first clears it and
-  the carry walks the pairs shifted by one.  Once a carry dies every higher
+  use integer-division expressions and have two branches, selected by the
+  lowest digit of N, that differ only by a one-digit offset, so one loop
+  runs both.  With digit 0 clear the carry walks the even/odd digit pairs
+  (eps_2i, eps_2i+1); with digit 0 set the machine first clears it and the
+  carry walks the pairs shifted by one.  Once a carry dies every higher
   digit is copied unchanged.
 
 * succ_transducer: a two-state finite transducer that reads the word from the
@@ -87,32 +88,20 @@ def succ_carry(word: str) -> tuple[str, CarryTrace]:
     eps = _checked_bits(word)
     if eps is None:
         raise InadmissibleWord(f"word {word!r} is not an admissible Fibonacci word")
+    # digit 0 set: the machine clears it and the pairs shift up by one digit
+    low = eps & 1
     out = 0  # rewritten digits, as bits
-
-    if eps & 1 == 0:
-        branch, start = "low_zero", -1
-        carries = [1]
-        i = 0
-        while carries[-1] == 1:
-            c = carries[-1]
-            lo, hi = (eps >> (2 * i)) & 1, (eps >> (2 * i + 1)) & 1
-            out |= ((lo + c) // (hi * c + 1)) << (2 * i) | (hi // (c + 1)) << (2 * i + 1)
-            carries.append(c * hi)
-            i += 1
-        top = 2 * i  # digits below top were rewritten
-    else:
-        branch, start = "low_one", 0
-        carries = [1]
-        i = 1
-        while carries[-1] == 1:
-            c = carries[-1]
-            lo, hi = (eps >> (2 * i - 1)) & 1, (eps >> (2 * i)) & 1
-            out |= ((lo + c) // (hi * c + 1)) << (2 * i - 1) | (hi // (c + 1)) << (2 * i)
-            carries.append(c * hi)
-            i += 1
-        top = 2 * i - 1
-
-    return format((eps >> top << top) | out, "b"), CarryTrace(branch, tuple(carries), start)
+    carries = [1]
+    k = low  # pair i is digits (k, k + 1) with k = 2i - low, from i = low
+    while carries[-1] == 1:
+        c = carries[-1]
+        lo, hi = (eps >> k) & 1, (eps >> (k + 1)) & 1
+        out |= ((lo + c) // (hi * c + 1)) << k | (hi // (c + 1)) << (k + 1)
+        carries.append(c * hi)
+        k += 2
+    # digits below k were rewritten
+    branch = ("low_zero", "low_one")[low]
+    return format((eps >> k << k) | out, "b"), CarryTrace(branch, tuple(carries), low - 1)
 
 
 def succ_transducer(word: str) -> tuple[str, tuple[TransducerEdge, ...]]:

@@ -10,6 +10,7 @@ can be answered symbolically.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 from .errors import ConfigError, InvalidProbability, TailUndefined, UnsupportedVariant
@@ -18,9 +19,19 @@ from .errors import ConfigError, InvalidProbability, TailUndefined, UnsupportedV
 PROB_FLOOR = 1e-12
 
 
-def _check_prob(value: float, what: str) -> float:
-    value = float(value)
-    if not (0.0 < value <= 1.0) or math.isnan(value):
+def _finite(value: object, what: str) -> float:
+    """`value` as a float; a bool, a non-real or a non-finite value is refused, naming `what`."""
+    try:
+        if isinstance(value, numbers.Real) and not isinstance(value, bool) and math.isfinite(value):
+            return float(value)
+    except OverflowError:  # an integer past the float range
+        pass
+    raise InvalidProbability(f"{what} must be a finite real number, got {value!r}")
+
+
+def _check_prob(value: object, what: str) -> float:
+    value = _finite(value, what)
+    if not (0.0 < value <= 1.0):
         raise InvalidProbability(f"{what} must lie in (0, 1], got {value!r}")
     return value
 
@@ -43,19 +54,19 @@ class ProbSeq:
 
 
 @dataclass(frozen=True)
-class Explicit(ProbSeq):
-    """Finitely many listed values, then a constant tail (or no tail rule).
+class ConstantTail(ProbSeq):
+    """A finite prefix followed by a constant value forever, or by no tail rule.
 
     tail=None means the sequence is undefined beyond the prefix; accessing it
     raises, and classification refuses the descriptor.
     """
 
-    values: tuple[float, ...]
+    prefix: tuple[float, ...] = ()
     tail: float | None = 1.0
 
     def __post_init__(self):
         object.__setattr__(
-            self, "values", tuple(_check_prob(v, "prefix entry") for v in self.values)
+            self, "prefix", tuple(_check_prob(v, "prefix entry") for v in self.prefix)
         )
         if self.tail is not None:
             object.__setattr__(self, "tail", _check_prob(self.tail, "tail value"))
@@ -63,47 +74,18 @@ class Explicit(ProbSeq):
     def p(self, i: int) -> float:
         if i < 1:
             raise ValueError("probability index starts at 1")
-        if i <= len(self.values):
-            return self.values[i - 1]
-        if self.tail is None:
-            raise TailUndefined(f"p_{i} requested but only {len(self.values)} values given")
-        return self.tail
-
-    def delta_lower_bound(self) -> float:
-        if self.tail is None:
-            return 0.0
-        return min(self.values + (self.tail,)) if self.values else self.tail
-
-    def describe(self) -> str:
-        tail = "unspecified" if self.tail is None else f"{self.tail:g}"
-        return f"explicit prefix of {len(self.values)} values, tail {tail}"
-
-
-@dataclass(frozen=True)
-class ConstantTail(ProbSeq):
-    """A finite prefix followed by a constant value forever."""
-
-    prefix: tuple[float, ...] = ()
-    tail: float = 1.0
-
-    def __post_init__(self):
-        object.__setattr__(
-            self, "prefix", tuple(_check_prob(v, "prefix entry") for v in self.prefix)
-        )
-        object.__setattr__(self, "tail", _check_prob(self.tail, "tail value"))
-
-    def p(self, i: int) -> float:
-        if i < 1:
-            raise ValueError("probability index starts at 1")
         if i <= len(self.prefix):
             return self.prefix[i - 1]
+        if self.tail is None:
+            raise TailUndefined(f"p_{i} requested but only {len(self.prefix)} values given")
         return self.tail
 
     def delta_lower_bound(self) -> float:
-        return min(self.prefix + (self.tail,)) if self.prefix else self.tail
+        return 0.0 if self.tail is None else min(self.prefix + (self.tail,))
 
     def describe(self) -> str:
-        return f"prefix of {len(self.prefix)} values, constant tail {self.tail:g}"
+        tail = "tail unspecified" if self.tail is None else f"constant tail {self.tail:g}"
+        return f"prefix of {len(self.prefix)} values, {tail}"
 
 
 def all_ones() -> ConstantTail:
@@ -119,6 +101,8 @@ class PowerLawComplement(ProbSeq):
     alpha: float
 
     def __post_init__(self):
+        object.__setattr__(self, "c", _finite(self.c, "c"))
+        object.__setattr__(self, "alpha", _finite(self.alpha, "alpha"))
         if not (self.c > 0):
             raise InvalidProbability("c must be positive")
         if not (self.alpha > 0):
@@ -145,6 +129,8 @@ class GeometricDecay(ProbSeq):
     rho: float
 
     def __post_init__(self):
+        object.__setattr__(self, "c", _finite(self.c, "c"))
+        object.__setattr__(self, "rho", _finite(self.rho, "rho"))
         if not (self.c > 0):
             raise InvalidProbability("c must be positive")
         if not (0.0 < self.rho < 1.0):
@@ -153,11 +139,8 @@ class GeometricDecay(ProbSeq):
     def p(self, i: int) -> float:
         if i < 1:
             raise ValueError("probability index starts at 1")
-        try:
-            v = self.c * self.rho**i
-        except OverflowError:  # rho**i underflow handled below; this is for c huge
-            v = 0.0
-        return min(1.0, max(5e-324, v))
+        # c is a finite float and 0 < rho < 1, so the product neither raises nor overflows
+        return min(1.0, max(5e-324, self.c * self.rho**i))
 
     def delta_lower_bound(self) -> float:
         return 0.0
@@ -194,10 +177,9 @@ def from_config(cfg: dict) -> ProbSeq:
     prefix = tuple(json_number(v, "prob_seq prefix entry") for v in prefix)
     param = cfg.get("param")
     if variant in ("explicit", "constant_tail"):
-        tail = None if param is None else json_number(param, "prob_seq param")
-        if variant == "explicit":
-            return Explicit(prefix, tail)
-        return ConstantTail(prefix, 1.0 if tail is None else tail)
+        if param is not None:
+            return ConstantTail(prefix, json_number(param, "prob_seq param"))
+        return ConstantTail(prefix, None if variant == "explicit" else 1.0)
     if variant not in _FAMILY_PARAMS:
         raise UnsupportedVariant(f"unknown probability sequence variant {variant!r}")
     if prefix:
@@ -212,10 +194,9 @@ def from_config(cfg: dict) -> ProbSeq:
 
 def to_config(p: ProbSeq) -> dict:
     """Inverse of from_config for the four JSON-serializable variants."""
-    if isinstance(p, Explicit):
-        return {"variant": "explicit", "prefix": list(p.values), "param": p.tail}
     if isinstance(p, ConstantTail):
-        return {"variant": "constant_tail", "prefix": list(p.prefix), "param": p.tail}
+        variant = "explicit" if p.tail is None else "constant_tail"
+        return {"variant": variant, "prefix": list(p.prefix), "param": p.tail}
     if isinstance(p, PowerLawComplement):
         return {
             "variant": "power_law_complement",

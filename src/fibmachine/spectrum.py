@@ -297,7 +297,7 @@ def escape_levels(lam_grid: np.ndarray, p: ProbSeq, cfg: EscapeConfig) -> np.nda
     seed is written the same way, (lambda - 1) * (1/p_1) + 1.  The
     coefficient of level n is asked of `p` when a block first steps level n,
     so `p` sees the same requests as a level-by-level sweep of all pixels
-    (an Explicit prefix without a tail raises TailUndefined at the same
+    (a ConstantTail without a tail raises TailUndefined at the same
     inputs).
     """
     grid = np.ascontiguousarray(lam_grid, dtype=np.complex128)

@@ -11,7 +11,9 @@ match them byte for byte, message for message and bit for bit.  The
 old_*matrix* functions are the truncated matrix built as one Distribution
 per row and the `chain matrix` CSV writer that formatted it line by line;
 the array-backed matrix and its block writer must match them bit for bit
-and byte for byte.
+and byte for byte.  old_succ_carry is the carry rewriting with one loop per
+branch, as written before both branches ran through one loop; the new one
+must give the same word and the same CarryTrace.
 """
 
 import math
@@ -21,7 +23,8 @@ import numpy as np
 
 from fibmachine.chain import Distribution, _ladder_chunks, _RungTable, _runs, _truncation_size
 from fibmachine.cli import CSV_BLOCK, fmt
-from fibmachine.errors import BudgetExceeded, InvalidSeed
+from fibmachine.errors import BudgetExceeded, InadmissibleWord, InvalidSeed
+from fibmachine.odometer import CarryTrace, _checked_bits
 from fibmachine.render import IterBuffer
 from fibmachine.spectrum import CLAMP, LEVEL_BUDGET, q_fib_orbit, r_index
 
@@ -256,3 +259,36 @@ def old_matrix_csv(rows, leak_state, leak_prob):
             lines.clear()
     yield "".join(lines)
     yield f"# leak from state {leak_state}: {fmt(leak_prob)}\n"
+
+
+def old_succ_carry(word):
+    """Increment an admissible word via the carry rewriting rules."""
+    eps = _checked_bits(word)
+    if eps is None:
+        raise InadmissibleWord(f"word {word!r} is not an admissible Fibonacci word")
+    out = 0  # rewritten digits, as bits
+
+    if eps & 1 == 0:
+        branch, start = "low_zero", -1
+        carries = [1]
+        i = 0
+        while carries[-1] == 1:
+            c = carries[-1]
+            lo, hi = (eps >> (2 * i)) & 1, (eps >> (2 * i + 1)) & 1
+            out |= ((lo + c) // (hi * c + 1)) << (2 * i) | (hi // (c + 1)) << (2 * i + 1)
+            carries.append(c * hi)
+            i += 1
+        top = 2 * i  # digits below top were rewritten
+    else:
+        branch, start = "low_one", 0
+        carries = [1]
+        i = 1
+        while carries[-1] == 1:
+            c = carries[-1]
+            lo, hi = (eps >> (2 * i - 1)) & 1, (eps >> (2 * i)) & 1
+            out |= ((lo + c) // (hi * c + 1)) << (2 * i - 1) | (hi // (c + 1)) << (2 * i)
+            carries.append(c * hi)
+            i += 1
+        top = 2 * i - 1
+
+    return format((eps >> top << top) | out, "b"), CarryTrace(branch, tuple(carries), start)

@@ -16,7 +16,6 @@ from fibmachine import (
     CapacityError,
     ChainClass,
     ConstantTail,
-    Explicit,
     GeometricDecay,
     InvalidBudget,
     PowerLawComplement,
@@ -271,14 +270,14 @@ def test_classify_branches():
     assert classify(all_ones()).kind is ChainClass.TRANSIENT
     assert classify(ConstantTail((1.0, 0.5), 1.0)).kind is ChainClass.TRANSIENT
     assert classify(HALF).kind is ChainClass.NULL_RECURRENT
-    assert classify(Explicit((0.9, 0.8), 1.0)).kind is ChainClass.TRANSIENT
-    assert classify(Explicit((0.9, 0.8), 0.99)).kind is ChainClass.NULL_RECURRENT
+    assert classify(ConstantTail((0.9, 0.8), 1.0)).kind is ChainClass.TRANSIENT
+    assert classify(ConstantTail((0.9, 0.8), 0.99)).kind is ChainClass.NULL_RECURRENT
     assert classify(PowerLawComplement(0.5, 2.0)).kind is ChainClass.TRANSIENT
     assert classify(PowerLawComplement(0.5, 1.0)).kind is ChainClass.NULL_RECURRENT
     assert classify(GeometricDecay(1.0, 0.25)).kind is ChainClass.POSITIVE_RECURRENT
     assert classify(GeometricDecay(1.0, 0.45)).kind is ChainClass.UNKNOWN
     with pytest.raises(UnsupportedVariant):
-        classify(Explicit((0.5,), None))
+        classify(ConstantTail((0.5,), None))
 
 
 def test_classify_reasons_are_informative():

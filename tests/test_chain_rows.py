@@ -25,7 +25,6 @@ from fibmachine import (
     BudgetExceeded,
     CapacityError,
     ConstantTail,
-    Explicit,
     GeometricDecay,
     OrbitEscaped,
     PowerLawComplement,
@@ -77,7 +76,7 @@ def sequences():
         TRANSIENT,
         HALF,
         MIXED,
-        Explicit((0.9, 0.8, 0.7), 0.3),
+        ConstantTail((0.9, 0.8, 0.7), 0.3),
         PowerLawComplement(0.9, 0.5),
         GeometricDecay(0.9, 0.3),
         UNDERFLOW,
@@ -303,7 +302,7 @@ def test_constructed_sequence_extends_on_demand():
 
 def test_explicit_without_tail_raises_where_it_did():
     for values in ((0.9,), (0.9, 0.8), (0.9, 0.8, 0.7)):
-        p = Explicit(values, None)
+        p = ConstantTail(values, None)
         raised = 0
         for state in list(range(FIB64[14])) + random_states(7, 200):
             got = outcome(lambda s: transition_dist(s, p).entries, state)
@@ -338,7 +337,7 @@ def test_bulk_loops_match_oracle_levels_1_to_16(p):
 
 def test_bulk_loops_match_oracle_for_constructed_and_explicit():
     for level in (1, 2, 5, 9, 14):
-        for make in (constructed, lambda: Explicit((0.9, 0.8, 0.7), 0.3)):
+        for make in (constructed, lambda: ConstantTail((0.9, 0.8, 0.7), 0.3)):
             mat = transition_matrix(level, make())
             want_rows, want_leak = oracle_matrix(level, make())
             assert [exact(row.entries) for row in mat.rows] == [exact(r) for r in want_rows]
@@ -368,7 +367,7 @@ def test_eigen_residual_matches_oracle_levels_1_to_16(p):
 def test_bulk_loops_raise_tail_undefined_where_they_did():
     for values in ((0.9,), (0.9, 0.8), (0.9, 0.8, 0.7)):
         for level in range(1, 13):
-            p = Explicit(values, None)
+            p = ConstantTail(values, None)
             for f, oracle in (
                 (lambda: transition_matrix(level, p).rows, lambda: oracle_matrix(level, p)[0]),
                 (lambda: stationarity_residual(level, p), lambda: oracle_stationarity_residual(level, p)),
@@ -380,7 +379,7 @@ def test_bulk_loops_raise_tail_undefined_where_they_did():
                 if want[0] == "error":
                     assert got == want
     # a long enough prefix never runs out inside the truncation
-    p = Explicit((0.9, 0.8, 0.7, 0.6, 0.5, 0.4, 0.3), None)
+    p = ConstantTail((0.9, 0.8, 0.7, 0.6, 0.5, 0.4, 0.3), None)
     assert beta_eigen_residual(12, p) == oracle_beta_eigen_residual(12, p)
 
 
@@ -454,9 +453,9 @@ def requests(call, make):
     "make",
     [
         lambda: MIXED,
-        lambda: Explicit((), None),
-        lambda: Explicit((0.9,), None),
-        lambda: Explicit((0.9, 0.8, 0.7), None),
+        lambda: ConstantTail((), None),
+        lambda: ConstantTail((0.9,), None),
+        lambda: ConstantTail((0.9, 0.8, 0.7), None),
         constructed,
     ],
     ids=["mixed", "explicit-empty", "explicit-1", "explicit-3", "constructed"],
@@ -483,7 +482,7 @@ def test_bulk_loops_ask_for_the_same_probabilities(make):
             assert (got_asked, got) == (want_asked, want), level
     # level 1 of an empty explicit prefix: every loop with rows asks for p_1
     # and fails there; the beta loop has no rows and asks for nothing
-    empty = lambda: Explicit((), None)  # noqa: E731
+    empty = lambda: ConstantTail((), None)  # noqa: E731
     assert requests(lambda p: stationarity_residual(1, p), empty)[0] == [1]
     assert requests(lambda p: beta_eigen_residual(1, p), empty) == ([], ("ok", ("0x0.0p+0",)))
     assert requests(lambda p: eigen_residual(0.5, p, 1), empty)[0] == [1]
@@ -493,7 +492,7 @@ def test_bulk_loops_ask_for_the_same_probabilities(make):
 # simulation
 
 
-@pytest.mark.parametrize("p", [NULL, TRANSIENT, MIXED, UNDERFLOW, Explicit((1.0, 0.5), 0.25)])
+@pytest.mark.parametrize("p", [NULL, TRANSIENT, MIXED, UNDERFLOW, ConstantTail((1.0, 0.5), 0.25)])
 def test_simulate_matches_oracle_sampler(p):
     for seed in (5, 6):
         got = simulate(0, 3000, p, seed)
@@ -555,7 +554,7 @@ class GivenDraws(SplitMix64):
 
 def test_simulate_falls_back_when_a_draw_passes_the_row_total():
     # the row of 12 (depth 4) sums to 1 - 2^-53 and its increment underflows to 0.0
-    p = Explicit((0.7360520742121478, 0.05189544801599963, 1e-300, 1e-300), 1e-300)
+    p = ConstantTail((0.7360520742121478, 0.05189544801599963, 1e-300, 1e-300), 1e-300)
     u = 1.0 - 2.0**-53
     entries = oracle_entries(12, p)
     *_, total = accumulate(v for _, v in entries)

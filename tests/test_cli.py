@@ -70,6 +70,27 @@ def test_succ_verbose_exact_text(capsys):
     )
 
 
+@pytest.mark.parametrize(
+    "word, text",
+    [
+        ("100", "carry branch low_zero: carries (1, 0) (indices from -1), halted at 0\n101\n"),
+        ("0", "carry branch low_zero: carries (1, 0) (indices from -1), halted at 0\n1\n"),
+        (
+            "0010010",
+            "carry branch low_zero: carries (1, 1, 0) (indices from -1), halted at 1\n10100\n",
+        ),
+        (
+            "1010101",
+            "carry branch low_one: carries (1, 1, 1, 1, 0) (indices from 0), halted at 4\n"
+            "10000000\n",
+        ),
+        ("00101", "carry branch low_one: carries (1, 1, 0) (indices from 0), halted at 2\n1000\n"),
+    ],
+)
+def test_succ_carry_verbose_text_both_branches(capsys, word, text):
+    assert run(capsys, "succ", word, "--method", "carry", "--verbose") == (0, text, "")
+
+
 def test_decode_rejects_inadmissible(capsys):
     code, out, err = run(capsys, "decode", "11")
     assert code == 2 and out == "" and "error:" in err

@@ -256,6 +256,22 @@ NAN, INF = float("nan"), float("inf")
         ({"base": "fib"}, "base must be a JSON object"),
         ({"seed": "7"}, "seed must be an integer"),
         ({"unknown": 1}, "unknown config keys"),
+        (
+            {"prob_seq": {"variant": "power_law_complement", "param": {"c": INF, "alpha": 2}}},
+            "c must be a finite real number",
+        ),
+        (
+            {"prob_seq": {"variant": "power_law_complement", "param": {"c": 0.5, "alpha": INF}}},
+            "alpha must be a finite real number",
+        ),
+        (
+            {"prob_seq": {"variant": "geometric_decay", "param": {"c": 1.0, "rho": -INF}}},
+            "rho must be a finite real number",
+        ),
+        (
+            {"prob_seq": {"variant": "constant_tail", "prefix": [NAN], "param": 0.5}},
+            "prefix entry must be a finite real number",
+        ),
     ],
 )
 def test_bad_config_fields_exit_2_naming_the_field(doc, field, tmp_path, capsys):

@@ -21,7 +21,6 @@ from hypothesis import strategies as st
 from fibmachine import (
     ConstantTail,
     EscapeConfig,
-    Explicit,
     GeometricDecay,
     ProbSeq,
     TailUndefined,
@@ -248,7 +247,7 @@ def test_overflow_next_to_a_huge_radius(early_exit):
 def test_explicit_prefix_escaping_before_it_runs_out():
     # r_index(3) = 3 is the first index past the prefix: a grid that settles
     # by level 2 never asks for it
-    p = Recording(Explicit((0.5, 0.6), tail=None))
+    p = Recording(ConstantTail((0.5, 0.6), tail=None))
     cfg = EscapeConfig(radius=4.0, max_level=17)  # no tail, so no derived radius
     rng = np.random.default_rng(6)
     size = 2 * BLOCK + 3
@@ -262,7 +261,7 @@ def test_explicit_prefix_escaping_before_it_runs_out():
 
 
 def test_explicit_prefix_raises_where_the_oracle_does():
-    p = Explicit((0.5, 0.6), tail=None)
+    p = ConstantTail((0.5, 0.6), tail=None)
     cfg = EscapeConfig(radius=4.0, max_level=17)
     lam = np.full(2 * BLOCK + 3, 20.0 + 0j)
     lam[-1] = 1.0  # the fixed point, in the last block only
@@ -422,7 +421,7 @@ def test_lane_requests_the_kernels_coefficients_in_its_order():
 
 @pytest.mark.parametrize("prefix", [(0.5, 0.6), (0.5, 0.6, 0.7, 0.8)])
 def test_lane_raises_the_kernels_tail_error(prefix):
-    p = Explicit(prefix, tail=None)
+    p = ConstantTail(prefix, tail=None)
     cfg = EscapeConfig(radius=4.0, max_level=17)
     raised = 0
     for lam in [1.0, 0.9, 0.6 + 0.3j, 20.0, 0.3 - 0.9j, 2.0, complex(float("nan"), 0.0)]:

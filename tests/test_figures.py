@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from fibmachine import (
     ConfigError,
     ConstantTail,
-    Explicit,
     GeometricDecay,
     GridSpec,
     PowerLawComplement,
@@ -52,7 +51,7 @@ FINITE = st.floats(allow_nan=False, allow_infinity=False)
 PREFIXES = st.lists(PROBS, max_size=5).map(tuple)
 
 PROB_SEQS = st.one_of(
-    st.builds(Explicit, PREFIXES, st.none() | PROBS),
+    st.builds(ConstantTail, PREFIXES, st.none() | PROBS),
     st.builds(ConstantTail, PREFIXES, PROBS),
     st.builds(PowerLawComplement, POSITIVE, POSITIVE),
     st.builds(GeometricDecay, POSITIVE, PROBS.filter(lambda rho: rho < 1.0)),

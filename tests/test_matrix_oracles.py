@@ -13,7 +13,6 @@ import pytest
 
 from fibmachine import (
     ConstantTail,
-    Explicit,
     GeometricDecay,
     PowerLawComplement,
     TailUndefined,
@@ -111,7 +110,7 @@ def test_rows_and_row_match_old_rows(name):
 
 def test_explicit_without_tail_fails_where_the_old_code_did(capsys, tmp_path):
     # p_4 is asked for once a row climbs four rungs: the same level as before
-    make = lambda: Explicit((0.9, 0.8, 0.7), None)  # noqa: E731
+    make = lambda: ConstantTail((0.9, 0.8, 0.7), None)  # noqa: E731
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"prob_seq": to_config(make())}))
     refused = 0

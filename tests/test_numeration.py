@@ -181,6 +181,21 @@ def test_roundtrip_order3_property(n):
     assert decode(word, base) == n
 
 
+# non-increasing coefficients a_1 >= ... >= a_d >= 1 with d = 2..5 and a_1 <= 9
+ORDER_D_COEFFS = st.lists(st.integers(1, 9), min_size=2, max_size=5).map(
+    lambda c: tuple(sorted(c, reverse=True))
+)
+
+
+@given(ORDER_D_COEFFS, st.integers(min_value=0, max_value=UINT64_MAX))
+@settings(max_examples=300)
+def test_roundtrip_order_d_property(coeffs, n):
+    base = BaseDef(coeffs, name="order-d")
+    word = encode(n, base)
+    assert is_admissible(word, base)
+    assert decode(word, base) == n
+
+
 @given(st.integers(min_value=1, max_value=10**9))
 @settings(max_examples=100)
 def test_greedy_digit_value_property(n):

@@ -1,5 +1,7 @@
 """Increment routes: carry rewriting vs transducer vs plain integer +1."""
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -17,6 +19,8 @@ from fibmachine import (
     succ_transducer,
 )
 from fibmachine.numeration import digits_lsb
+
+from oracles import old_succ_carry
 
 
 def increment_oracle(word: str) -> str:
@@ -190,3 +194,18 @@ def test_non_ascii_digits_rejected_with_route_messages():
         with pytest.raises(NoPath) as exc:
             succ_transducer(word)
         assert str(exc.value) == f"the transducer rejects {word!r}"
+
+
+def test_carry_loop_equals_the_two_branch_oracle():
+    # one loop for both branches: same word and same CarryTrace as one loop per branch
+    rng = random.Random(20261019)
+    values = [
+        *range(100_001),
+        *(rng.getrandbits(63) for _ in range(5_000)),
+        *range(UINT64_MAX - 100, UINT64_MAX),
+    ]
+    words = [encode(n) for n in values]
+    words += ["0" * rng.randint(1, 4) + encode(rng.getrandbits(63)) for _ in range(1_000)]
+    words += ["0", "00", "000101", "0010010"]
+    for word in words:
+        assert succ_carry(word) == old_succ_carry(word), word

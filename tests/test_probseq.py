@@ -1,12 +1,15 @@
 """Probability-sequence descriptors: accessors, tails, JSON round trips."""
 
+import math
+from fractions import Fraction
+
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fibmachine import (
     ConstantTail,
-    Explicit,
     GeometricDecay,
     InvalidProbability,
     PowerLawComplement,
@@ -33,7 +36,7 @@ def test_all_ones():
 
 
 def test_explicit_without_tail_raises_beyond_prefix():
-    p = Explicit((0.9, 0.8), None)
+    p = ConstantTail((0.9, 0.8), None)
     assert p.p(2) == 0.8
     with pytest.raises(TailUndefined):
         p.p(3)
@@ -41,7 +44,7 @@ def test_explicit_without_tail_raises_beyond_prefix():
 
 
 def test_explicit_with_tail():
-    p = Explicit((0.9,), 0.25)
+    p = ConstantTail((0.9,), 0.25)
     assert p.p(2) == 0.25
     assert p.delta_lower_bound() == 0.25
 
@@ -84,8 +87,8 @@ def test_config_round_trips():
     cases = [
         ConstantTail((1.0, 0.999, 0.5), 1.0),
         ConstantTail((), 0.5),
-        Explicit((0.9, 0.8), None),
-        Explicit((0.9,), 0.25),
+        ConstantTail((0.9, 0.8), None),
+        ConstantTail((0.9,), 0.25),
         PowerLawComplement(0.5, 2.0),
         GeometricDecay(1.0, 0.25),
     ]
@@ -109,7 +112,9 @@ def test_config_prefix_must_be_a_list():
     for prefix in ["1", "0.5", "", 0.5, None, {"0": 0.5}]:
         with pytest.raises(ValueError, match="prefix must be a list"):
             from_config({"variant": "constant_tail", "prefix": prefix, "param": 0.5})
-    assert from_config({"variant": "explicit", "prefix": [1, 0.5]}) == Explicit((1.0, 0.5), None)
+    assert from_config({"variant": "explicit", "prefix": [1, 0.5]}) == ConstantTail(
+        (1.0, 0.5), None
+    )
     assert from_config({"variant": "constant_tail", "param": 0.5}) == ConstantTail((), 0.5)
 
 
@@ -134,3 +139,78 @@ def test_values_stay_in_unit_interval(prefix, tail, i):
     p = ConstantTail(tuple(prefix), tail)
     assert 0.0 < p.p(i) <= 1.0
     assert 0.0 < p.delta_lower_bound() <= 1.0
+
+
+# ---------------------------------------------------------------------------
+# one descriptor for a prefix with a tail, and refused constructor values
+
+NON_FINITE_OR_NOT_REAL = [True, False, "0.5", math.inf, -math.inf, math.nan, 10**400, 0.5j]
+
+
+def refuses(make, field):
+    for value in NON_FINITE_OR_NOT_REAL:
+        with pytest.raises(InvalidProbability) as exc:
+            make(value)
+        assert str(exc.value) == f"{field} must be a finite real number, got {value!r}"
+
+
+def test_prefix_entry_must_be_a_finite_real():
+    refuses(lambda v: ConstantTail((0.5, v), 0.5), "prefix entry")
+    refuses(lambda v: ConstantTail((v,), None), "prefix entry")
+
+
+def test_tail_value_must_be_a_finite_real():
+    refuses(lambda v: ConstantTail((0.5,), v), "tail value")
+
+
+def test_c_must_be_a_finite_real():
+    refuses(lambda v: PowerLawComplement(v, 2.0), "c")
+    refuses(lambda v: GeometricDecay(v, 0.5), "c")
+
+
+def test_alpha_must_be_a_finite_real():
+    refuses(lambda v: PowerLawComplement(0.5, v), "alpha")
+
+
+def test_rho_must_be_a_finite_real():
+    refuses(lambda v: GeometricDecay(1.0, v), "rho")
+
+
+def test_other_real_types_are_kept_as_floats():
+    p = PowerLawComplement(np.float64(0.5), 2)
+    assert (p.c, p.alpha) == (0.5, 2.0) and type(p.alpha) is float
+    g = GeometricDecay(Fraction(1, 2), np.float32(0.25))
+    assert (g.c, g.rho) == (0.5, 0.25) and type(g.c) is float
+    assert ConstantTail((1, Fraction(1, 4)), 1).prefix == (1.0, 0.25)
+
+
+PROBS = st.floats(min_value=0.0, max_value=1.0, exclude_min=True)
+
+
+@given(
+    st.lists(PROBS, max_size=6).map(tuple),
+    st.none() | PROBS,
+    st.integers(min_value=1, max_value=10),
+)
+@settings(max_examples=300)
+def test_prefix_with_tail_property(prefix, tail, i):
+    p = ConstantTail(prefix, tail)
+    doc = to_config(p)
+    assert doc["variant"] == ("explicit" if tail is None else "constant_tail")
+    assert from_config(doc) == p
+    if i <= len(prefix):
+        assert p.p(i) == prefix[i - 1]
+    elif tail is None:
+        with pytest.raises(TailUndefined) as exc:
+            p.p(i)
+        assert str(exc.value) == f"p_{i} requested but only {len(prefix)} values given"
+    else:
+        assert p.p(i) == tail
+    both = [
+        {"variant": variant, "prefix": list(prefix), "param": tail}
+        for variant in ("explicit", "constant_tail")
+    ]
+    if tail is None:
+        assert [from_config(d).tail for d in both] == [None, 1.0]
+    else:
+        assert from_config(both[0]) == from_config(both[1]) == p

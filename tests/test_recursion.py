@@ -22,7 +22,6 @@ from fibmachine import (
     BudgetExceeded,
     ConstantTail,
     EscapeConfig,
-    Explicit,
     FibmachineError,
     GeometricDecay,
     OrbitEscaped,
@@ -47,7 +46,7 @@ SEQS = [
     all_ones(),
     ConstantTail((), 0.5),
     ConstantTail((0.75, 0.5, 0.8, 0.7), 0.6),
-    Explicit((0.9, 0.7, 0.8, 0.35), 0.55),
+    ConstantTail((0.9, 0.7, 0.8, 0.35), 0.55),
     PowerLawComplement(0.5, 1.2),
     GeometricDecay(1.0, 0.9),
 ]
