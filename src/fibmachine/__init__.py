@@ -81,10 +81,8 @@ from .probseq import (
     all_ones,
 )
 from .render import (
-    DEFAULT_PALETTE,
     GridSpec,
     IterBuffer,
-    PaletteSpec,
     parse_csv,
     scan_grid,
     write_csv,

@@ -30,8 +30,7 @@ import bisect
 import enum
 import math
 import numbers
-from dataclasses import dataclass, fields
-from functools import cached_property
+from dataclasses import dataclass
 from itertools import accumulate
 from operator import index
 from typing import Callable, Iterator
@@ -276,9 +275,6 @@ class Distribution:
     def as_dict(self) -> dict[int, float]:
         return dict(self.entries)
 
-    def prob_of(self, target: int) -> float:
-        return self.as_dict().get(target, 0.0)
-
     def total(self) -> float:
         return math.fsum(prob for _, prob in self.entries)
 
@@ -300,8 +296,7 @@ class TruncatedMatrix:
     increment lands on F_level); that single leak is recorded explicitly.
     The entries are kept as read-only arrays in compressed-row form: row i
     is targets[indptr[i]:indptr[i + 1]] with the matching probs, targets
-    ascending.  `row` builds one row's Distribution, and `rows` builds them
-    all on first use.
+    ascending.  `row` builds one row's Distribution.
     """
 
     level: int
@@ -320,24 +315,6 @@ class TruncatedMatrix:
         lo, hi = self.indptr[i : i + 2].tolist()
         entries = zip(self.targets[lo:hi].tolist(), self.probs[lo:hi].tolist())
         return Distribution(int(i), tuple(entries))
-
-    @cached_property
-    def rows(self) -> tuple[Distribution, ...]:
-        counts = np.diff(self.indptr)
-        row_targets = _runs(self.targets.tolist(), counts)
-        row_probs = _runs(self.probs.tolist(), counts)
-        entries = map(tuple, map(zip, row_targets, row_probs))
-        return tuple(map(Distribution, range(self.size), entries))
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, TruncatedMatrix):
-            return NotImplemented
-        return all(
-            np.array_equal(getattr(self, f.name), getattr(other, f.name)) for f in fields(self)
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.level, self.size, self.leak_prob, len(self.targets)))
 
 
 def _truncation_size(level: int) -> int:
@@ -617,8 +594,11 @@ def stationary_measure(
 
     The raw partial sum is reported; when it exceeds `summable_threshold` the
     measure is flagged unsummable (the normalized vector is still returned, as
-    a truncated diagnostic object).
+    a truncated diagnostic object).  The threshold must be positive; inf
+    never flags.
     """
+    if not summable_threshold > 0.0:
+        raise ValueError(f"threshold must be positive (inf allowed), got {summable_threshold!r}")
     raw = _xi_array(_truncation_size(level), p)
     total = math.fsum(raw)
     weights = tuple(v / total for v in raw)

@@ -180,7 +180,7 @@ def cmd_spectrum_orbit(args: argparse.Namespace) -> int:
     cfg = _load(args)
     lam = _point(args)
     levels = args.levels if args.levels is not None else cfg.max_level
-    values, _, escaped_at = spectrum._walk(cfg.prob_seq, levels, cfg.base.coeffs, lam=lam)
+    values, escaped_at = spectrum._walk(cfg.prob_seq, levels, cfg.base.coeffs, lam=lam)
     for n, value in enumerate(values):
         print(f"{n} {fmt_complex(value)}")
     if escaped_at is not None:

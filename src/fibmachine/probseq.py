@@ -46,9 +46,6 @@ class ProbSeq:
         """Infimum of the sequence (0.0 when the infimum is zero or unknown)."""
         raise NotImplementedError
 
-    def first(self, count: int) -> list[float]:
-        return [self.p(i) for i in range(1, count + 1)]
-
     def describe(self) -> str:
         return type(self).__name__
 

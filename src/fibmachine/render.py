@@ -42,6 +42,10 @@ _LAST_LINE = re.compile(r"(\d{1,9}),(\d{1,9}),-?\d+\n", re.ASCII)
 #: levels land on well-separated colors.
 HUE_STEP = 0.6180339887498949
 
+#: HSV saturation and value of every escape-level color; INSIDE is black.
+SATURATION = 0.85
+VALUE = 1.0
+
 
 @dataclass(frozen=True)
 class GridSpec:
@@ -110,13 +114,6 @@ class IterBuffer:
     def inside_count(self) -> int:
         return int(np.count_nonzero(self.cells == INSIDE))
 
-    def same_cells(self, other: "IterBuffer") -> bool:
-        return (
-            self.width == other.width
-            and self.height == other.height
-            and bool(np.array_equal(self.cells, other.cells))
-        )
-
 
 def scan_grid(
     grid: GridSpec, p: ProbSeq, cfg: EscapeConfig, workers: int = 1
@@ -159,48 +156,33 @@ def scan_grid(
 # serialization
 
 
-@dataclass(frozen=True)
-class PaletteSpec:
-    """Maps INSIDE and each escape level to an RGB triple."""
-
-    inside_rgb: tuple[int, int, int] = (0, 0, 0)
-    hue_step: float = HUE_STEP
-    saturation: float = 0.85
-    value: float = 1.0
-
-    def color(self, level: int) -> tuple[int, int, int]:
-        if level == INSIDE:
-            return self.inside_rgb
-        hue = (level * self.hue_step) % 1.0
-        r, g, b = colorsys.hsv_to_rgb(hue, self.saturation, self.value)
-        return (int(round(r * 255)), int(round(g * 255)), int(round(b * 255)))
+def _color(level: int) -> tuple[int, int, int]:
+    """Black for INSIDE, else the HSV color of the level's hue."""
+    if level == INSIDE:
+        return (0, 0, 0)
+    r, g, b = colorsys.hsv_to_rgb((level * HUE_STEP) % 1.0, SATURATION, VALUE)
+    return (int(round(r * 255)), int(round(g * 255)), int(round(b * 255)))
 
 
-DEFAULT_PALETTE = PaletteSpec()
-
-
-def _rgb_cells(buf: IterBuffer, palette: PaletteSpec) -> np.ndarray:
-    top = int(buf.cells.max())
-    lut = np.zeros((max(top, -1) + 2, 3), dtype=np.uint8)
-    lut[0] = palette.inside_rgb
-    for level in range(0, top + 1):
-        lut[level + 1] = palette.color(level)
+def _rgb_cells(buf: IterBuffer) -> np.ndarray:
+    top = int(buf.cells.max(initial=INSIDE))
+    lut = np.array([_color(level) for level in range(INSIDE, top + 1)], dtype=np.uint8)
     return np.take(lut, buf.cells + 1, axis=0)
 
 
-def write_ppm(buf: IterBuffer, palette: PaletteSpec = DEFAULT_PALETTE) -> bytes:
+def write_ppm(buf: IterBuffer) -> bytes:
     """Binary PPM (P6): header then row-major RGB triples; byte-exact."""
     header = f"P6\n{buf.width} {buf.height}\n255\n".encode("ascii")
-    return header + _rgb_cells(buf, palette).tobytes()
+    return header + _rgb_cells(buf).tobytes()
 
 
-def write_png(buf: IterBuffer, palette: PaletteSpec = DEFAULT_PALETTE) -> bytes:
+def write_png(buf: IterBuffer) -> bytes:
     """PNG bytes via Pillow; raises ConfigError when Pillow is missing."""
     try:
         from PIL import Image
     except ImportError as exc:
         raise ConfigError("PNG output requires the optional Pillow dependency") from exc
-    image = Image.fromarray(_rgb_cells(buf, palette), mode="RGB")
+    image = Image.fromarray(_rgb_cells(buf), mode="RGB")
     out = io.BytesIO()
     image.save(out, format="PNG")
     return out.getvalue()

@@ -33,9 +33,9 @@ class SplitMix64:
     def random(self) -> float:
         """Uniform double in [0, 1) with 53 random bits.
 
-        The step of next_u64 is written out here, because this is the
-        sampler's hot call: it saves a method call and a second read of the
-        state.  The outputs are next_u64's, bit for bit.
+        The step of next_u64 is written out here, saving a method call and a
+        second read of the state per Distribution.sample draw.  The outputs
+        are next_u64's, bit for bit.
         """
         z = self._state = (self._state + _INCREMENT) & MASK64
         z = ((z ^ (z >> 30)) * _MIX1) & MASK64

@@ -78,7 +78,7 @@ def r_index(n: int, d: int = 2) -> int:
 
 @dataclass(frozen=True)
 class QOrbit:
-    """Orbit q_{F_0}..q_{F_N} at one lambda, with its step coefficients.
+    """Orbit q_{F_0}..q_{F_N} at one lambda.
 
     escaped_at is the first level whose modulus crossed the overflow clamp
     (the orbit stops there); None when the whole requested orbit is finite.
@@ -86,11 +86,7 @@ class QOrbit:
 
     lam: complex
     values: tuple[complex, ...]
-    coeffs: tuple[float, ...]
     escaped_at: int | None = None
-
-    def level_count(self) -> int:
-        return len(self.values)
 
 
 def _modulus(z: complex) -> float:
@@ -107,8 +103,8 @@ def _walk(
     powers: Sequence[int] = (1, 1),
     seeds: Sequence[complex] | None = None,
     lam: complex = 0j,
-) -> tuple[list[complex], list[float], int | None]:
-    """The one scalar q-recursion: (values, step coefficients, escape level).
+) -> tuple[list[complex], int | None]:
+    """The one scalar q-recursion: (values, escape level).
 
     Without seeds the orbit starts at q_{F_0} = 1 + (lambda - 1)/p_1, escaped
     at level 0 past CLAMP; supplied seeds are not tested.  Level m of the
@@ -124,14 +120,12 @@ def _walk(
     if seeds is None:
         values = [1.0 + (lam - 1.0) / p.p(1)]
         if _modulus(values[0]) > CLAMP:
-            return values, [], 0
+            return values, 0
     else:
         values = [complex(s) for s in seeds[: levels + 1]]
     d, first, rest = len(powers), powers[0], list(enumerate(powers[1:], start=2))
-    coeffs: list[float] = []
     for m in range(len(values), levels + 1):
         r = p.p(r_index(m, d))
-        coeffs.append(r)
         prod = values[m - 1]
         try:
             if m < d:
@@ -147,8 +141,8 @@ def _walk(
             q = prod / r - (1.0 / r - 1.0)
         values.append(q)
         if not (_modulus(q) <= CLAMP):
-            return values, coeffs, m
-    return values, coeffs, None
+            return values, m
+    return values, None
 
 
 def q_fib_orbit(lam: complex, p: ProbSeq, levels: int) -> QOrbit:
@@ -160,8 +154,8 @@ def q_fib_orbit(lam: complex, p: ProbSeq, levels: int) -> QOrbit:
     (1/r_n - 1).  More than LEVEL_BUDGET levels raise BudgetExceeded.
     """
     lam = complex(lam)
-    values, coeffs, escaped_at = _walk(p, levels, lam=lam)
-    return QOrbit(lam, tuple(values), tuple(coeffs), escaped_at)
+    values, escaped_at = _walk(p, levels, lam=lam)
+    return QOrbit(lam, tuple(values), escaped_at)
 
 
 def _orbit_through(lam: complex, p: ProbSeq, level: int) -> tuple[complex, ...]:
@@ -193,6 +187,8 @@ def q_values_upto(level: int, lam: complex, p: ProbSeq) -> list[complex]:
     if level < 0 or level >= len(FIB64):
         raise ValueError("level must index a 64-bit scale value")
     top = FIB64[level]
+    if top + 1 > MATRIX_BUDGET:
+        raise BudgetExceeded(f"{top + 1} values of q exceed the {MATRIX_BUDGET} budget")
     values = _orbit_through(lam, p, level)
     out = [complex(1.0)] * (top + 1)
     for m, qf in enumerate(values):

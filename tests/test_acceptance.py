@@ -144,7 +144,7 @@ def test_criterion_04_structural_propositions():
     start = time.perf_counter()
     bad = []
     matrix = transition_matrix(17, GENERIC)
-    rows = [dict(r.entries) for r in matrix.rows]
+    rows = [dict(matrix.row(i).entries) for i in range(matrix.size)]
     for n in range(2, 16):
         lo, hi = FIB64[n], FIB64[n + 1]
         width = hi - lo
@@ -283,7 +283,7 @@ def test_criterion_10_fibered_map_consistency():
         lam = complex(re, im)
         orbit = q_fib_orbit(lam, MIXED, 30)
         pairs = fibered_pair(lam, MIXED, 30)
-        top = orbit.level_count() - 1
+        top = len(orbit.values) - 1
         for n in range(1, top + 1):
             x, y = pairs[n]
             ok = cmath.isclose(

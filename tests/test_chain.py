@@ -166,7 +166,7 @@ def test_numeric_block_rows_at_half():
     for state, want in TABLE_BLOCK.items():
         row = transition_dist(state, HALF)
         for t, text in want.items():
-            assert abs(row.prob_of(t) - VALUE_AT_HALF[text]) <= 1e-12
+            assert abs(row.as_dict().get(t, 0.0) - VALUE_AT_HALF[text]) <= 1e-12
 
 
 def test_terms_sorted_and_capacity_guard():
@@ -187,7 +187,7 @@ def test_terms_sorted_and_capacity_guard():
 
 def _dense(mat):
     rows = []
-    for dist in mat.rows:
+    for dist in (mat.row(i) for i in range(mat.size)):
         row = [0.0] * mat.size
         for t, v in dist.entries:
             row[t] = v
@@ -388,6 +388,13 @@ def test_stationary_measure_unsummable_flag():
     p = ConstantTail((1.0,), 0.5)
     assert stationary_measure(20, p, summable_threshold=100.0).unsummable
     assert not stationary_measure(7, p, summable_threshold=100.0).unsummable
+
+
+def test_stationary_measure_refuses_a_threshold_that_is_not_positive():
+    for bad in (math.nan, 0.0, -1.0, -math.inf):
+        with pytest.raises(ValueError, match="threshold must be positive"):
+            stationary_measure(7, all_ones(), summable_threshold=bad)
+    assert not stationary_measure(7, all_ones(), summable_threshold=math.inf).unsummable
 
 
 def test_stationarity_residual_small():

@@ -135,7 +135,7 @@ def test_chain_matrix_csv_text_past_one_block(capsys, tmp_path):
     cfg = cfg_file(tmp_path, {"prob_seq": {"variant": "power_law_complement", "param": {"c": 0.5, "alpha": 2.0}}})
     matrix = transition_matrix(18, PowerLawComplement(0.5, 2.0))
     lines = ["from,to,prob"]
-    for row in matrix.rows:
+    for row in (matrix.row(i) for i in range(matrix.size)):
         lines += [f"{row.state},{target},{fmt(prob)}" for target, prob in row.entries]
     lines.append(f"# leak from state {matrix.leak_state}: {fmt(matrix.leak_prob)}")
     want = "\n".join(lines) + "\n"
@@ -190,6 +190,14 @@ def test_chain_stationary(capsys):
     assert f"partial_sum {fmt(sm.partial_sum)}" in out
     assert "unsummable false" in out
     assert "residual 0" in out
+
+
+def test_chain_stationary_refuses_a_threshold_that_is_not_positive(capsys):
+    for bad in ("nan", "-inf", "-1", "0"):
+        code, out, err = run(capsys, "chain", "stationary", "7", f"--threshold={bad}")
+        assert (code, out) == (2, "") and "threshold must be positive" in err, bad
+    code, out, _ = run(capsys, "chain", "stationary", "7", "--threshold=inf")
+    assert code == 0 and "unsummable false" in out
 
 
 # ---------------------------------------------------------------------------

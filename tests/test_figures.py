@@ -2,6 +2,7 @@
 
 import json
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -227,7 +228,7 @@ def test_panel_parameter_spot_checks():
 def test_render_panel_pixels_override_and_workers(tmp_path):
     small = render_panel(7, workers=1, pixels=24)
     assert small.width == small.height == 24
-    assert small.same_cells(render_panel(7, workers=3, pixels=24))
+    assert np.array_equal(small.cells, render_panel(7, workers=3, pixels=24).cells)
 
 
 def test_repro_panels_writes_ppm(tmp_path):

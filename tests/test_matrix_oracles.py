@@ -97,11 +97,9 @@ def test_rows_and_row_match_old_rows(name):
         old_rows, _ = old_transition_matrix(level, SEQUENCES[name]())
         # every probability is positive, so == on the floats compares their bits
         assert all(v > 0.0 for row in old_rows for _, v in row.entries)
-        assert mat.rows == old_rows
-        assert mat.rows is mat.rows  # built once
-        assert all(
-            type(t) is int and type(v) is float for row in mat.rows for t, v in row.entries
-        )
+        rows = tuple(mat.row(i) for i in range(mat.size))
+        assert rows == old_rows
+        assert all(type(t) is int and type(v) is float for row in rows for t, v in row.entries)
         step = max(1, mat.size // 500)
         for i in (*range(0, mat.size, step), mat.size - 1):
             assert mat.row(i) == old_rows[i]
@@ -129,7 +127,8 @@ def test_explicit_without_tail_fails_where_the_old_code_did(capsys, tmp_path):
             refused += 1
             continue
         mat = transition_matrix(level, make())
-        assert mat.rows == old_rows and mat.leak_prob.hex() == old_leak.hex()
+        rows = tuple(mat.row(i) for i in range(mat.size))
+        assert rows == old_rows and mat.leak_prob.hex() == old_leak.hex()
         want = "".join(old_matrix_csv(old_rows, mat.size - 1, old_leak))
         assert run(capsys, "chain", "matrix", str(level), "--config", str(cfg)) == (0, want, "")
     assert 0 < refused < len(LEVELS)
@@ -144,17 +143,11 @@ def test_row_refuses_a_state_outside_the_truncation():
     for bad in (1.5, 2.0, "3", None, True):
         with pytest.raises(ValueError, match="state must be an integer, got"):
             mat.row(bad)
-    assert mat.row(12) == mat.rows[12]
+    assert mat.row(12) == old_transition_matrix(5, ConstantTail((), 0.5))[0][12]
 
 
-def test_matrix_equality_hash_repr_and_read_only_arrays():
-    half = ConstantTail((), 0.5)
-    a, b = transition_matrix(9, half), transition_matrix(9, half)
-    assert a == b and not a != b and hash(a) == hash(b)
-    assert a != transition_matrix(9, ConstantTail((), 0.25))
-    assert a != transition_matrix(8, half)
-    assert a != "matrix" and a is not None
-    assert len({a, b}) == 1
+def test_matrix_repr_and_read_only_arrays():
+    a = transition_matrix(9, ConstantTail((), 0.5))
     text = repr(a)
     assert text.startswith("TruncatedMatrix(level=9, size=89, leak_state=88, leak_prob=")
     for array in (a.indptr, a.targets, a.probs):

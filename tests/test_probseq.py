@@ -96,7 +96,7 @@ def test_config_round_trips():
         q = from_config(to_config(p))
         assert type(q) is type(p)
         if p.delta_lower_bound() > 0:
-            assert q.first(20) == p.first(20)
+            assert [q.p(i) for i in range(1, 21)] == [p.p(i) for i in range(1, 21)]
 
 
 def test_config_rejects_unknown_variant():

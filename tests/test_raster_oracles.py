@@ -70,8 +70,8 @@ def test_csv_writer_table_and_unique_paths_cross_blocks():
         buf = IterBuffer(shape[1], shape[0], cells)
         text = write_csv(buf)
         assert text == old_write_csv(buf)
-        assert parse_csv(text).same_cells(buf)
-        assert parse_csv("\n " + text[:-1] + " \t\n\n").same_cells(buf)
+        assert np.array_equal(parse_csv(text).cells, buf.cells)
+        assert np.array_equal(parse_csv("\n " + text[:-1] + " \t\n\n").cells, buf.cells)
 
 
 # one-byte mutations: digits and signs keep some texts canonical, the rest

@@ -19,6 +19,7 @@ from fibmachine import (
     GeometricDecay,
     InvalidPolynomial,
     InvalidSeed,
+    ProbSeq,
     ZeroDelta,
     all_ones,
     eigen_residual,
@@ -34,6 +35,7 @@ from fibmachine import (
     q_general_orbit,
     q_values_upto,
 )
+from fibmachine import spectrum
 from fibmachine.numeration import FIB64, BaseDef, base_sequence, digits_of_int
 from fibmachine.spectrum import CLAMP, INSIDE, LEVEL_BUDGET, r_index
 from oracles import subset_max_exhaustive
@@ -106,13 +108,28 @@ def test_seed_vanishes_at_one_minus_p1():
 def test_orbit_clamp_stops_iteration():
     orbit = q_fib_orbit(50.0, HALF, 60)
     assert orbit.escaped_at is not None
-    assert orbit.level_count() <= orbit.escaped_at + 1
+    assert len(orbit.values) <= orbit.escaped_at + 1
     assert abs(orbit.values[-1]) > CLAMP
 
 
-def test_orbit_coeffs_follow_schedule():
-    orbit = q_fib_orbit(0.5, MIXED, 8)
-    assert orbit.coeffs == tuple(MIXED.p(r_index(n)) for n in range(1, 9))
+class Recording(ProbSeq):
+    """Passes p(i) through to `inner` and records every index asked for, in order."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.asked = []
+
+    def p(self, i):
+        self.asked.append(i)
+        return self.inner.p(i)
+
+
+def test_orbit_asks_for_the_step_schedule():
+    # the seed divides by p_1, then step n by p_(r_index(n))
+    p = Recording(MIXED)
+    orbit = q_fib_orbit(0.5, p, 8)
+    assert p.asked == [1, *(r_index(n) for n in range(1, 9))]
+    assert orbit.values == q_fib_orbit(0.5, MIXED, 8).values
 
 
 def test_q_at_integer_digit_products():
@@ -135,12 +152,25 @@ def test_q_values_upto_matches_digit_products():
         assert cmath.isclose(vals[m], want, rel_tol=1e-12, abs_tol=1e-15)
 
 
+def test_q_values_upto_refuses_past_the_matrix_budget(monkeypatch):
+    # F_32 + 1 = 5,702,888 values are refused before the orbit is walked
+    with pytest.raises(BudgetExceeded, match="5702888 values"):
+        q_values_upto(32, 0.5, all_ones())
+    p = Recording(MIXED)
+    monkeypatch.setattr(spectrum, "MATRIX_BUDGET", FIB64[8] + 1)
+    assert len(q_values_upto(8, 0.5, p)) == FIB64[8] + 1
+    p.asked.clear()
+    with pytest.raises(BudgetExceeded):
+        q_values_upto(9, 0.5, p)
+    assert p.asked == []
+
+
 def test_fibered_pair_tracks_orbit():
     for lam in (0.5 + 0.5j, -0.8 + 0.1j, 1.1 + 0.0j, 0.99j):
         orbit = q_fib_orbit(lam, MIXED, 30)
         pairs = fibered_pair(lam, MIXED, 30)
         top = (
-            orbit.level_count() - 1
+            len(orbit.values) - 1
             if orbit.escaped_at is None
             else orbit.escaped_at - 1
         )
