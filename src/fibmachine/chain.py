@@ -29,20 +29,19 @@ from __future__ import annotations
 import bisect
 import enum
 import math
-import numbers
 from dataclasses import dataclass
 from itertools import accumulate
-from operator import index
 from typing import Callable, Iterator
 
 import numpy as np
 
 from .errors import (
-    BudgetExceeded,
     CapacityError,
     InvalidBudget,
     InvalidProbability,
     UnsupportedVariant,
+    integer,
+    within,
 )
 from .numeration import FIB64, UINT64_MAX, digits_of_int, fib_bits_of_int
 from .probseq import ConstantTail, GeometricDecay, PowerLawComplement, ProbSeq
@@ -100,7 +99,7 @@ class ProbFactor:
 
 def _state_bits(state: int) -> int:
     """Zeckendorf bits of a state whose row is asked for directly."""
-    if state < 0:
+    if integer(state, "state") < 0:
         raise ValueError("states are nonnegative integers")
     # `_ladder` refuses a state from UINT64_MAX up before it reads the bits
     return fib_bits_of_int(state) if state < UINT64_MAX else 0
@@ -308,23 +307,19 @@ class TruncatedMatrix:
     probs: np.ndarray
 
     def row(self, i: int) -> Distribution:
-        if isinstance(i, bool) or not isinstance(i, numbers.Integral):
-            raise ValueError(f"state must be an integer, got {i!r}")
-        if not 0 <= i < self.size:
+        if not 0 <= integer(i, "state") < self.size:
             raise ValueError(f"state {i} is outside the truncation 0..{self.size - 1}")
         lo, hi = self.indptr[i : i + 2].tolist()
         entries = zip(self.targets[lo:hi].tolist(), self.probs[lo:hi].tolist())
         return Distribution(int(i), tuple(entries))
 
 
-def _truncation_size(level: int) -> int:
-    """F_level, the number of states below the truncation, within every limit."""
-    if level < 1 or level >= len(FIB64):
-        raise ValueError("level must index a 64-bit scale value")
-    size = FIB64[level]
-    if size > MATRIX_BUDGET:
-        raise BudgetExceeded(f"truncation at {size} states exceeds the budget")
-    return size
+def _truncation_size(level: int, low: int = 1, extra: int = 0) -> int:
+    """F_level, for an integer level from `low`, with F_level + `extra` states in budget."""
+    if integer(level, "level", low) >= len(FIB64):
+        raise ValueError(f"F_{level} is past the 64-bit scale table")
+    within(FIB64[level] + extra, MATRIX_BUDGET, "state")
+    return FIB64[level]
 
 
 def transition_matrix(level: int, p: ProbSeq) -> TruncatedMatrix:
@@ -377,14 +372,8 @@ def simulate(start: int, steps: int, p: ProbSeq, rng: SplitMix64 | int) -> Simul
     running totals picks what `_pick` picks.  When a row raises
     CapacityError, `rng` is left after one draw per step taken.
     """
-    try:
-        steps = index(steps)
-    except TypeError:
-        raise ValueError(f"steps must be an integer, got {steps!r}") from None
-    if steps < 1:
-        raise ValueError("steps must be at least 1")
-    if steps > STEP_BUDGET:
-        raise BudgetExceeded(f"{steps} steps exceed the budget of {STEP_BUDGET}")
+    steps = integer(steps, "steps", 1)
+    within(steps, STEP_BUDGET, "step")
     if isinstance(rng, int):
         rng = SplitMix64(rng)
     row = _RungTable(p).row
@@ -507,9 +496,7 @@ def classify(p: ProbSeq) -> Classification:
 
 def block_index(n: int) -> int:
     """The r with F_r <= n < F_(r+1)."""
-    if n < 1:
-        raise ValueError("block index is defined for n >= 1")
-    return bisect.bisect_right(FIB64, n) - 1
+    return bisect.bisect_right(FIB64, integer(n, "n", 1)) - 1
 
 
 def _pi_block(r: int, p: ProbSeq) -> float:
@@ -531,10 +518,8 @@ def xi(n: int, p: ProbSeq) -> float:
     The factor of digit index 0 is 1; digit index i >= 1 contributes
     p_(floor((i+1)/2) + 1).  Multiplicative over the greedy digits.
     """
-    if n < 0:
-        raise ValueError("xi is defined for nonnegative n")
     v = 1.0
-    for i, e in enumerate(digits_of_int(n)):
+    for i, e in enumerate(digits_of_int(integer(n, "n", 0))):
         if e and i >= 1:
             v *= p.p((i + 1) // 2 + 1)
     return v
@@ -651,8 +636,7 @@ class ConstructedSeq(ProbSeq):
     def __init__(self, p1: float, p2: float, budget: Callable[[int], float], count: int):
         if not (0.0 < p1 <= 1.0) or not (0.0 < p2 <= 1.0):
             raise InvalidProbability("p1 and p2 must lie in (0, 1]")
-        if count < 3:
-            raise ValueError("count must be at least 3")
+        integer(count, "count", 3)
         if abs(budget(1) - 1.0) > 1e-9:
             raise InvalidBudget("budget must be normalized with b(1) = 1")
         if abs(budget(2) - 3.0 * p2) > 1e-9:

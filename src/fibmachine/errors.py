@@ -1,10 +1,18 @@
-"""Exception hierarchy shared by all fibmachine modules.
+"""Exception hierarchy shared by all fibmachine modules, and the two guards.
 
 Everything derives from FibmachineError so callers (notably the CLI) can
 distinguish "your input is wrong" (ValueError-flavoured, exit code 2) from
 "the computation ran out of headroom" (CapacityError / BudgetExceeded,
 exit code 3).
+
+Every count argument (levels, steps, states, pixels, workers) enters through
+`integer`, which refuses a bool, a float or any other non-integer with a
+ValueError naming the argument.  Every truncation of an infinite object
+(matrix states, escape levels, simulation steps, pixels) is checked by
+`within`, the one place that raises BudgetExceeded.
 """
+
+import numbers
 
 
 class FibmachineError(Exception):
@@ -61,3 +69,20 @@ class ConfigError(FibmachineError, ValueError):
 
 class OrbitEscaped(FibmachineError, IndexError):
     """The q orbit passed CLAMP short of the level asked for: no value to index."""
+
+
+def integer(value, what: str, low: int | None = None) -> int:
+    """`value` as an int; a bool, a non-integer or a value below `low` is refused, naming `what`."""
+    # an exact int skips the abstract-class check, which costs several times more
+    if type(value) is not int and (type(value) is bool or not isinstance(value, numbers.Integral)):
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    if low is not None and value < low:
+        bound = "nonnegative" if low == 0 else f"at least {low}"
+        raise ValueError(f"{what} must be {bound}, got {value!r}")
+    return int(value)
+
+
+def within(count: int, budget: int, unit: str) -> None:
+    """Refuse a `count` over `budget` with BudgetExceeded, naming the `unit` counted."""
+    if count > budget:
+        raise BudgetExceeded(f"{count} exceeds the {budget} {unit} budget")

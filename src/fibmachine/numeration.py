@@ -25,7 +25,7 @@ from functools import lru_cache
 from operator import index
 from typing import Sequence, Union
 
-from .errors import CapacityError, InadmissibleWord
+from .errors import CapacityError, InadmissibleWord, integer
 
 UINT64_MAX = 2**64 - 1
 
@@ -63,32 +63,24 @@ FIBONACCI = BaseDef((1, 1), name="fibonacci")
 
 def base_sequence(base: BaseDef, count: int) -> list[int]:
     """First `count` scale values F_0..F_{count-1} of the base, 64-bit checked."""
-    if count < 1:
-        raise ValueError("count must be at least 1")
-    d = base.degree
-    a = base.coeffs
-    values = [1]
-    for n in range(1, count):
-        if n < d:
-            # below the recurrence depth the defining sum carries a trailing +1
-            v = sum(a[j - 1] * values[n - j] for j in range(1, n + 1)) + 1
-        else:
-            v = sum(a[j - 1] * values[n - j] for j in range(1, d + 1))
-        if v > UINT64_MAX:
-            raise CapacityError(f"scale value F_{n} exceeds the 64-bit range")
-        values.append(v)
-    return values
+    values = _scale_table(base)
+    if integer(count, "count", 1) > len(values):
+        raise CapacityError(f"scale value F_{len(values)} exceeds the 64-bit range")
+    return list(values[:count])
 
 
 @lru_cache(maxsize=16)
 def _scale_table(base: BaseDef) -> tuple[int, ...]:
     """Every scale value of the base that fits in 64 bits (cached per base)."""
+    a, d = base.coeffs, base.degree
     values = [1]
     while True:
-        try:
-            values = base_sequence(base, len(values) + 1)
-        except CapacityError:
+        n = len(values)
+        # below the recurrence depth the defining sum carries a trailing +1
+        v = sum(a[j - 1] * values[n - j] for j in range(1, min(n, d) + 1)) + (n < d)
+        if v > UINT64_MAX:
             return tuple(values)
+        values.append(v)
 
 
 def _values_upto(base: BaseDef, n: int) -> list[int]:
@@ -272,17 +264,8 @@ def decode(word: Word, base: BaseDef = FIBONACCI) -> int:
     return total
 
 
-def _fib64() -> tuple[int, ...]:
-    vals = [1, 2]
-    while True:
-        nxt = vals[-1] + vals[-2]
-        if nxt > UINT64_MAX:
-            return tuple(vals)
-        vals.append(nxt)
-
-
 #: Every Fibonacci-base scale value that fits in 64 bits (F_0..F_91).
-FIB64 = _fib64()
+FIB64 = _scale_table(FIBONACCI)
 
 
 def _fib_low_bits(m: int) -> tuple[int, ...]:

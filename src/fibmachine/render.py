@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BudgetExceeded, ConfigError
+from .errors import ConfigError, integer, within
 from .probseq import ProbSeq
 from .spectrum import INSIDE, EscapeConfig, escape_levels
 
@@ -66,11 +66,7 @@ class GridSpec:
             if not (isinstance(value, numbers.Real) and 0.0 < value < math.inf):
                 raise ValueError(f"grid {name} must be positive and finite, got {value!r}")
         for name in ("pixels_x", "pixels_y"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                raise ValueError(f"grid {name} must be an integer, got {value!r}")
-            if value < 1:
-                raise ValueError(f"grid {name} must be at least 1, got {value!r}")
+            integer(getattr(self, name), f"grid {name}", 1)
 
     def pixel(self, i: int, j: int) -> complex:
         """Center of pixel column i, row j."""
@@ -124,12 +120,8 @@ def scan_grid(
     it, and the kernel is elementwise, so any worker count produces the same
     cells as the sequential scan.
     """
-    if grid.pixels_x * grid.pixels_y > PIXEL_BUDGET:
-        raise BudgetExceeded(
-            f"{grid.pixels_x}x{grid.pixels_y} exceeds the {PIXEL_BUDGET} pixel budget"
-        )
-    if workers < 1:
-        raise ValueError("workers must be at least 1")
+    within(grid.pixels_x * grid.pixels_y, PIXEL_BUDGET, "pixel")
+    integer(workers, "workers", 1)
     lam = grid.lam_array()
     if workers == 1:
         cells = escape_levels(lam, p, cfg)

@@ -19,20 +19,20 @@ and raster answers agree bit for bit.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from .errors import (
-    BudgetExceeded,
     InvalidPolynomial,
     InvalidSeed,
     OrbitEscaped,
     ZeroDelta,
+    integer,
+    within,
 )
-from .chain import MATRIX_BUDGET, _ladder_chunks, _RungTable, _runs
+from .chain import _ladder_chunks, _RungTable, _runs, _truncation_size
 from .numeration import FIB64, BaseDef, digits_of_int
 from .probseq import ProbSeq
 
@@ -46,6 +46,12 @@ CLAMP = 1e150
 
 #: Keeps the escape radius strictly above 1 even for an all-ones sequence.
 RADIUS_EPS = 1e-9
+
+#: Below this r_n, 1/r_n passes 2^53, where 1/r_n - 1 rounds and the step
+#: x/r_n - (1/r_n - 1) loses the fixed point q(1) = 1; every walk steps
+#: (x - 1)/r_n + 1 there instead.  From it up the first form is kept, as it
+#: is exact where r_n = 1.
+TINY_R = 2.0**-53
 
 #: Hard cap on escape levels per orbit, beside render.PIXEL_BUDGET: an orbit
 #: that never escapes (the unit disk of the all-ones sequence) is stepped
@@ -113,10 +119,7 @@ def _walk(
     previous values.  The walk stops at the first value it computes past
     CLAMP, a power or a modulus past the float range counting as inf.
     """
-    if levels < 0:
-        raise ValueError("levels must be nonnegative")
-    if levels > LEVEL_BUDGET:
-        raise BudgetExceeded(f"{levels} levels exceed the {LEVEL_BUDGET} level budget")
+    within(integer(levels, "levels", 0), LEVEL_BUDGET, "level")
     if seeds is None:
         values = [1.0 + (lam - 1.0) / p.p(1)]
         if _modulus(values[0]) > CLAMP:
@@ -138,7 +141,7 @@ def _walk(
         except OverflowError:
             q = complex(math.inf)
         else:
-            q = prod / r - (1.0 / r - 1.0)
+            q = prod / r - (1.0 / r - 1.0) if r >= TINY_R else (prod - 1.0) / r + 1.0
         values.append(q)
         if not (_modulus(q) <= CLAMP):
             return values, m
@@ -151,7 +154,8 @@ def q_fib_orbit(lam: complex, p: ProbSeq, levels: int) -> QOrbit:
     Seed (lambda - (1 - p_1))/p_1, evaluated as 1 + (lambda - 1)/p_1 so that
     lambda = 1 maps to exactly 1 for every p_1; step n multiplies the two
     previous values (step 1 squares the seed), divides by r_n and subtracts
-    (1/r_n - 1).  More than LEVEL_BUDGET levels raise BudgetExceeded.
+    (1/r_n - 1), or below r_n = TINY_R steps (x - 1)/r_n + 1 instead.
+    More than LEVEL_BUDGET levels raise BudgetExceeded.
     """
     lam = complex(lam)
     values, escaped_at = _walk(p, levels, lam=lam)
@@ -171,9 +175,7 @@ def _orbit_through(lam: complex, p: ProbSeq, level: int) -> tuple[complex, ...]:
 
 def q_at_integer(n: int, lam: complex, p: ProbSeq) -> complex:
     """q_n = product of q_{F_i} over the greedy digits of n (empty = 1)."""
-    if n < 0:
-        raise ValueError("q is indexed by nonnegative integers")
-    eps = digits_of_int(n)
+    eps = digits_of_int(integer(n, "n", 0))
     values = _orbit_through(lam, p, max(len(eps) - 1, 0))
     result = complex(1.0)
     for i, e in enumerate(eps):
@@ -184,11 +186,7 @@ def q_at_integer(n: int, lam: complex, p: ProbSeq) -> complex:
 
 def q_values_upto(level: int, lam: complex, p: ProbSeq) -> list[complex]:
     """All q_m for m = 0..F_level, via the block rule q(F_m + k) = q(F_m) q(k)."""
-    if level < 0 or level >= len(FIB64):
-        raise ValueError("level must index a 64-bit scale value")
-    top = FIB64[level]
-    if top + 1 > MATRIX_BUDGET:
-        raise BudgetExceeded(f"{top + 1} values of q exceed the {MATRIX_BUDGET} budget")
+    top = _truncation_size(level, 0, 1)
     values = _orbit_through(lam, p, level)
     out = [complex(1.0)] * (top + 1)
     for m, qf in enumerate(values):
@@ -239,14 +237,7 @@ class EscapeConfig:
             raise ValueError(
                 f"escape radius must be finite and exceed 1, got {self.radius!r}"
             )
-        if isinstance(self.max_level, bool) or not isinstance(self.max_level, numbers.Integral):
-            raise ValueError(f"max_level must be an integer, got {self.max_level!r}")
-        if self.max_level < 0:
-            raise ValueError("max_level must be nonnegative")
-        if self.max_level > LEVEL_BUDGET:
-            raise BudgetExceeded(
-                f"max_level {self.max_level} exceeds the {LEVEL_BUDGET} level budget"
-            )
+        within(integer(self.max_level, "max_level", 0), LEVEL_BUDGET, "level")
 
     @classmethod
     def for_probseq(
@@ -290,7 +281,8 @@ def escape_levels(lam_grid: np.ndarray, p: ProbSeq, cfg: EscapeConfig) -> np.nda
     divides a complex x by a real r as (x.real + x.imag*0, x.imag - x.real*0)
     times 1/r, and the product x * (1/r) differs from that only in the sign
     of a zero, so every modulus, and hence every level, is the same.  The
-    seed is written the same way, (lambda - 1) * (1/p_1) + 1.  The
+    seed is written the same way, (lambda - 1) * (1/p_1) + 1, and past
+    1/r = 2^53 (r below TINY_R) the step is (x - 1) * (1/r) + 1.  The
     coefficient of level n is asked of `p` when a block first steps level n,
     so `p` sees the same requests as a level-by-level sweep of all pixels
     (a ConstantTail without a tail raises TailUndefined at the same
@@ -301,7 +293,8 @@ def escape_levels(lam_grid: np.ndarray, p: ProbSeq, cfg: EscapeConfig) -> np.nda
     lam = grid.reshape(-1)
     flat = out.reshape(-1)
     inv_p1 = 1.0 / p.p(1)
-    steps: list[tuple[float, float]] = []  # (1/r_n, 1/r_n - 1) for n = 1, 2, ...
+    # (1/r_n, 1/r_n - 1) for n = 1, 2, ..., None in place of 1/r_n - 1 below TINY_R
+    steps: list[tuple[float, float | None]] = []
     with np.errstate(over="ignore", invalid="ignore"):
         for start in range(0, flat.size, BLOCK):
             block = slice(start, start + BLOCK)
@@ -313,7 +306,7 @@ def _escape_block(
     lam: np.ndarray,
     out: np.ndarray,
     inv_p1: float,
-    steps: list[tuple[float, float]],
+    steps: list[tuple[float, float | None]],
     p: ProbSeq,
     cfg: EscapeConfig,
 ) -> None:
@@ -329,10 +322,14 @@ def _escape_block(
     for n in range(cfg.max_level + 1):
         if n >= 1:
             if n > len(steps):
-                inv_r = 1.0 / p.p(r_index(n))
-                steps.append((inv_r, inv_r - 1.0))
+                r = p.p(r_index(n))
+                steps.append((1.0 / r, 1.0 / r - 1.0 if r >= TINY_R else None))
             inv_r, shift = steps[n - 1]
-            cur, prev = cur * prev * inv_r - shift, cur
+            # one expression per form, so numpy reuses its temporary in place
+            if shift is None:
+                cur, prev = (cur * prev - 1.0) * inv_r + 1.0, cur
+            else:
+                cur, prev = cur * prev * inv_r - shift, cur
         mod = np.abs(cur)
         big = mod > 1.0 + ETA
         hit = ~(mod <= radius)
@@ -391,8 +388,9 @@ def in_E(lam: complex, p: ProbSeq, cfg: EscapeConfig) -> EscapeResult:
         prev = cur  # step 1 squares the seed
         for n in range(cfg.max_level + 1):
             if n >= 1:
-                inv_r = 1.0 / p.p(r_index(n))
-                cur, prev = cur * prev * inv_r - (inv_r - 1.0), cur
+                r = p.p(r_index(n))
+                inv_r, prod, prev = 1.0 / r, cur * prev, cur
+                cur = prod * inv_r - (inv_r - 1.0) if r >= TINY_R else (prod - 1.0) * inv_r + 1.0
             m = np.abs(cur).item()
             big = m > 1.0 + ETA
             if pair_rule and big and prev_big:
@@ -466,12 +464,9 @@ class EigenResidual:
 
 
 def eigen_residual(lam: complex, p: ProbSeq, level: int) -> EigenResidual:
-    if level < 1 or level + 1 >= len(FIB64):
-        raise ValueError("level must leave F_(level+1) inside the 64-bit table")
+    # F_(level+1) + 1 rows are checked before q_values_upto checks its F_level + 1 values
+    rows = _truncation_size(integer(level, "level", 1) + 1, 2, 1)
     top = FIB64[level]
-    rows = FIB64[level + 1]
-    if rows + 1 > MATRIX_BUDGET:
-        raise BudgetExceeded(f"residual check needs {rows + 1} rows, over the budget")
     lam = complex(lam)
     w = q_values_upto(level, lam, p)
     sup_norm = max(map(abs, w))
@@ -528,8 +523,7 @@ def phi_orbit(h: Sequence[complex], p: ProbSeq, levels: int) -> PhiOrbit:
     constant and linear coefficients, so phi_1(0) = h(0) is 0 as well and the
     orbit is controlled by the step coefficients alone.
     """
-    if levels < 1:
-        raise ValueError("levels must be at least 1")
+    integer(levels, "levels", 1)
     coeffs = tuple(complex(c) for c in h)
     if len(coeffs) < 3 or coeffs[0] != 0 or coeffs[1] != 0:
         raise InvalidPolynomial(

@@ -13,7 +13,8 @@ per row and the `chain matrix` CSV writer that formatted it line by line;
 the array-backed matrix and its block writer must match them bit for bit
 and byte for byte.  old_succ_carry is the carry rewriting with one loop per
 branch, as written before both branches ran through one loop; the new one
-must give the same word and the same CarryTrace.
+must give the same word and the same CarryTrace.  Recording is the
+descriptor the tests wrap around another to see which p_i a call asks for.
 """
 
 import math
@@ -25,8 +26,24 @@ from fibmachine.chain import Distribution, _ladder_chunks, _RungTable, _runs, _t
 from fibmachine.cli import CSV_BLOCK, fmt
 from fibmachine.errors import BudgetExceeded, InadmissibleWord, InvalidSeed
 from fibmachine.odometer import CarryTrace, _checked_bits
+from fibmachine.probseq import ProbSeq
 from fibmachine.render import IterBuffer
 from fibmachine.spectrum import CLAMP, LEVEL_BUDGET, q_fib_orbit, r_index
+
+
+class Recording(ProbSeq):
+    """Passes p(i) through to `inner` and records every index asked for, in order."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.asked = []
+
+    def p(self, i):
+        self.asked.append(i)
+        return self.inner.p(i)
+
+    def delta_lower_bound(self):
+        return self.inner.delta_lower_bound()
 
 
 def subset_max_exhaustive(lam, p, level):

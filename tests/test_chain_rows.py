@@ -54,8 +54,8 @@ from fibmachine.chain import (
 )
 from fibmachine.cli import main
 from fibmachine.numeration import FIB64, UINT64_MAX, digits_of_int, fib_bits_of_int
-from fibmachine.probseq import ProbSeq
 from fibmachine.spectrum import EigenResidual, q_values_upto
+from oracles import Recording
 
 NULL = ConstantTail((1.0,), 0.5)
 TRANSIENT = PowerLawComplement(0.5, 2.0)
@@ -429,21 +429,6 @@ def test_ladder_table_matches_the_walk(index):
 def test_ladder_table_matches_the_walk_on_random_ranges(start, length, index):
     got = table_rows(start, start + length, sequences()[index])
     assert got == walked_rows(start, start + length, sequences()[index])
-
-
-class Recording(ProbSeq):
-    """A descriptor that records every index asked of it."""
-
-    def __init__(self, inner):
-        self.inner = inner
-        self.asked = []
-
-    def p(self, i):
-        self.asked.append(i)
-        return self.inner.p(i)
-
-    def delta_lower_bound(self):
-        return self.inner.delta_lower_bound()
 
 
 def requests(call, make):

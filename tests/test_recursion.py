@@ -27,8 +27,10 @@ from fibmachine import (
     OrbitEscaped,
     PowerLawComplement,
     all_ones,
+    construct_positive_recurrent,
     eigen_residual,
     fibered_pair,
+    geometric_budget,
     in_E,
     in_point_spectrum,
     non_connectedness_test,
@@ -226,6 +228,50 @@ def test_fibered_pair_pairs_consecutive_orbit_values(p, re, im, levels):
     assert all_bits(pairs[0]) == all_bits((values[0], values[0]))
     for n in range(1, len(values)):
         assert all_bits(pairs[n]) == all_bits((values[n], values[n - 1]))
+
+
+# ---------------------------------------------------------------------------
+# the fixed point q(1) = 1
+
+
+PROB = st.floats(min_value=0.0, max_value=1.0, exclude_min=True)
+RHO = st.floats(min_value=0.0, max_value=1.0, exclude_min=True, exclude_max=True)
+DESCRIPTORS = st.one_of(
+    st.builds(ConstantTail, st.lists(PROB, max_size=8).map(tuple), PROB),
+    st.builds(PowerLawComplement, st.floats(min_value=5e-324, max_value=1e6), PROB),
+    st.builds(GeometricDecay, st.floats(min_value=5e-324, max_value=2.0), RHO),
+    # a tinier p_2 or ratio runs the budget out to 0, which the construction refuses
+    st.builds(
+        lambda p1, p2, ratio: construct_positive_recurrent(p1, p2, geometric_budget(p2, ratio), 3),
+        PROB,
+        st.floats(min_value=1e-200, max_value=1.0),
+        st.floats(min_value=1e-3, max_value=1.0, exclude_max=True),
+    ),
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(p=DESCRIPTORS, levels=st.integers(min_value=0, max_value=60))
+def test_one_is_a_fixed_point_for_every_descriptor(p, levels):
+    # every q_{F_n}(1) is 1, also once 1/r_n passes 2^53, where
+    # x/r_n - (1/r_n - 1) rounds 1 to 0 or 2
+    assert set(q_fib_orbit(1.0, p, levels).values) == {1.0}
+    escape = in_E(1.0, p, EscapeConfig(4.0, levels))
+    coefficients = [p.p(1)] + [p.p(r_index(n)) for n in range(1, levels + 1)]
+    if all(math.isfinite(1.0 / r) for r in coefficients):
+        assert not escape.escaped
+    else:  # (1 - 1) * (1/r_n) is NaN
+        assert escape.escaped
+
+
+def test_one_is_a_fixed_point_past_two_to_the_53():
+    # 1/r = 2^53 + 2: 1/r - 1 rounds to 2^53, so the old step gave 2
+    tie = ConstantTail((0.5, 1.0 / (2.0**53 + 2.0)), 0.5)
+    for p in (GeometricDecay(0.5, 1e-30), GeometricDecay(0.9, 0.001), tie):
+        orbit = q_fib_orbit(1.0, p, 25)
+        assert orbit.escaped_at is None and set(orbit.values) == {1.0}
+    assert not in_E(1.0, GeometricDecay(0.9, 0.001), EscapeConfig(50.0, 40)).escaped
+    assert not in_E(1.0, tie, EscapeConfig(4.0, 10)).escaped
 
 
 # ---------------------------------------------------------------------------

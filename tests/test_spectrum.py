@@ -19,7 +19,6 @@ from fibmachine import (
     GeometricDecay,
     InvalidPolynomial,
     InvalidSeed,
-    ProbSeq,
     ZeroDelta,
     all_ones,
     eigen_residual,
@@ -35,10 +34,10 @@ from fibmachine import (
     q_general_orbit,
     q_values_upto,
 )
-from fibmachine import spectrum
+from fibmachine import chain
 from fibmachine.numeration import FIB64, BaseDef, base_sequence, digits_of_int
 from fibmachine.spectrum import CLAMP, INSIDE, LEVEL_BUDGET, r_index
-from oracles import subset_max_exhaustive
+from oracles import Recording, subset_max_exhaustive
 
 HALF = ConstantTail((), 0.5)
 MIXED = ConstantTail((0.75, 0.5, 0.8, 0.7), 0.6)
@@ -112,18 +111,6 @@ def test_orbit_clamp_stops_iteration():
     assert abs(orbit.values[-1]) > CLAMP
 
 
-class Recording(ProbSeq):
-    """Passes p(i) through to `inner` and records every index asked for, in order."""
-
-    def __init__(self, inner):
-        self.inner = inner
-        self.asked = []
-
-    def p(self, i):
-        self.asked.append(i)
-        return self.inner.p(i)
-
-
 def test_orbit_asks_for_the_step_schedule():
     # the seed divides by p_1, then step n by p_(r_index(n))
     p = Recording(MIXED)
@@ -154,10 +141,10 @@ def test_q_values_upto_matches_digit_products():
 
 def test_q_values_upto_refuses_past_the_matrix_budget(monkeypatch):
     # F_32 + 1 = 5,702,888 values are refused before the orbit is walked
-    with pytest.raises(BudgetExceeded, match="5702888 values"):
+    with pytest.raises(BudgetExceeded, match="^5702888 exceeds"):
         q_values_upto(32, 0.5, all_ones())
     p = Recording(MIXED)
-    monkeypatch.setattr(spectrum, "MATRIX_BUDGET", FIB64[8] + 1)
+    monkeypatch.setattr(chain, "MATRIX_BUDGET", FIB64[8] + 1)
     assert len(q_values_upto(8, 0.5, p)) == FIB64[8] + 1
     p.asked.clear()
     with pytest.raises(BudgetExceeded):
