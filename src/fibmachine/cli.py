@@ -3,7 +3,9 @@
 All numeric output is printed with 12 significant digits.  Exit codes: 0 on
 success, 2 for configuration or value errors, 3 when a capacity or budget
 limit is hit.  Subcommands are thin adapters over the library calls, so the
-printed results match direct library use exactly.
+printed results match direct library use exactly.  The numpy-backed modules
+are imported by the handlers that use them, so the parser, the error mapping
+and the word commands (encode, decode, succ) run without numpy.
 """
 
 from __future__ import annotations
@@ -13,16 +15,16 @@ import dataclasses
 import math
 import sys
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import TYPE_CHECKING, Iterable, Iterator
 
-import numpy as np
-
-from . import chain, figures, odometer, render, spectrum
+from . import figures, odometer
 from .config import RunConfig, load_config
 from .errors import BudgetExceeded, CapacityError, FibmachineError
 from .numeration import decode, encode
 from .probseq import all_ones
-from .rng import SplitMix64
+
+if TYPE_CHECKING:
+    from .chain import TruncatedMatrix
 
 
 #: Lines of `chain matrix` CSV written at a time, rounded to whole rows.
@@ -100,6 +102,8 @@ def cmd_succ(args: argparse.Namespace) -> int:
 
 
 def cmd_chain_row(args: argparse.Namespace) -> int:
+    from . import chain
+
     cfg = _load(args)
     terms = chain.transition_terms(args.state)
     for target, factor in terms:
@@ -108,13 +112,15 @@ def cmd_chain_row(args: argparse.Namespace) -> int:
 
 
 def cmd_chain_matrix(args: argparse.Namespace) -> int:
+    from . import chain
+
     cfg = _load(args)
     matrix = chain.transition_matrix(args.level, cfg.prob_seq)
     _write_or_print(_matrix_csv(matrix), args.out)
     return 0
 
 
-def _matrix_csv(matrix: chain.TruncatedMatrix) -> Iterator[str]:
+def _matrix_csv(matrix: TruncatedMatrix) -> Iterator[str]:
     """The CSV text of a truncated matrix, about CSV_BLOCK lines at a time.
 
     As in render._csv_blocks, each line is assembled from word tables: one
@@ -123,6 +129,10 @@ def _matrix_csv(matrix: chain.TruncatedMatrix) -> Iterator[str]:
     rung values.  The tables are kept transposed, so a block is filled one
     contiguous word column at a time, and its NUL padding is dropped at once.
     """
+    import numpy as np
+
+    from . import render
+
     yield "from,to,prob\n"
     states = render._index_words(matrix.size).T.copy()
     values = np.unique(matrix.probs)
@@ -144,6 +154,9 @@ def _matrix_csv(matrix: chain.TruncatedMatrix) -> Iterator[str]:
 
 
 def cmd_chain_simulate(args: argparse.Namespace) -> int:
+    from . import chain
+    from .rng import SplitMix64
+
     cfg = _load(args)
     summary = chain.simulate(
         args.start, args.steps, cfg.prob_seq, SplitMix64(cfg.seed)
@@ -160,6 +173,8 @@ def cmd_chain_simulate(args: argparse.Namespace) -> int:
 
 
 def cmd_chain_classify(args: argparse.Namespace) -> int:
+    from . import chain
+
     cfg = _load(args)
     result = chain.classify(cfg.prob_seq)
     print(f"{result.kind.value}: {result.reason}")
@@ -167,6 +182,8 @@ def cmd_chain_classify(args: argparse.Namespace) -> int:
 
 
 def cmd_chain_stationary(args: argparse.Namespace) -> int:
+    from . import chain
+
     cfg = _load(args)
     measure = chain.stationary_measure(args.level, cfg.prob_seq, args.threshold)
     print(f"level {measure.level}")
@@ -177,6 +194,8 @@ def cmd_chain_stationary(args: argparse.Namespace) -> int:
 
 
 def cmd_spectrum_orbit(args: argparse.Namespace) -> int:
+    from . import spectrum
+
     cfg = _load(args)
     lam = _point(args)
     levels = args.levels if args.levels is not None else cfg.max_level
@@ -189,6 +208,8 @@ def cmd_spectrum_orbit(args: argparse.Namespace) -> int:
 
 
 def cmd_spectrum_member(args: argparse.Namespace) -> int:
+    from . import spectrum
+
     cfg = _load(args)
     lam = _point(args)
     esc_cfg = cfg.escape_config()
@@ -206,6 +227,8 @@ def cmd_spectrum_member(args: argparse.Namespace) -> int:
 
 
 def cmd_spectrum_connectivity(args: argparse.Namespace) -> int:
+    from . import spectrum
+
     cfg = _load(args)
     result = spectrum.non_connectedness_test(cfg.prob_seq, args.levels)
     if result.non_connected:
@@ -216,6 +239,8 @@ def cmd_spectrum_connectivity(args: argparse.Namespace) -> int:
 
 
 def cmd_spectrum_residual(args: argparse.Namespace) -> int:
+    from . import spectrum
+
     cfg = _load(args)
     res = spectrum.eigen_residual(_point(args), cfg.prob_seq, args.level)
     print(f"value {fmt(res.value)}")
@@ -226,6 +251,8 @@ def cmd_spectrum_residual(args: argparse.Namespace) -> int:
 
 
 def cmd_render(args: argparse.Namespace) -> int:
+    from . import render
+
     cfg = _load(args)
     buf = render.scan_grid(
         cfg.grid, cfg.prob_seq, cfg.escape_config(), workers=args.workers

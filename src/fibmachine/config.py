@@ -3,24 +3,124 @@
 One JSON document names the probability sequence, the digit base, the raster
 window, and the escape parameters.  Every command reads the same schema, so a
 committed panel file and an ad-hoc CLI config behave identically.
+
+The value types a config builds live here too: GridSpec (the raster window,
+also exported by render) and EscapeConfig with escape_radius (the escape
+parameters, also exported by spectrum).  None of them needs numpy, so a
+config loads without it; GridSpec.lam_array imports numpy when it is called.
 """
 
 from __future__ import annotations
 
 import json
+import math
+import numbers
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
-from .errors import ConfigError, FibmachineError
+from .errors import ConfigError, FibmachineError, ZeroDelta, integer, within
 from .numeration import FIBONACCI, BaseDef
 from .probseq import ProbSeq, all_ones, from_config as probseq_from_config, json_number, to_config
-from .render import GridSpec
-from .spectrum import EscapeConfig, escape_radius
+
+if TYPE_CHECKING:
+    import numpy as np
+
+#: Keeps the escape radius strictly above 1 even for an all-ones sequence.
+RADIUS_EPS = 1e-9
+
+#: Hard cap on escape levels per orbit, beside render.PIXEL_BUDGET: an orbit
+#: that never escapes (the unit disk of the all-ones sequence) is stepped
+#: max_level times.
+LEVEL_BUDGET = 10_000
 
 DEFAULT_MAX_LEVEL = 17
 DEFAULT_MARGIN = 1.0
 DEFAULT_SEED = 2026
+
+
+@dataclass(frozen=True)
+class GridSpec:
+    """A complex-plane window sampled at pixel centers, rows growing downward."""
+
+    center: complex = 0j
+    width: float = 5.0
+    height: float = 5.0
+    pixels_x: int = 800
+    pixels_y: int = 800
+
+    def __post_init__(self) -> None:
+        c = self.center
+        if not (isinstance(c, numbers.Complex) and math.isfinite(c.real) and math.isfinite(c.imag)):
+            raise ValueError(f"grid center must be a finite number, got {c!r}")
+        for name in ("width", "height"):
+            value = getattr(self, name)
+            if not (isinstance(value, numbers.Real) and 0.0 < value < math.inf):
+                raise ValueError(f"grid {name} must be positive and finite, got {value!r}")
+        for name in ("pixels_x", "pixels_y"):
+            integer(getattr(self, name), f"grid {name}", 1)
+
+    def pixel(self, i: int, j: int) -> complex:
+        """Center of pixel column i, row j."""
+        x = ((i + 0.5) / self.pixels_x - 0.5) * self.width
+        y = ((j + 0.5) / self.pixels_y - 0.5) * self.height
+        return (self.center + x) + 1j * y
+
+    def lam_array(self) -> np.ndarray:
+        """All pixel centers as one (pixels_y, pixels_x) complex array.
+
+        The two parts are written directly.  They are bit for bit those of
+        (center + x) + 1j * y, whose zero addends change nothing because
+        neither x nor y is ever -0.0.
+        """
+        import numpy as np
+
+        i = np.arange(self.pixels_x, dtype=np.float64)
+        j = np.arange(self.pixels_y, dtype=np.float64)
+        x = ((i + 0.5) / self.pixels_x - 0.5) * self.width
+        y = ((j + 0.5) / self.pixels_y - 0.5) * self.height
+        lam = np.empty((self.pixels_y, self.pixels_x), dtype=np.complex128)
+        lam.real = self.center.real + x
+        lam.imag = self.center.imag + y[:, None]
+        return lam
+
+
+def escape_radius(p: ProbSeq, margin: float = 0.0) -> float:
+    """Safe escape radius max(1 + eps, 2/delta - 1) + margin."""
+    if not 0.0 <= margin < math.inf:
+        raise ValueError(f"margin must be nonnegative and finite, got {margin!r}")
+    delta = p.delta_lower_bound()
+    if delta <= 0.0:
+        raise ZeroDelta(
+            "the descriptor has no positive lower bound; supply an explicit radius"
+        )
+    return max(1.0 + RADIUS_EPS, 2.0 / delta - 1.0) + margin
+
+
+@dataclass(frozen=True)
+class EscapeConfig:
+    """How far and how hard to chase an orbit before calling it escaped."""
+
+    radius: float
+    max_level: int
+    early_exit: bool = True
+
+    def __post_init__(self) -> None:
+        if not (1.0 < self.radius < math.inf):
+            raise ValueError(
+                f"escape radius must be finite and exceed 1, got {self.radius!r}"
+            )
+        within(integer(self.max_level, "max_level", 0), LEVEL_BUDGET, "level")
+
+    @classmethod
+    def for_probseq(
+        cls,
+        p: ProbSeq,
+        max_level: int = DEFAULT_MAX_LEVEL,
+        margin: float = DEFAULT_MARGIN,
+        early_exit: bool = True,
+    ) -> "EscapeConfig":
+        return cls(escape_radius(p, margin), max_level, early_exit)
 
 
 @dataclass(frozen=True)
@@ -49,20 +149,12 @@ def _require_keys(d: dict, allowed: set[str], where: str) -> None:
         raise ConfigError(f"unknown {where} keys: {sorted(unknown)}")
 
 
-def _int_field(d: dict, key: str, default: int, where: str) -> int:
-    """A JSON integer, not a bool and not a float with an integral value."""
-    value = d.get(key, default)
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(f"{where}{key} must be an integer, got {value!r}")
-    return value
-
-
-def _pixel_field(d: dict, key: str, default: int) -> int:
-    """A grid pixel count: a JSON integer of at least 1."""
-    value = _int_field(d, key, default, "grid ")
-    if value < 1:
-        raise ConfigError(f"grid {key} must be at least 1, got {value!r}")
-    return value
+def _int_field(d: dict, key: str, default: int, where: str, low: int | None = None) -> int:
+    """A JSON integer, not a bool and not a float with an integral value, of at least `low`."""
+    try:
+        return integer(d.get(key, default), f"{where}{key}", low)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
 
 
 def _grid_from_dict(d: dict) -> GridSpec:
@@ -78,9 +170,9 @@ def _grid_from_dict(d: dict) -> GridSpec:
         center = complex(json_number(center, "grid center"))
     else:
         raise ConfigError(f"grid center must be a number or a [re, im] pair, got {center!r}")
-    pixels = _pixel_field(d, "pixels", 800)
-    px = _pixel_field(d, "pixels_x", pixels)
-    py = _pixel_field(d, "pixels_y", pixels)
+    pixels = _int_field(d, "pixels", 800, "grid ", 1)
+    px = _int_field(d, "pixels_x", pixels, "grid ", 1)
+    py = _int_field(d, "pixels_y", pixels, "grid ", 1)
     return GridSpec(
         center=center,
         width=json_number(d.get("width", 5.0), "grid width"),

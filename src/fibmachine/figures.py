@@ -6,6 +6,9 @@ standard window [-2.5, 2.5]^2 at 400x400 with escape depth 17.  Panels are
 numbered 01..15 in publication order, three per display figure; the figures
 themselves are numbered 4..8, so "fig5-2" is panel 05.  The panel number is
 authoritative where the two disagree.
+
+Loading and naming panels needs no numpy; render_panel and repro_panels
+import the renderer when they are called.
 """
 
 from __future__ import annotations
@@ -15,10 +18,13 @@ import json
 import re
 from importlib import resources
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 from .config import RunConfig, config_from_dict
 from .errors import ConfigError
-from .render import IterBuffer, scan_grid, write_ppm
+
+if TYPE_CHECKING:
+    from .render import IterBuffer
 
 PANEL_COUNT = 15
 FIRST_FIGURE = 4
@@ -70,6 +76,8 @@ def parse_target(text: str) -> list[int]:
 
 def render_panel(number: int, workers: int = 1, pixels: int | None = None) -> IterBuffer:
     """Rasterize one committed panel (optionally overriding the resolution)."""
+    from .render import scan_grid
+
     cfg = panel_config(number)
     grid = cfg.grid
     if pixels is not None:
@@ -84,6 +92,8 @@ def repro_panels(
     pixels: int | None = None,
 ) -> list[Path]:
     """Render the given panels to PPM files; returns the written paths."""
+    from .render import write_ppm
+
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     written = []

@@ -22,7 +22,6 @@ import numbers
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
-from operator import index
 from typing import Sequence, Union
 
 from .errors import CapacityError, InadmissibleWord, integer
@@ -162,17 +161,20 @@ def is_admissible(word: Word, base: BaseDef = FIBONACCI) -> bool:
     return all(msb[j : j + d] < a for j in range(len(eps)))
 
 
-def _check_encodable(n: int) -> None:
-    index(n)  # TypeError for a float or any other non-integer
+def _check_encodable(n: int) -> int:
+    """`n` as an int in the 64-bit range; a bool or a non-integer is refused by `integer`."""
+    if type(n) is not int:  # the exact-int case skips the call
+        n = integer(n, "n")
     if n < 0:
         raise ValueError("cannot encode a negative integer")
     if n > UINT64_MAX:
         raise CapacityError(f"{n} exceeds the 64-bit range")
+    return n
 
 
 def digits_of_int(n: int, base: BaseDef = FIBONACCI) -> tuple[int, ...]:
     """Greedy LSB-first digits of n (empty tuple for 0)."""
-    _check_encodable(n)
+    n = _check_encodable(n)
     if n == 0:
         return ()
     values = _values_upto(base, n)
@@ -187,7 +189,7 @@ def digits_of_int(n: int, base: BaseDef = FIBONACCI) -> tuple[int, ...]:
 
 def fib_bits_of_int(n: int) -> int:
     """Greedy Fibonacci digits of n as the bits of one integer (bit k = digit k)."""
-    _check_encodable(n)
+    n = _check_encodable(n)
     # take the largest F_k <= n, one bit per digit taken, until the rest is small
     fib = FIB64
     bits = 0

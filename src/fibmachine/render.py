@@ -3,15 +3,14 @@
 A GridSpec names the window and resolution, scan_grid runs the shared escape
 kernel over every pixel center (optionally in row bands across threads, with
 bit-identical output), and the writers serialize the resulting level buffer
-as binary PPM, CSV text, or PNG.
+as binary PPM, CSV text, or PNG.  GridSpec is defined in config, which needs
+no numpy, and is the same class here.
 """
 
 from __future__ import annotations
 
 import colorsys
 import io
-import math
-import numbers
 import re
 import warnings
 from collections.abc import Iterator
@@ -20,9 +19,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .config import EscapeConfig, GridSpec
 from .errors import ConfigError, integer, within
 from .probseq import ProbSeq
-from .spectrum import INSIDE, EscapeConfig, escape_levels
+from .spectrum import INSIDE, escape_levels
 
 #: Hard cap on pixels per scan.
 PIXEL_BUDGET = 10**8
@@ -45,50 +45,6 @@ HUE_STEP = 0.6180339887498949
 #: HSV saturation and value of every escape-level color; INSIDE is black.
 SATURATION = 0.85
 VALUE = 1.0
-
-
-@dataclass(frozen=True)
-class GridSpec:
-    """A complex-plane window sampled at pixel centers, rows growing downward."""
-
-    center: complex = 0j
-    width: float = 5.0
-    height: float = 5.0
-    pixels_x: int = 800
-    pixels_y: int = 800
-
-    def __post_init__(self) -> None:
-        c = self.center
-        if not (isinstance(c, numbers.Complex) and math.isfinite(c.real) and math.isfinite(c.imag)):
-            raise ValueError(f"grid center must be a finite number, got {c!r}")
-        for name in ("width", "height"):
-            value = getattr(self, name)
-            if not (isinstance(value, numbers.Real) and 0.0 < value < math.inf):
-                raise ValueError(f"grid {name} must be positive and finite, got {value!r}")
-        for name in ("pixels_x", "pixels_y"):
-            integer(getattr(self, name), f"grid {name}", 1)
-
-    def pixel(self, i: int, j: int) -> complex:
-        """Center of pixel column i, row j."""
-        x = ((i + 0.5) / self.pixels_x - 0.5) * self.width
-        y = ((j + 0.5) / self.pixels_y - 0.5) * self.height
-        return (self.center + x) + 1j * y
-
-    def lam_array(self) -> np.ndarray:
-        """All pixel centers as one (pixels_y, pixels_x) complex array.
-
-        The two parts are written directly.  They are bit for bit those of
-        (center + x) + 1j * y, whose zero addends change nothing because
-        neither x nor y is ever -0.0.
-        """
-        i = np.arange(self.pixels_x, dtype=np.float64)
-        j = np.arange(self.pixels_y, dtype=np.float64)
-        x = ((i + 0.5) / self.pixels_x - 0.5) * self.width
-        y = ((j + 0.5) / self.pixels_y - 0.5) * self.height
-        lam = np.empty((self.pixels_y, self.pixels_x), dtype=np.complex128)
-        lam.real = self.center.real + x
-        lam.imag = self.center.imag + y[:, None]
-        return lam
 
 
 @dataclass(eq=False)

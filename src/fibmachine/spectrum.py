@@ -14,6 +14,9 @@ multiplies by 1/r_n, which gives the moduli of numpy's division by r_n
 exactly.  The scalar membership test in_E walks one lambda through the
 same numpy expressions and tests without the block bookkeeping, so scalar
 and raster answers agree bit for bit.
+
+EscapeConfig, escape_radius, RADIUS_EPS and LEVEL_BUDGET are defined in
+config, which needs no numpy, and are the same objects here.
 """
 
 from __future__ import annotations
@@ -28,11 +31,11 @@ from .errors import (
     InvalidPolynomial,
     InvalidSeed,
     OrbitEscaped,
-    ZeroDelta,
     integer,
     within,
 )
 from .chain import _ladder_chunks, _RungTable, _runs, _truncation_size
+from .config import LEVEL_BUDGET, RADIUS_EPS, EscapeConfig, escape_radius
 from .numeration import FIB64, BaseDef, digits_of_int
 from .probseq import ProbSeq
 
@@ -44,19 +47,11 @@ ETA = 1e-6
 #: threshold of interest is far smaller, and stopping here avoids overflow.
 CLAMP = 1e150
 
-#: Keeps the escape radius strictly above 1 even for an all-ones sequence.
-RADIUS_EPS = 1e-9
-
 #: Below this r_n, 1/r_n passes 2^53, where 1/r_n - 1 rounds and the step
 #: x/r_n - (1/r_n - 1) loses the fixed point q(1) = 1; every walk steps
 #: (x - 1)/r_n + 1 there instead.  From it up the first form is kept, as it
 #: is exact where r_n = 1.
 TINY_R = 2.0**-53
-
-#: Hard cap on escape levels per orbit, beside render.PIXEL_BUDGET: an orbit
-#: that never escapes (the unit disk of the all-ones sequence) is stepped
-#: max_level times.
-LEVEL_BUDGET = 10_000
 
 #: Flat pixels stepped together through the whole level loop; a block's
 #: work arrays then stay in cache.
@@ -209,45 +204,7 @@ def fibered_pair(lam: complex, p: ProbSeq, levels: int) -> list[tuple[complex, c
 
 
 # ---------------------------------------------------------------------------
-# escape configuration and membership
-
-
-def escape_radius(p: ProbSeq, margin: float = 0.0) -> float:
-    """Safe escape radius max(1 + eps, 2/delta - 1) + margin."""
-    if not 0.0 <= margin < math.inf:
-        raise ValueError(f"margin must be nonnegative and finite, got {margin!r}")
-    delta = p.delta_lower_bound()
-    if delta <= 0.0:
-        raise ZeroDelta(
-            "the descriptor has no positive lower bound; supply an explicit radius"
-        )
-    return max(1.0 + RADIUS_EPS, 2.0 / delta - 1.0) + margin
-
-
-@dataclass(frozen=True)
-class EscapeConfig:
-    """How far and how hard to chase an orbit before calling it escaped."""
-
-    radius: float
-    max_level: int
-    early_exit: bool = True
-
-    def __post_init__(self) -> None:
-        if not (1.0 < self.radius < math.inf):
-            raise ValueError(
-                f"escape radius must be finite and exceed 1, got {self.radius!r}"
-            )
-        within(integer(self.max_level, "max_level", 0), LEVEL_BUDGET, "level")
-
-    @classmethod
-    def for_probseq(
-        cls,
-        p: ProbSeq,
-        max_level: int = 17,
-        margin: float = 1.0,
-        early_exit: bool = True,
-    ) -> "EscapeConfig":
-        return cls(escape_radius(p, margin), max_level, early_exit)
+# membership
 
 
 INSIDE = -1

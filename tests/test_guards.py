@@ -26,7 +26,9 @@ from fibmachine import (
     beta_eigen_residual,
     block_index,
     construct_positive_recurrent,
+    digits_of_int,
     eigen_residual,
+    encode,
     fibered_pair,
     geometric_budget,
     non_connectedness_test,
@@ -45,7 +47,7 @@ from fibmachine import (
     xi,
 )
 from fibmachine.chain import MATRIX_BUDGET, STEP_BUDGET
-from fibmachine.numeration import FIB64
+from fibmachine.numeration import FIB64, fib_bits_of_int
 from fibmachine.render import PIXEL_BUDGET
 from fibmachine.spectrum import LEVEL_BUDGET
 
@@ -77,6 +79,9 @@ ENTRIES = {
     "block_index": ("n", block_index),
     "beta": ("n", lambda v: beta(v, HALF)),
     "base_sequence": ("count", lambda v: base_sequence(FIBONACCI, v)),
+    "encode": ("n", encode),
+    "digits_of_int": ("n", digits_of_int),
+    "fib_bits_of_int": ("n", fib_bits_of_int),
     "xi": ("n", lambda v: xi(v, HALF)),
     "q_at_integer": ("n", lambda v: q_at_integer(v, 0.5, HALF)),
     "construct_positive_recurrent": (

@@ -1,5 +1,7 @@
 """Digit words: greedy encoding, decoding, admissibility, generalized bases."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -134,9 +136,10 @@ def test_capacity_errors():
 
 def test_encode_rejects_non_integers():
     # no float may come back as a word with dots in it, such as "1.000" for 3.0
+    # nor a bool as the word of 1: each is refused with a ValueError naming n
     for base in (FIBONACCI, BaseDef((1, 1, 1), name="order3")):
-        for value in (3.0, 2.5, "5"):
-            with pytest.raises(TypeError):
+        for value in (3.0, 2.5, "5", True):
+            with pytest.raises(ValueError, match=f"^n must be an integer, got {re.escape(repr(value))}$"):
                 encode(value, base)
 
 
