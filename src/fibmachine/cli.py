@@ -262,8 +262,8 @@ def cmd_render(args: argparse.Namespace) -> int:
         out.write_bytes(render.write_ppm(buf))
     elif args.format == "png":
         out.write_bytes(render.write_png(buf))
-    else:
-        out.write_text(render.write_csv(buf), encoding="utf-8")
+    else:  # write_csv's text, one block at a time
+        _write_or_print((b.decode("ascii") for b in render._csv_blocks(buf.cells)), str(out))
     print(f"wrote {out} ({buf.width}x{buf.height}, {buf.inside_count()} inside)")
     return 0
 

@@ -66,22 +66,31 @@ class GridSpec:
         y = ((j + 0.5) / self.pixels_y - 0.5) * self.height
         return (self.center + x) + 1j * y
 
-    def lam_array(self) -> np.ndarray:
-        """All pixel centers as one (pixels_y, pixels_x) complex array.
+    def imag_axis(self) -> np.ndarray:
+        """The imaginary part shared by the pixel centers of each row."""
+        import numpy as np
 
-        The two parts are written directly.  They are bit for bit those of
+        j = np.arange(self.pixels_y, dtype=np.float64)
+        return self.center.imag + ((j + 0.5) / self.pixels_y - 0.5) * self.height
+
+    def lam_array(self, rows: np.ndarray | None = None) -> np.ndarray:
+        """Pixel centers as one (len(rows), pixels_x) complex array, all rows by default.
+
+        Only the rows asked for are built, in the order given.  The two
+        parts are written directly.  They are bit for bit those of
         (center + x) + 1j * y, whose zero addends change nothing because
         neither x nor y is ever -0.0.
         """
         import numpy as np
 
         i = np.arange(self.pixels_x, dtype=np.float64)
-        j = np.arange(self.pixels_y, dtype=np.float64)
         x = ((i + 0.5) / self.pixels_x - 0.5) * self.width
-        y = ((j + 0.5) / self.pixels_y - 0.5) * self.height
-        lam = np.empty((self.pixels_y, self.pixels_x), dtype=np.complex128)
+        im = self.imag_axis()
+        if rows is not None:
+            im = im[rows]
+        lam = np.empty((len(im), self.pixels_x), dtype=np.complex128)
         lam.real = self.center.real + x
-        lam.imag = self.center.imag + y[:, None]
+        lam.imag = im[:, None]
         return lam
 
 

@@ -1,8 +1,9 @@
 """Escape-time rasterization of the fibered Julia set over a complex window.
 
 A GridSpec names the window and resolution, scan_grid runs the shared escape
-kernel over every pixel center (optionally in row bands across threads, with
-bit-identical output), and the writers serialize the resulting level buffer
+kernel over the pixel centers (once for each row and its mirror image across
+the real axis, optionally in row bands across threads, with bit-identical
+output), and the writers serialize the resulting level buffer
 as binary PPM, CSV text, or PNG.  GridSpec is defined in config, which needs
 no numpy, and is the same class here.
 """
@@ -11,6 +12,7 @@ from __future__ import annotations
 
 import colorsys
 import io
+import os
 import re
 import warnings
 from collections.abc import Iterator
@@ -72,32 +74,48 @@ def scan_grid(
 ) -> IterBuffer:
     """Rasterize escape levels over the grid.
 
-    The lambda array is built once; worker bands are disjoint row slices of
-    it, and the kernel is elementwise, so any worker count produces the same
-    cells as the sequential scan.
+    Every row shares the same real parts, so two rows whose imaginary parts
+    have bit-equal moduli hold equal or conjugate lambdas.  Every p_i is
+    real and the kernel's operations map conjugate inputs to conjugate
+    outputs (up to the sign of a zero, which the modulus ignores), so such
+    rows have equal levels: lambda is built and scanned only for the first
+    row of each set, and the levels are copied to the others.  The scanned
+    rows are split into min(workers, rows) disjoint bands; the kernel is
+    elementwise, so any worker count gives the cells of the sequential scan.
+    At one worker `p` is asked for the coefficients that a scan of every row
+    asks for, in the same order.
     """
     within(grid.pixels_x * grid.pixels_y, PIXEL_BUDGET, "pixel")
     integer(workers, "workers", 1)
-    lam = grid.lam_array()
-    if workers == 1:
-        cells = escape_levels(lam, p, cfg)
-        return IterBuffer(grid.pixels_x, grid.pixels_y, cells)
-    rows = grid.pixels_y
-    bounds = [rows * k // workers for k in range(workers + 1)]
-    cells = np.empty((rows, grid.pixels_x), dtype=np.int32)
+    _, first, partner = np.unique(
+        np.abs(grid.imag_axis()), return_index=True, return_inverse=True
+    )
+    bands = min(workers, len(first))
+    # band b scans rows b, b + bands, ... of the |imag| order, so the rows
+    # nearest the real axis, which escape last, are shared among the bands
+    deal = np.argsort(np.arange(len(first)) % bands, kind="stable")
+    # lambda is freed when _scan_rows returns, before the copy to full height
+    levels = _scan_rows(grid.lam_array(first[deal]), p, cfg, bands)
+    return IterBuffer(grid.pixels_x, grid.pixels_y, levels[np.argsort(deal)[partner]])
 
-    def run_band(j0: int, j1: int) -> None:
-        cells[j0:j1] = escape_levels(lam[j0:j1], p, cfg)
 
-    with ThreadPoolExecutor(max_workers=workers) as pool:
+def _scan_rows(lam: np.ndarray, p: ProbSeq, cfg: EscapeConfig, bands: int) -> np.ndarray:
+    """escape_levels of lam in np.array_split's `bands` bands of rows, on at most one thread per CPU."""
+    if bands == 1:
+        return escape_levels(lam, p, cfg)
+    levels = np.empty(lam.shape, dtype=np.int32)
+
+    def run_band(lam_band: np.ndarray, levels_band: np.ndarray) -> None:
+        levels_band[...] = escape_levels(lam_band, p, cfg)
+
+    with ThreadPoolExecutor(max_workers=min(bands, os.cpu_count() or 1)) as pool:
         futures = [
-            pool.submit(run_band, j0, j1)
-            for j0, j1 in zip(bounds, bounds[1:])
-            if j1 > j0
+            pool.submit(run_band, *band)
+            for band in zip(np.array_split(lam, bands), np.array_split(levels, bands))
         ]
         for f in futures:
             f.result()
-    return IterBuffer(grid.pixels_x, grid.pixels_y, cells)
+    return levels
 
 
 # ---------------------------------------------------------------------------

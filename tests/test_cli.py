@@ -11,10 +11,14 @@ from fibmachine import (
     BaseDef,
     eigen_residual,
     encode,
+    load_config,
     q_general_orbit,
+    render,
+    scan_grid,
     stationary_measure,
     transition_matrix,
     transition_terms,
+    write_csv,
 )
 from fibmachine.chain import STEP_BUDGET
 from fibmachine.spectrum import LEVEL_BUDGET
@@ -278,6 +282,20 @@ def test_render_ppm_worker_independence(capsys, tmp_path):
     assert code == 0
     assert one.read_bytes() == many.read_bytes()
     assert one.read_bytes().startswith(b"P6\n20 20\n255\n")
+
+
+def test_render_csv_streams_write_csv_text(capsys, tmp_path):
+    # 150 x 121 pixels: past one CSV block, and an odd height
+    doc = dict(SMALL_RENDER, grid={"pixels_x": 150, "pixels_y": 121, "width": 5.0, "height": 4.0})
+    cfg = cfg_file(tmp_path, doc)
+    assert 150 * 121 > render.CSV_BLOCK
+    out_file = tmp_path / "r.csv"
+    code, out, err = run(capsys, "render", "--config", cfg, "--out", str(out_file), "--format", "csv")
+    run_cfg = load_config(cfg)
+    buf = scan_grid(run_cfg.grid, run_cfg.prob_seq, run_cfg.escape_config())
+    assert code == 0 and err == ""
+    assert out == f"wrote {out_file} (150x121, {buf.inside_count()} inside)\n"
+    assert out_file.read_bytes() == write_csv(buf).encode("ascii")
 
 
 def test_render_csv_and_png(capsys, tmp_path):

@@ -415,3 +415,41 @@ def test_lane_raises_the_kernels_tail_error(prefix):
         else:
             assert _scalar_level(lam, p, cfg) == want
     assert 0 < raised < 7
+
+
+# ---------------------------------------------------------------------------
+# conjugation: every p_i is real, so conjugate lambdas get one level, which
+# lets scan_grid scan a row and copy its levels to its mirror image
+
+SPECIAL_PARTS = [0.0, -0.0, np.inf, -np.inf, np.nan, 1e308, -1e308, 5e-324, -5e-324]
+PART = st.one_of(st.sampled_from(SPECIAL_PARTS), st.floats(min_value=-3.0, max_value=3.0))
+CONFIG_COUNT = len(LANE_SEQS) + len(GEOMETRIC)
+
+
+def _lane_config(which, max_level, early_exit):
+    return list(_lane_configs(max_level, early_exit))[which]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    parts=st.lists(st.tuples(PART, PART), min_size=1, max_size=48),
+    which=st.integers(min_value=0, max_value=CONFIG_COUNT - 1),
+    max_level=st.sampled_from([0, 2, 17, 40]),
+    early_exit=st.booleans(),
+)
+def test_levels_are_invariant_under_conjugation(parts, which, max_level, early_exit):
+    p, cfg = _lane_config(which, max_level, early_exit)
+    lam = np.array([complex(re, im) for re, im in parts])
+    assert np.array_equal(escape_levels(np.conj(lam), p, cfg), escape_levels(lam, p, cfg))
+
+
+@pytest.mark.parametrize("max_level", [0, 2, 17, 40])
+@pytest.mark.parametrize("early_exit", [True, False])
+def test_conjugate_blocks_get_the_same_levels(max_level, early_exit):
+    # arrays past a block, so lanes compact as they would in a panel
+    rng = np.random.default_rng(1200 + 2 * max_level + early_exit)
+    for which in range(CONFIG_COUNT):
+        p, cfg = _lane_config(which, max_level, early_exit)
+        lam = np.array(_lane_lambdas(rng, p, cfg) * 40 + _random_lambda(rng, BLOCK, 3.0).tolist())
+        rng.shuffle(lam)
+        assert np.array_equal(escape_levels(np.conj(lam), p, cfg), escape_levels(lam, p, cfg)), p

@@ -1,6 +1,7 @@
 """Grid sampling, the threaded scan, and the three output encoders."""
 
 import warnings
+from concurrent.futures import Future
 
 import numpy as np
 import pytest
@@ -10,19 +11,25 @@ from hypothesis import strategies as st
 from fibmachine import (
     BudgetExceeded,
     EscapeConfig,
+    TailUndefined,
     GridSpec,
     IterBuffer,
     all_ones,
     ConstantTail,
+    escape_levels,
     parse_csv,
     scan_grid,
     write_csv,
     write_png,
     write_ppm,
 )
+from fibmachine import render
+from fibmachine.figures import panel_config
 from fibmachine.render import PIXEL_BUDGET, _color
+from oracles import Recording
 
 HALF = ConstantTail((), 0.5)
+MIXED = ConstantTail((0.75, 0.5, 0.8, 0.7), 0.6)
 
 
 # ---------------------------------------------------------------------------
@@ -101,7 +108,8 @@ def test_scan_budget_and_worker_validation():
         scan_grid(GridSpec(pixels_x=4, pixels_y=4), HALF, _cfg(HALF), workers=0)
 
 
-def test_worker_counts_are_bit_identical():
+def test_worker_counts_are_bit_identical(monkeypatch):
+    monkeypatch.setattr(render.os, "cpu_count", lambda: 4)  # at most 4 threads
     grid = GridSpec(center=0j, width=5.0, height=5.0, pixels_x=64, pixels_y=48)
     base = scan_grid(grid, HALF, _cfg(HALF), workers=1)
     for workers in (2, 3, 7, 48, 64):
@@ -133,6 +141,155 @@ def test_conjugation_symmetry_with_mirrored_rows():
     grid = GridSpec(center=0j, width=5.0, height=5.0, pixels_x=37, pixels_y=64)
     cells = scan_grid(grid, HALF, _cfg(HALF)).cells
     assert np.array_equal(cells, cells[::-1])
+
+
+# ---------------------------------------------------------------------------
+# conjugate rows: scanned once, copied to their partners
+
+
+@pytest.fixture
+def inline_pool(monkeypatch):
+    """Run the scan's bands at submit, in this thread; returns (max_workers, bands) lists."""
+    made, bands = [], []
+
+    class InlinePool:
+        def __init__(self, max_workers):
+            made.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def submit(self, fn, *args):
+            bands.append(args)
+            future = Future()
+            try:
+                future.set_result(fn(*args))
+            except Exception as exc:
+                future.set_exception(exc)
+            return future
+
+    monkeypatch.setattr(render, "ThreadPoolExecutor", InlinePool)
+    return made, bands
+
+
+def _scanned_rows(grid):
+    return len(np.unique(np.abs(grid.imag_axis())))
+
+
+def _kernel_sizes(monkeypatch):
+    """Patch the kernel scan_grid calls to record the size of each array it gets."""
+    sizes = []
+
+    def counted(lam, p, cfg):
+        sizes.append(lam.size)
+        return escape_levels(lam, p, cfg)
+
+    monkeypatch.setattr(render, "escape_levels", counted)
+    return sizes
+
+
+# imaginary parts 0, +-1e-300 (only the middle row of an odd height is not
+# mirrored), 0.3 (a few rows mirrored), and 1e17, whose spacing of 16 makes
+# rows of a 40-high window share three imaginary parts
+CENTERS = [(0.2 + 0j, 4.0), (0.2 + 1e-300j, 4.0), (0.2 - 1e-300j, 4.0), (-0.1 + 0.3j, 4.0), (1e17j, 40.0)]
+
+
+@pytest.mark.parametrize("center, height", CENTERS)
+@pytest.mark.parametrize("pixels_y", [1, 2, 7, 8, 31, 64])
+def test_scan_equals_the_kernel_over_every_row(monkeypatch, center, pixels_y, height):
+    grid = GridSpec(center=center, width=5.0, height=height, pixels_x=13, pixels_y=pixels_y)
+    for p in (HALF, MIXED):
+        cfg = _cfg(p, max_level=17)
+        want = escape_levels(grid.lam_array(), p, cfg)
+        sizes = _kernel_sizes(monkeypatch)
+        for workers in (1, 2, 3, 4):
+            sizes.clear()
+            cells = scan_grid(grid, p, cfg, workers=workers).cells
+            assert cells.dtype == np.int32 and cells.flags.c_contiguous
+            assert np.array_equal(cells, want), (p, workers)
+            assert sum(sizes) == _scanned_rows(grid) * grid.pixels_x
+            assert len(sizes) == min(workers, _scanned_rows(grid))
+    if center.imag == 1e17:
+        assert _scanned_rows(grid) == min(pixels_y, 3)
+    elif center.imag == 0.0 and pixels_y > 1:
+        assert _scanned_rows(grid) < pixels_y
+
+
+@pytest.mark.parametrize("center, height", CENTERS)
+@pytest.mark.parametrize("pixels_y", [1, 8, 31])
+def test_scan_asks_p_what_a_scan_of_every_row_asks(center, pixels_y, height):
+    grid = GridSpec(center=center, width=5.0, height=height, pixels_x=11, pixels_y=pixels_y)
+    for max_level in (0, 3, 17):
+        cfg = _cfg(MIXED, max_level=max_level)
+        new, old = Recording(MIXED), Recording(MIXED)
+        assert np.array_equal(scan_grid(grid, new, cfg).cells, escape_levels(grid.lam_array(), old, cfg))
+        assert new.asked == old.asked
+    # a prefix with no tail raises at the first level it lacks, in both scans
+    # or in neither (every pixel of the 1e17 window escapes at level 0)
+    bare = ConstantTail((0.5, 0.6), tail=None)
+    cfg = EscapeConfig(radius=4.0, max_level=17)
+    new, old = Recording(bare), Recording(bare)
+    outcomes = []
+    for scan in (lambda: scan_grid(grid, new, cfg).cells, lambda: escape_levels(grid.lam_array(), old, cfg)):
+        try:
+            outcomes.append(scan().tolist())
+        except TailUndefined as exc:
+            outcomes.append(str(exc))
+    assert outcomes[0] == outcomes[1] and new.asked == old.asked
+    assert isinstance(outcomes[0], str) == (center.imag != 1e17)
+
+
+def test_panel_3_sends_548_of_800_rows_to_the_kernel(monkeypatch):
+    # lam_array mirrors 504 of the 800 rows of a window centred on the real
+    # axis exactly, so 252 of them are copies of a scanned row
+    cfg = panel_config(3)
+    grid = GridSpec(cfg.grid.center, cfg.grid.width, cfg.grid.height, 800, 800)
+    sizes = _kernel_sizes(monkeypatch)
+    cells = scan_grid(grid, cfg.prob_seq, cfg.escape_config()).cells
+    assert sizes == [548 * 800]
+    assert np.array_equal(cells, escape_levels(grid.lam_array(), cfg.prob_seq, cfg.escape_config()))
+
+
+@pytest.mark.parametrize("cpus", [None, 1, 3])
+def test_scan_threads_are_capped_by_bands_and_cpus(monkeypatch, inline_pool, cpus):
+    made, submitted = inline_pool
+    grid = GridSpec(center=0.1 + 0.2j, width=5.0, height=4.0, pixels_x=9, pixels_y=40)
+    rows = _scanned_rows(grid)
+    want = escape_levels(grid.lam_array(), HALF, _cfg(HALF))
+    monkeypatch.setattr(render.os, "cpu_count", lambda: cpus)
+    for workers in (1, 2, 3, 5, rows, rows + 1, 100_000):
+        made.clear()
+        submitted.clear()
+        cells = scan_grid(grid, HALF, _cfg(HALF), workers=workers).cells
+        assert np.array_equal(cells, want), workers
+        bands = min(workers, rows)
+        assert made == ([] if bands == 1 else [min(bands, cpus or 1)])
+        if bands > 1:
+            sizes = [len(lam) for lam, _ in submitted]
+            assert len(sizes) == bands and sum(sizes) == rows
+            assert min(sizes) >= 1 and max(sizes) - min(sizes) <= 1
+
+
+def test_scan_deals_rows_near_the_axis_to_every_band(monkeypatch, inline_pool):
+    # the rows nearest the real axis escape last; each band gets its share
+    grid = GridSpec(center=0j, width=5.0, height=5.0, pixels_x=8, pixels_y=64)
+    axis = np.unique(np.abs(grid.imag_axis()))
+    seen = []
+
+    def recorded(lam, p, cfg):
+        seen.append(np.abs(lam[:, 0].imag))
+        return escape_levels(lam, p, cfg)
+
+    monkeypatch.setattr(render, "escape_levels", recorded)
+    for workers in (2, 3, 4):
+        seen.clear()
+        scan_grid(grid, HALF, _cfg(HALF), workers=workers)
+        assert [np.sort(band).tolist() for band in seen] == [
+            axis[b::workers].tolist() for b in range(workers)
+        ]
 
 
 def test_deeper_scan_only_removes_inside_cells():
