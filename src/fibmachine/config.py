@@ -60,12 +60,6 @@ class GridSpec:
         for name in ("pixels_x", "pixels_y"):
             integer(getattr(self, name), f"grid {name}", 1)
 
-    def pixel(self, i: int, j: int) -> complex:
-        """Center of pixel column i, row j."""
-        x = ((i + 0.5) / self.pixels_x - 0.5) * self.width
-        y = ((j + 0.5) / self.pixels_y - 0.5) * self.height
-        return (self.center + x) + 1j * y
-
     def imag_axis(self) -> np.ndarray:
         """The imaginary part shared by the pixel centers of each row."""
         import numpy as np

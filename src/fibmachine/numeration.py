@@ -7,12 +7,14 @@ a_1 >= a_2 >= ... >= a_d >= 1 works the same way, with admissibility meaning
 that every length-d digit window reads lexicographically below a_1...a_d.
 
 Words cross the API boundary as most-significant-first strings ("10101").
-In the Fibonacci base a string word is read once into an integer whose bit k
-is digit k (`fib_bits`); `encode`, `decode` and both successor routes of the
-odometer work on those bits and FIB64 directly.  Other bases, and digit
-sequences in any base, go through the generic path, where digits live
-least-significant-first so that carry propagation can index from digit 0
-upward; its scale table is computed once per base.  The empty word encodes 0.
+In the Fibonacci base an admissible string word is read once into an integer
+whose bit k is digit k (`fib_bits`); `encode`, `decode` and both successor
+routes of the odometer work on those bits and FIB64 directly.  Other bases,
+digit sequences in any base, and Fibonacci strings that `fib_bits` refuses go
+through the generic path, where digits live least-significant-first so that
+carry propagation can index from digit 0 upward; its scale table is computed
+once per base.  There `decode` tests admissibility first, with the one window
+test of `is_admissible`, and the value second.  The empty word encodes 0.
 All integer values are checked against an unsigned 64-bit cap.
 """
 
@@ -138,25 +140,14 @@ def is_admissible(word: Word, base: BaseDef = FIBONACCI) -> bool:
     that extend below digit 0 are padded with zeros, which also enforces the
     per-digit bound on short words.  Leading zeros are harmless.
     """
-    a = base.coeffs
-    if isinstance(word, str) and a == (1, 1):
-        return fib_bits(word) is not None
     try:
         eps = _as_lsb(word)
     except InadmissibleWord:
         return False
-    if len(a) == 2:
-        a1, a2 = a
-        prev = 0
-        for e in eps:
-            if e < 0 or e > a1 or (e == a1 and prev >= a2):
-                return False
-            prev = e
-        return True
     if any(e < 0 for e in eps):
         return False
     # the window at digit i reads eps[i], eps[i-1], ..: a slice of the MSB-first digits
-    d = base.degree
+    a, d = base.coeffs, base.degree
     msb = eps[::-1] + (0,) * (d - 1)
     return all(msb[j : j + d] < a for j in range(len(eps)))
 
@@ -229,29 +220,7 @@ def decode(word: Word, base: BaseDef = FIBONACCI) -> int:
         bits = fib_bits(word)
         if bits is not None:
             return _fib_value(bits)
-        # an inadmissible word: the digit walk below names its first fault
     eps = _as_lsb(word)
-    if base.coeffs == (1, 1):
-        # digit sequences: admissibility fused into the accumulation over FIB64
-        fib = FIB64
-        nfib = len(fib)
-        total = 0
-        prev = 0
-        for i, e in enumerate(eps):
-            if e == 1:
-                if prev:
-                    raise InadmissibleWord(f"word {word!r} is not admissible in this base")
-                if i >= nfib:
-                    raise CapacityError("decoded value exceeds the 64-bit range")
-                total += fib[i]
-                prev = 1
-            elif e == 0:
-                prev = 0
-            else:
-                raise InadmissibleWord(f"word {word!r} is not admissible in this base")
-        if total > UINT64_MAX:
-            raise CapacityError("decoded value exceeds the 64-bit range")
-        return total
     if not is_admissible(eps, base):
         raise InadmissibleWord(f"word {word!r} is not admissible in this base")
     top = len(eps)
@@ -259,7 +228,7 @@ def decode(word: Word, base: BaseDef = FIBONACCI) -> int:
         top -= 1
     values = _scale_table(base)
     if top > len(values):
-        raise CapacityError(f"scale value F_{len(values)} exceeds the 64-bit range")
+        raise CapacityError("decoded value exceeds the 64-bit range")
     total = sum(e * v for e, v in zip(eps, values))  # digits above top are 0
     if total > UINT64_MAX:
         raise CapacityError("decoded value exceeds the 64-bit range")

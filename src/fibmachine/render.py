@@ -130,16 +130,21 @@ def _color(level: int) -> tuple[int, int, int]:
     return (int(round(r * 255)), int(round(g * 255)), int(round(b * 255)))
 
 
-def _rgb_cells(buf: IterBuffer) -> np.ndarray:
+def _color_table(buf: IterBuffer) -> np.ndarray:
+    """The colours of levels 0..max, then INSIDE's black last, where level -1 reads it."""
     top = int(buf.cells.max(initial=INSIDE))
-    lut = np.array([_color(level) for level in range(INSIDE, top + 1)], dtype=np.uint8)
-    return np.take(lut, buf.cells + 1, axis=0)
+    return np.array([_color(level) for level in (*range(top + 1), INSIDE)], dtype=np.uint8)
 
 
 def write_ppm(buf: IterBuffer) -> bytes:
-    """Binary PPM (P6): header then row-major RGB triples; byte-exact."""
+    """Binary PPM (P6): header then row-major RGB triples, built in one array; byte-exact."""
     header = f"P6\n{buf.width} {buf.height}\n255\n".encode("ascii")
-    return header + _rgb_cells(buf).tobytes()
+    ppm = np.empty(len(header) + 3 * buf.cells.size, dtype=np.uint8)
+    ppm[: len(header)] = np.frombuffer(header, dtype=np.uint8)
+    body = ppm[len(header) :].reshape(*buf.cells.shape, 3)
+    # "wrap" writes straight into `out`; every level from -1 up is a valid index
+    np.take(_color_table(buf), buf.cells, axis=0, out=body, mode="wrap")
+    return ppm.tobytes()
 
 
 def write_png(buf: IterBuffer) -> bytes:
@@ -148,7 +153,7 @@ def write_png(buf: IterBuffer) -> bytes:
         from PIL import Image
     except ImportError as exc:
         raise ConfigError("PNG output requires the optional Pillow dependency") from exc
-    image = Image.fromarray(_rgb_cells(buf), mode="RGB")
+    image = Image.fromarray(np.take(_color_table(buf), buf.cells, axis=0), mode="RGB")
     out = io.BytesIO()
     image.save(out, format="PNG")
     return out.getvalue()

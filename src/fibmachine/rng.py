@@ -2,11 +2,12 @@
 
 One small, documented generator keeps simulations reproducible across
 platforms: the state walks a fixed odd increment and each output is a
-finalizing bit mix of it.  random() maps the top 53 bits to [0, 1).
+finalizing bit mix of it, written once in next_u64.  random() maps the top
+53 bits of a next_u64 draw to [0, 1).
 
 The generator is counter-based: draw k from state s mixes s + k*increment
 (mod 2^64).  random_block uses that to compute a run of random() draws with
-a handful of wrapping uint64 array operations.
+a handful of wrapping uint64 array operations; simulate draws through it.
 """
 
 from __future__ import annotations
@@ -31,16 +32,8 @@ class SplitMix64:
         return z ^ (z >> 31)
 
     def random(self) -> float:
-        """Uniform double in [0, 1) with 53 random bits.
-
-        The step of next_u64 is written out here, saving a method call and a
-        second read of the state per Distribution.sample draw.  The outputs
-        are next_u64's, bit for bit.
-        """
-        z = self._state = (self._state + _INCREMENT) & MASK64
-        z = ((z ^ (z >> 30)) * _MIX1) & MASK64
-        z = ((z ^ (z >> 27)) * _MIX2) & MASK64
-        return ((z ^ (z >> 31)) >> 11) * 2.0**-53
+        """Uniform double in [0, 1): the top 53 bits of next_u64."""
+        return (self.next_u64() >> 11) * 2.0**-53
 
     def random_block(self, n: int) -> np.ndarray:
         """The next n random() draws as a float64 array, bit for bit.

@@ -380,6 +380,11 @@ def in_point_spectrum(
     when B has plateaued below the bound by max_level; undetermined when it
     was still growing there.  The inside verdict therefore implies in_E's.
     """
+    return _point_spectrum(lam, p, cfg, bound)[0]
+
+
+def _point_spectrum(lam, p, cfg, bound) -> tuple[SpectrumResult, EscapeResult | None]:
+    """in_point_spectrum's verdict and the in_E result, None if the bound was crossed first."""
     if not bound > 0.0:
         raise ValueError(f"bound must be positive (inf allowed), got {bound!r}")
     orbit = q_fib_orbit(lam, p, cfg.max_level)
@@ -387,15 +392,15 @@ def in_point_spectrum(
     for n, q in enumerate(orbit.values):
         b = max(history[-1], history[-2] * _modulus(q))
         if b > bound:
-            return SpectrumResult("escaped", n, b)
+            return SpectrumResult("escaped", n, b), None
         history.append(b)
     esc = in_E(lam, p, cfg)
     if esc.escaped:
-        return SpectrumResult("escaped", esc.level, history[-1])
+        return SpectrumResult("escaped", esc.level, history[-1]), esc
     window = min(PLATEAU_WINDOW, len(history) - 3)
     if window >= 1 and history[-1] > history[-1 - window]:
-        return SpectrumResult("undetermined", None, history[-1])
-    return SpectrumResult("inside", None, history[-1])
+        return SpectrumResult("undetermined", None, history[-1]), esc
+    return SpectrumResult("inside", None, history[-1]), esc
 
 
 # ---------------------------------------------------------------------------

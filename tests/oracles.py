@@ -15,6 +15,12 @@ and byte for byte.  old_succ_carry is the carry rewriting with one loop per
 branch, as written before both branches ran through one loop; the new one
 must give the same word and the same CarryTrace.  Recording is the
 descriptor the tests wrap around another to see which p_i a call asks for.
+old_pixel is the one-pixel centre GridSpec had as a method, the reference
+for its lambda array.  old_is_admissible, old_decode and old_random are
+numeration's and the generator's paths from before each was written once:
+the Fibonacci string shortcut and the order-2 loop of the admissibility
+test, the Fibonacci digit-sequence loop of decode, and random() with the
+SplitMix step written out.
 """
 
 import math
@@ -24,9 +30,19 @@ import numpy as np
 
 from fibmachine.chain import Distribution, _ladder_chunks, _RungTable, _runs, _truncation_size
 from fibmachine.cli import CSV_BLOCK, fmt
-from fibmachine.errors import BudgetExceeded, InadmissibleWord, InvalidSeed
+from fibmachine.errors import BudgetExceeded, CapacityError, InadmissibleWord, InvalidSeed
+from fibmachine.numeration import (
+    FIB64,
+    FIBONACCI,
+    UINT64_MAX,
+    _as_lsb,
+    _fib_value,
+    _scale_table,
+    fib_bits,
+)
 from fibmachine.odometer import CarryTrace, _checked_bits
 from fibmachine.probseq import ProbSeq
+from fibmachine.rng import _INCREMENT, _MIX1, _MIX2, MASK64
 from fibmachine.render import IterBuffer
 from fibmachine.spectrum import CLAMP, LEVEL_BUDGET, q_fib_orbit, r_index
 
@@ -309,3 +325,84 @@ def old_succ_carry(word):
         top = 2 * i - 1
 
     return format((eps >> top << top) | out, "b"), CarryTrace(branch, tuple(carries), start)
+
+
+def old_pixel(grid, i, j):
+    """Center of pixel column i, row j."""
+    x = ((i + 0.5) / grid.pixels_x - 0.5) * grid.width
+    y = ((j + 0.5) / grid.pixels_y - 0.5) * grid.height
+    return (grid.center + x) + 1j * y
+
+
+def old_is_admissible(word, base=FIBONACCI):
+    a = base.coeffs
+    if isinstance(word, str) and a == (1, 1):
+        return fib_bits(word) is not None
+    try:
+        eps = _as_lsb(word)
+    except InadmissibleWord:
+        return False
+    if len(a) == 2:
+        a1, a2 = a
+        prev = 0
+        for e in eps:
+            if e < 0 or e > a1 or (e == a1 and prev >= a2):
+                return False
+            prev = e
+        return True
+    if any(e < 0 for e in eps):
+        return False
+    # the window at digit i reads eps[i], eps[i-1], ..: a slice of the MSB-first digits
+    d = base.degree
+    msb = eps[::-1] + (0,) * (d - 1)
+    return all(msb[j : j + d] < a for j in range(len(eps)))
+
+
+def old_decode(word, base=FIBONACCI):
+    if base.coeffs == (1, 1) and isinstance(word, str):
+        bits = fib_bits(word)
+        if bits is not None:
+            return _fib_value(bits)
+        # an inadmissible word: the digit walk below names its first fault
+    eps = _as_lsb(word)
+    if base.coeffs == (1, 1):
+        # digit sequences: admissibility fused into the accumulation over FIB64
+        fib = FIB64
+        nfib = len(fib)
+        total = 0
+        prev = 0
+        for i, e in enumerate(eps):
+            if e == 1:
+                if prev:
+                    raise InadmissibleWord(f"word {word!r} is not admissible in this base")
+                if i >= nfib:
+                    raise CapacityError("decoded value exceeds the 64-bit range")
+                total += fib[i]
+                prev = 1
+            elif e == 0:
+                prev = 0
+            else:
+                raise InadmissibleWord(f"word {word!r} is not admissible in this base")
+        if total > UINT64_MAX:
+            raise CapacityError("decoded value exceeds the 64-bit range")
+        return total
+    if not old_is_admissible(eps, base):
+        raise InadmissibleWord(f"word {word!r} is not admissible in this base")
+    top = len(eps)
+    while top > 0 and eps[top - 1] == 0:
+        top -= 1
+    values = _scale_table(base)
+    if top > len(values):
+        raise CapacityError(f"scale value F_{len(values)} exceeds the 64-bit range")
+    total = sum(e * v for e, v in zip(eps, values))  # digits above top are 0
+    if total > UINT64_MAX:
+        raise CapacityError("decoded value exceeds the 64-bit range")
+    return total
+
+
+def old_random(rng):
+    """rng.random() with the step of next_u64 written out, advancing rng's state."""
+    z = rng._state = (rng._state + _INCREMENT) & MASK64
+    z = ((z ^ (z >> 30)) * _MIX1) & MASK64
+    z = ((z ^ (z >> 27)) * _MIX2) & MASK64
+    return ((z ^ (z >> 31)) >> 11) * 2.0**-53

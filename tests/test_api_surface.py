@@ -11,6 +11,7 @@ import types
 import fibmachine
 from fibmachine import (
     Distribution,
+    GridSpec,
     IterBuffer,
     ProbSeq,
     QOrbit,
@@ -52,6 +53,7 @@ ATTRIBUTES = {
     IterBuffer: ["cells", "height", "inside_count", "width"],
     Distribution: ["as_dict", "entries", "sample", "state", "total"],
     ProbSeq: ["delta_lower_bound", "describe", "p"],
+    GridSpec: ["center", "height", "imag_axis", "lam_array", "pixels_x", "pixels_y", "width"],
 }
 
 

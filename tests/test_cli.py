@@ -9,8 +9,11 @@ from fibmachine import (
     PowerLawComplement,
     all_ones,
     BaseDef,
+    RunConfig,
     eigen_residual,
     encode,
+    in_E,
+    in_point_spectrum,
     load_config,
     q_general_orbit,
     render,
@@ -21,6 +24,7 @@ from fibmachine import (
     write_csv,
 )
 from fibmachine.chain import STEP_BUDGET
+from fibmachine import spectrum
 from fibmachine.spectrum import LEVEL_BUDGET
 from fibmachine.cli import CSV_BLOCK, fmt, fmt_complex, main
 
@@ -237,6 +241,42 @@ def test_spectrum_member_inside_and_escaped(capsys):
     code, out, _ = run(capsys, "spectrum", "member", "2", "0")
     assert code == 0
     assert "E escaped at level" in out and "point_spectrum escaped" in out
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["0", "0"],
+        ["2", "0"],
+        ["0.3", "0.4"],
+        ["0", "0", "--bound", "1e-300"],  # the bound is crossed at level 0
+        ["0.9", "0.1", "--bound", "1.5"],
+        ["1", "0", "--bound", "inf"],
+        ["1.3e308", "1.3e308"],
+    ],
+)
+@pytest.mark.parametrize("doc", [None, HALF_DOC])
+def test_spectrum_member_runs_in_E_once(capsys, monkeypatch, tmp_path, argv, doc):
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return in_E(*args)
+
+    monkeypatch.setattr(spectrum, "in_E", counted)
+    config = ["--config", cfg_file(tmp_path, doc)] if doc else []
+    code, out, _ = run(capsys, "spectrum", "member", *argv, *config)
+    assert code == 0 and len(calls) == 1
+    # the text of the two public tests, each run on its own
+    cfg = load_config(config[1]) if doc else RunConfig(prob_seq=all_ones())
+    lam = complex(float(argv[0]), float(argv[1]))
+    bound = float(argv[3]) if len(argv) > 2 else 1e6
+    esc = in_E(lam, cfg.prob_seq, cfg.escape_config())
+    verdict = in_point_spectrum(lam, cfg.prob_seq, cfg.escape_config(), bound)
+    want = f"E escaped at level {esc.level}\n" if esc.escaped else "E inside\n"
+    want += f"point_spectrum {verdict.status}"
+    want += f" at level {verdict.level}" if verdict.level is not None else ""
+    assert out == want + f" (running max {fmt(verdict.bound_value)})\n"
 
 
 def test_spectrum_connectivity(capsys, tmp_path):

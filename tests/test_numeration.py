@@ -20,6 +20,9 @@ from fibmachine import (
     encode,
     is_admissible,
 )
+from fibmachine.cli import main
+from fibmachine.numeration import _scale_table
+from oracles import old_decode, old_is_admissible
 
 
 def greedy_oracle(n: int, scale: list[int]) -> str:
@@ -246,3 +249,103 @@ def test_decode_non_ascii_digits_rejected():
         with pytest.raises(InadmissibleWord, match="contains a non-digit character"):
             decode(word)
         assert not is_admissible(word)
+
+
+# ---------------------------------------------------------------------------
+# one decode path and one admissibility test, against the retired paths
+
+
+def outcome(f, *args):
+    """The value of f(*args), or the type and message of what it raised."""
+    try:
+        return f(*args)
+    except Exception as exc:  # noqa: BLE001 - the error itself is compared
+        return type(exc), str(exc)
+
+
+@st.composite
+def order2_words(draw):
+    """(word, base): a Fibonacci or order-2 base, and a word of 0-130 digits in
+    one of three forms, often an encoded value padded and then mutated."""
+    if draw(st.booleans()):
+        base = FIBONACCI
+    else:
+        a1 = draw(st.integers(1, 9))
+        base = BaseDef((a1, draw(st.integers(1, a1))))
+    length = draw(st.one_of(st.integers(0, 130), st.integers(89, 95)))
+    if draw(st.booleans()):
+        digits = draw(st.lists(st.integers(-1, 10), min_size=length, max_size=length))
+    else:
+        word = encode(draw(st.integers(0, UINT64_MAX)), base)
+        digits = [0] * max(length - len(word), 0) + [int(c) for c in word]
+        digits = [0] * draw(st.integers(0, 3)) + ([1] if draw(st.booleans()) else []) + digits
+        for _ in range(draw(st.integers(0, 2))):
+            if digits:
+                digits[draw(st.integers(0, len(digits) - 1))] = draw(st.integers(-1, 10))
+    form = draw(st.sampled_from(["str", "tuple", "list"]))
+    if form == "str":  # MSB first; -1 and 10 become "-1" and "10"
+        return "".join(map(str, digits)), base
+    lsb = digits[::-1]
+    return (tuple(lsb) if form == "tuple" else lsb), base
+
+
+@given(order2_words())
+@settings(max_examples=600, deadline=None)
+def test_is_admissible_equals_the_retired_paths(case):
+    word, base = case
+    assert is_admissible(word, base) is old_is_admissible(word, base)
+
+
+def late_fault(word):
+    """A Fibonacci word whose first fault from the low end lies past a one at digit 92 or above.
+
+    The retired digit-sequence loop met that one before the fault and raised
+    CapacityError; decode now tests admissibility first and raises
+    InadmissibleWord, as it does in every other base."""
+    eps = tuple(int(c) for c in reversed(word)) if isinstance(word, str) else tuple(word)
+    prev = 0
+    for i, e in enumerate(eps):
+        if e not in (0, 1) or (e == 1 and prev == 1):
+            return False
+        if e == 1 and i >= len(FIB64):
+            return any(d not in (0, 1) for d in eps[i:]) or any(
+                a == b == 1 for a, b in zip(eps[i:], eps[i + 1 :])
+            )
+        prev = e
+    return False
+
+
+@given(order2_words())
+@settings(max_examples=600, deadline=None)
+def test_decode_equals_the_retired_paths(case):
+    word, base = case
+    new, old = outcome(decode, word, base), outcome(old_decode, word, base)
+    if new == old:
+        return
+    if old[0] is CapacityError and old[1].startswith("scale value F_"):
+        # one capacity message for every base
+        assert base != FIBONACCI and new == (CapacityError, "decoded value exceeds the 64-bit range")
+    else:
+        # admissibility before value: the documented precedence change
+        assert base == FIBONACCI and late_fault(word), (word, new, old)
+        assert old == (CapacityError, "decoded value exceeds the 64-bit range")
+        assert new == (InadmissibleWord, f"word {word!r} is not admissible in this base")
+
+
+def test_decode_tests_admissibility_before_value(capsys):
+    # a one at digit 92 is past F_91, and digits 92 and 93 are adjacent ones
+    for word in ([0] * 92 + [1, 1], "11" + "0" * 92, "10211" + "0" * 92):
+        with pytest.raises(InadmissibleWord, match="is not admissible in this base$"):
+            decode(word)
+        assert late_fault(word) and outcome(old_decode, word)[0] is CapacityError
+    assert main(["decode", "11" + "0" * 92]) == 2
+    assert capsys.readouterr().err == f"error: word {'11' + '0' * 92!r} is not admissible in this base\n"
+
+
+def test_decode_capacity_message_is_the_same_in_every_base():
+    for base in (BaseDef((2, 1)), BaseDef((1, 1, 1)), BaseDef((3, 3))):
+        word = "1" + "0" * len(_scale_table(base))  # one digit past the last scale value
+        with pytest.raises(CapacityError, match="^decoded value exceeds the 64-bit range$"):
+            decode(word, base)
+    with pytest.raises(CapacityError, match=r"^scale value F_\d+ exceeds the 64-bit range$"):
+        base_sequence(FIBONACCI, len(FIB64) + 1)

@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fibmachine import SplitMix64
+from oracles import old_random
 
 MASK = (1 << 64) - 1
 
@@ -94,3 +95,26 @@ def test_random_block_wraps_past_two_to_the_64():
         expected.append((z >> 11) * 2.0**-53)
     assert rng.random_block(5).tolist() == expected
     assert rng._state == state
+
+
+def test_random_is_the_top_53_bits_of_next_u64():
+    for seed in (0, 1, 12345, 2**63, 2**64 - 1):
+        rng, u64, old = SplitMix64(seed), SplitMix64(seed), SplitMix64(seed)
+        for _ in range(1000):
+            value = rng.random()
+            assert value == (u64.next_u64() >> 11) * 2**-53 == old_random(old)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    seed=st.one_of(SEEDS_NEAR_ENDS, st.sampled_from([0, 2**63, 2**64 - 1])),
+    plan=st.lists(st.tuples(st.integers(0, 20), st.integers(0, 5)), max_size=8),
+)
+def test_random_equals_the_written_out_step(seed, plan):
+    # random() and random_block interleaved, against random() as it was written out
+    new, old = SplitMix64(seed), SplitMix64(seed)
+    for block, calls in plan:
+        assert new.random_block(block).tolist() == old.random_block(block).tolist()
+        for _ in range(calls):
+            assert new.random() == old_random(old)
+        assert new._state == old._state
