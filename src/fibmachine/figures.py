@@ -8,7 +8,10 @@ themselves are numbered 4..8, so "fig5-2" is panel 05.  The panel number is
 authoritative where the two disagree.
 
 Loading and naming panels needs no numpy; render_panel and repro_panels
-import the renderer when they are called.
+import the renderer when they are called.  repro_panels scans the panels of
+one grid together, so the escape levels their sequences share (levels 0-2
+for the committed panels, which all start p_1 = 1.0, p_2 = 0.999) are
+walked once; the bytes are those of render_panel for each panel.
 """
 
 from __future__ import annotations
@@ -20,10 +23,11 @@ from importlib import resources
 from pathlib import Path
 from typing import TYPE_CHECKING
 
-from .config import RunConfig, config_from_dict
+from .config import EscapeConfig, GridSpec, RunConfig, config_from_dict
 from .errors import ConfigError
 
 if TYPE_CHECKING:
+    from .probseq import ProbSeq
     from .render import IterBuffer
 
 PANEL_COUNT = 15
@@ -74,15 +78,21 @@ def parse_target(text: str) -> list[int]:
     raise ConfigError(f"cannot parse repro target {text!r}")
 
 
-def render_panel(number: int, workers: int = 1, pixels: int | None = None) -> IterBuffer:
-    """Rasterize one committed panel (optionally overriding the resolution)."""
-    from .render import scan_grid
-
+def _panel_fiber(number: int, pixels: int | None) -> tuple[GridSpec, tuple[ProbSeq, EscapeConfig]]:
+    """One committed panel's grid (optionally at another resolution) and its (p, cfg) fiber."""
     cfg = panel_config(number)
     grid = cfg.grid
     if pixels is not None:
         grid = dataclasses.replace(grid, pixels_x=pixels, pixels_y=pixels)
-    return scan_grid(grid, cfg.prob_seq, cfg.escape_config(), workers=workers)
+    return grid, (cfg.prob_seq, cfg.escape_config())
+
+
+def render_panel(number: int, workers: int = 1, pixels: int | None = None) -> IterBuffer:
+    """Rasterize one committed panel (optionally overriding the resolution)."""
+    from .render import scan_grid
+
+    grid, (p, cfg) = _panel_fiber(number, pixels)
+    return scan_grid(grid, p, cfg, workers=workers)
 
 
 def repro_panels(
@@ -91,15 +101,24 @@ def repro_panels(
     workers: int = 1,
     pixels: int | None = None,
 ) -> list[Path]:
-    """Render the given panels to PPM files; returns the written paths."""
-    from .render import write_ppm
+    """Render the given panels to PPM files; returns the written paths, in the order given.
+
+    The panels that share a grid are scanned together by render.scan_fibers,
+    which walks the escape levels they share once; each PPM is written as
+    soon as its panel's buffer is ready, and only that buffer is held.
+    """
+    from .render import scan_fibers, write_ppm
 
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    written = []
-    for number in numbers:
-        buf = render_panel(number, workers=workers, pixels=pixels)
-        path = out_dir / f"{panel_name(number)}.ppm"
-        path.write_bytes(write_ppm(buf))
-        written.append(path)
-    return written
+    paths = [out_dir / f"{panel_name(number)}.ppm" for number in numbers]
+    groups: dict[GridSpec, list[tuple[Path, tuple[ProbSeq, EscapeConfig]]]] = {}
+    for number, path in zip(numbers, paths):
+        grid, fiber = _panel_fiber(number, pixels)
+        groups.setdefault(grid, []).append((path, fiber))
+    for grid, panels in groups.items():
+        buffers = scan_fibers(grid, [fiber for _, fiber in panels], workers)
+        for (path, _), buf in zip(panels, buffers):
+            path.write_bytes(write_ppm(buf))
+            del buf  # freed before the next panel's levels are walked
+    return paths

@@ -2,9 +2,11 @@
 
 A GridSpec names the window and resolution, scan_grid runs the shared escape
 kernel over the pixel centers (once for each row and its mirror image across
-the real axis, optionally in row bands across threads, with bit-identical
-output), and the writers serialize the resulting level buffer
-as binary PPM, CSV text, or PNG.  GridSpec is defined in config, which needs
+the real axis, lambda built one block of rows at a time, optionally in row
+bands across threads, with bit-identical output), scan_fibers does so for
+several sequences at once, walking the levels they share once, and the
+writers serialize the resulting level buffer as binary PPM, CSV text, or
+PNG.  GridSpec is defined in config, which needs
 no numpy, and is the same class here.
 """
 
@@ -15,16 +17,18 @@ import io
 import os
 import re
 import warnings
-from collections.abc import Iterator
+from collections.abc import Callable, Iterator, Sequence
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from .config import EscapeConfig, GridSpec
 from .errors import ConfigError, integer, within
 from .probseq import ProbSeq
-from .spectrum import INSIDE, escape_levels
+from .spectrum import BLOCK, INSIDE, FiberWalk
 
 #: Hard cap on pixels per scan.
 PIXEL_BUDGET = 10**8
@@ -58,7 +62,15 @@ class IterBuffer:
     cells: np.ndarray
 
     def __post_init__(self) -> None:
-        self.cells = np.asarray(self.cells, dtype=np.int32)
+        cells = np.asarray(self.cells)
+        if cells.dtype != np.int32:
+            if cells.dtype.kind not in "iu":
+                raise ValueError(f"cells must hold integers, got dtype {cells.dtype}")
+            bounds = np.iinfo(np.int32)
+            if cells.size and not (bounds.min <= cells.min() and cells.max() <= bounds.max):
+                raise ValueError("cells hold a value outside the int32 range")
+            cells = cells.astype(np.int32)
+        self.cells = cells
         if self.cells.shape != (self.height, self.width):
             raise ValueError(
                 f"cells shape {self.cells.shape} does not match "
@@ -72,18 +84,30 @@ class IterBuffer:
 def scan_grid(
     grid: GridSpec, p: ProbSeq, cfg: EscapeConfig, workers: int = 1
 ) -> IterBuffer:
-    """Rasterize escape levels over the grid.
+    """Rasterize escape levels over the grid: scan_fibers with one fiber."""
+    (buf,) = scan_fibers(grid, [(p, cfg)], workers)
+    return buf
+
+
+def scan_fibers(
+    grid: GridSpec, fibers: Sequence[tuple[ProbSeq, EscapeConfig]], workers: int = 1
+) -> Iterator[IterBuffer]:
+    """Rasterize each (p, cfg) fiber over the grid, yielding its buffer in turn.
 
     Every row shares the same real parts, so two rows whose imaginary parts
     have bit-equal moduli hold equal or conjugate lambdas.  Every p_i is
     real and the kernel's operations map conjugate inputs to conjugate
     outputs (up to the sign of a zero, which the modulus ignores), so such
-    rows have equal levels: lambda is built and scanned only for the first
-    row of each set, and the levels are copied to the others.  The scanned
-    rows are split into min(workers, rows) disjoint bands; the kernel is
-    elementwise, so any worker count gives the cells of the sequential scan.
-    At one worker `p` is asked for the coefficients that a scan of every row
-    asks for, in the same order.
+    rows have equal levels: only the first row of each set is scanned, and
+    the levels are copied to the others.  The scanned rows are split into
+    min(workers, rows) disjoint bands, on at most one thread per CPU.  Each
+    band is a spectrum.FiberWalk whose lambda is built from lam_array,
+    BLOCK pixels' worth of rows at a time: it walks the levels that all
+    fibers share once, then each fiber's rest when its buffer is asked for,
+    so one fiber's levels are held at a time.  The kernel is elementwise, so
+    any worker count gives the cells of the sequential scan; at one worker
+    each `p` is asked for the coefficients that a scan of every row with
+    that fiber alone asks for, in the same order.
     """
     within(grid.pixels_x * grid.pixels_y, PIXEL_BUDGET, "pixel")
     integer(workers, "workers", 1)
@@ -94,28 +118,38 @@ def scan_grid(
     # band b scans rows b, b + bands, ... of the |imag| order, so the rows
     # nearest the real axis, which escape last, are shared among the bands
     deal = np.argsort(np.arange(len(first)) % bands, kind="stable")
-    # lambda is freed when _scan_rows returns, before the copy to full height
-    levels = _scan_rows(grid.lam_array(first[deal]), p, cfg, bands)
-    return IterBuffer(grid.pixels_x, grid.pixels_y, levels[np.argsort(deal)[partner]])
+    source = np.argsort(deal)[partner]  # the scanned row of each grid row
+    rows_per_block = max(1, BLOCK // grid.pixels_x)
+
+    def lam_blocks(rows: np.ndarray) -> Iterator[np.ndarray]:
+        for at in range(0, len(rows), rows_per_block):
+            yield grid.lam_array(rows[at : at + rows_per_block]).reshape(-1)
+
+    walks = [
+        FiberWalk(fibers, partial(lam_blocks, rows))
+        for rows in np.array_split(first[deal], bands)
+    ]
+    levels = np.full((len(first), grid.pixels_x), INSIDE, dtype=np.int32)
+    threads = min(bands, os.cpu_count() or 1)
+    with ThreadPoolExecutor(max_workers=threads) if bands > 1 else nullcontext() as pool:
+        _each_band(pool, [walk.root for walk in walks], levels)
+        for k in range(len(fibers)):
+            if not all(walk.done for walk in walks):
+                _each_band(pool, [partial(walk.finish, k) for walk in walks], levels)
+            yield IterBuffer(grid.pixels_x, grid.pixels_y, levels[source])
 
 
-def _scan_rows(lam: np.ndarray, p: ProbSeq, cfg: EscapeConfig, bands: int) -> np.ndarray:
-    """escape_levels of lam in np.array_split's `bands` bands of rows, on at most one thread per CPU."""
-    if bands == 1:
-        return escape_levels(lam, p, cfg)
-    levels = np.empty(lam.shape, dtype=np.int32)
-
-    def run_band(lam_band: np.ndarray, levels_band: np.ndarray) -> None:
-        levels_band[...] = escape_levels(lam_band, p, cfg)
-
-    with ThreadPoolExecutor(max_workers=min(bands, os.cpu_count() or 1)) as pool:
-        futures = [
-            pool.submit(run_band, *band)
-            for band in zip(np.array_split(lam, bands), np.array_split(levels, bands))
-        ]
-        for f in futures:
-            f.result()
-    return levels
+def _each_band(
+    pool: ThreadPoolExecutor | None, tasks: list[Callable[[np.ndarray], None]], levels: np.ndarray
+) -> None:
+    """Run task b on band b's rows of `levels` (np.array_split's), on the pool's threads if any."""
+    parts = np.array_split(levels, len(tasks))
+    if pool is None:
+        for task, part in zip(tasks, parts):
+            task(part)
+        return
+    for future in [pool.submit(task, part) for task, part in zip(tasks, parts)]:
+        future.result()
 
 
 # ---------------------------------------------------------------------------
@@ -130,10 +164,24 @@ def _color(level: int) -> tuple[int, int, int]:
     return (int(round(r * 255)), int(round(g * 255)), int(round(b * 255)))
 
 
-def _color_table(buf: IterBuffer) -> np.ndarray:
-    """The colours of levels 0..max, then INSIDE's black last, where level -1 reads it."""
+def _paint(buf: IterBuffer, rgb: np.ndarray) -> None:
+    """Fill `rgb`, shaped (height, width, 3), with the colour of each cell.
+
+    The colour table holds levels 0..max, then INSIDE's black last, where
+    level -1 reads it; a level below INSIDE has no colour and is refused.
+    The cells go through the table BLOCK pixels' worth of rows at a time, so
+    the index copy that take makes stays small.
+    """
+    low = int(buf.cells.min(initial=INSIDE))
+    if low < INSIDE:
+        raise ValueError(f"cells hold level {low}, below INSIDE ({INSIDE}), which has no colour")
     top = int(buf.cells.max(initial=INSIDE))
-    return np.array([_color(level) for level in (*range(top + 1), INSIDE)], dtype=np.uint8)
+    table = np.array([_color(level) for level in (*range(top + 1), INSIDE)], dtype=np.uint8)
+    rows = max(1, BLOCK // max(buf.width, 1))
+    for at in range(0, buf.height, rows):
+        # "wrap" writes straight into `out`; every level from -1 up is a valid index
+        block = slice(at, at + rows)
+        np.take(table, buf.cells[block], axis=0, out=rgb[block], mode="wrap")
 
 
 def write_ppm(buf: IterBuffer) -> bytes:
@@ -141,9 +189,7 @@ def write_ppm(buf: IterBuffer) -> bytes:
     header = f"P6\n{buf.width} {buf.height}\n255\n".encode("ascii")
     ppm = np.empty(len(header) + 3 * buf.cells.size, dtype=np.uint8)
     ppm[: len(header)] = np.frombuffer(header, dtype=np.uint8)
-    body = ppm[len(header) :].reshape(*buf.cells.shape, 3)
-    # "wrap" writes straight into `out`; every level from -1 up is a valid index
-    np.take(_color_table(buf), buf.cells, axis=0, out=body, mode="wrap")
+    _paint(buf, ppm[len(header) :].reshape(*buf.cells.shape, 3))
     return ppm.tobytes()
 
 
@@ -153,7 +199,9 @@ def write_png(buf: IterBuffer) -> bytes:
         from PIL import Image
     except ImportError as exc:
         raise ConfigError("PNG output requires the optional Pillow dependency") from exc
-    image = Image.fromarray(np.take(_color_table(buf), buf.cells, axis=0), mode="RGB")
+    rgb = np.empty((*buf.cells.shape, 3), dtype=np.uint8)
+    _paint(buf, rgb)
+    image = Image.fromarray(rgb, mode="RGB")
     out = io.BytesIO()
     image.save(out, format="PNG")
     return out.getvalue()

@@ -6,14 +6,18 @@ recursion.  Boundedness of those products decides candidate point-spectrum
 membership; the escape locus of the recursion is the fibered Julia set E
 rendered by the sibling render module.
 
-Everything here is pure and reentrant.  The grid kernel is vectorized with
-numpy and runs the flat pixels in cache-sized blocks.  Inside a block a
-settled pixel rides along behind a mask until a quarter of the lanes have
-settled, and the work arrays then shrink to the live ones.  Each step
-multiplies by 1/r_n, which gives the moduli of numpy's division by r_n
-exactly.  The scalar membership test in_E walks one lambda through the
-same numpy expressions and tests without the block bookkeeping, so scalar
-and raster answers agree bit for bit.
+Everything here is reentrant.  The grid kernel is vectorized with numpy
+and runs the pixels in cache-sized blocks.  Inside a block a settled pixel
+rides along behind a mask until a quarter of the lanes have settled, and
+the work arrays then shrink to the live ones.  Each step multiplies by
+1/r_n, which gives the moduli of numpy's division by r_n exactly.  One
+block walk, which starts from lambda or from a level's state, serves
+FiberWalk: the walk of several fibers (sequence and escape parameters) over
+one set of pixels, which steps the levels whose coefficients they share
+once and then each fiber's remaining pixels alone.  escape_levels is that
+walk with one fiber.  The scalar membership test in_E walks one lambda
+through the same numpy expressions and tests without the block
+bookkeeping, so scalar and raster answers agree bit for bit.
 
 EscapeConfig, escape_radius, RADIUS_EPS and LEVEL_BUDGET are defined in
 config, which needs no numpy, and are the same objects here.
@@ -23,7 +27,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -228,70 +232,121 @@ def escape_levels(lam_grid: np.ndarray, p: ProbSeq, cfg: EscapeConfig) -> np.nda
     first) reports the first level of the offending pair; the radius rule
     reports the level that crossed.
 
-    The flat pixels run in blocks of BLOCK, each block through the whole
-    level loop, so its work arrays stay in cache.  A lane that settles stays
-    in the work arrays behind an `alive` mask and is never written again;
-    once fewer than COMPACT_AT of the lanes are alive, the arrays shrink to
-    the alive ones, kept with their flat indices into the block.
-
-    Each step multiplies by 1/r where the recursion divides by r.  numpy
-    divides a complex x by a real r as (x.real + x.imag*0, x.imag - x.real*0)
-    times 1/r, and the product x * (1/r) differs from that only in the sign
-    of a zero, so every modulus, and hence every level, is the same.  The
-    seed is written the same way, (lambda - 1) * (1/p_1) + 1, and past
-    1/r = 2^53 (r below TINY_R) the step is (x - 1) * (1/r) + 1.  The
-    coefficient of level n is asked of `p` when a block first steps level n,
-    so `p` sees the same requests as a level-by-level sweep of all pixels
-    (a ConstantTail without a tail raises TailUndefined at the same
-    inputs).
+    This is the FiberWalk of one fiber over the flat pixels in blocks of
+    BLOCK, and its root is the whole walk.  Each step multiplies by 1/r
+    where the recursion divides by r.  numpy divides a complex x by a real r
+    as (x.real + x.imag*0, x.imag - x.real*0) times 1/r, and the product
+    x * (1/r) differs from that only in the sign of a zero, so every
+    modulus, and hence every level, is the same.  The seed is written the
+    same way, (lambda - 1) * (1/p_1) + 1, and past 1/r = 2^53 (r below
+    TINY_R) the step is (x - 1) * (1/r) + 1.  The coefficient of level n is
+    asked of `p` when a block first steps level n, so `p` sees the same
+    requests as a level-by-level sweep of all pixels (a ConstantTail without
+    a tail raises TailUndefined at the same inputs).
     """
     grid = np.ascontiguousarray(lam_grid, dtype=np.complex128)
     out = np.full(grid.shape, INSIDE, dtype=np.int32)
     lam = grid.reshape(-1)
-    flat = out.reshape(-1)
-    inv_p1 = 1.0 / p.p(1)
-    # (1/r_n, 1/r_n - 1) for n = 1, 2, ..., None in place of 1/r_n - 1 below TINY_R
-    steps: list[tuple[float, float | None]] = []
-    with np.errstate(over="ignore", invalid="ignore"):
-        for start in range(0, flat.size, BLOCK):
-            block = slice(start, start + BLOCK)
-            _escape_block(lam[block], flat[block], inv_p1, steps, p, cfg)
+    walk = FiberWalk([(p, cfg)], lambda: (lam[s : s + BLOCK] for s in range(0, lam.size, BLOCK)))
+    walk.root(out)
+    walk.finish(0, out)
     return out
 
 
-def _escape_block(
-    lam: np.ndarray,
-    out: np.ndarray,
-    inv_p1: float,
-    steps: list[tuple[float, float | None]],
-    p: ProbSeq,
-    cfg: EscapeConfig,
-) -> None:
-    """Write the escape levels of one block of flat pixels into `out`."""
-    radius = cfg.radius
-    cur = (lam - 1.0) * inv_p1 + 1.0
-    prev = cur  # step 1 squares the seed
+class _Steps:
+    """The steps of one fiber's walk, each asked of its sequence once, in level order.
+
+    Level n's entry is (1/r, 1/r - 1) with r = p_(r_index(n)), None in place
+    of 1/r - 1 below TINY_R.  Level 0's is (1/p_1, None): the seed
+    (lambda - 1)/p_1 + 1 is that step applied to lambda.  An error the
+    sequence raises is kept as the level's entry and raised whenever the
+    level is stepped, so a shared walk may ask first and the sequence still
+    sees each request once.
+    """
+
+    def __init__(self, p: ProbSeq) -> None:
+        self.p = p
+        self.known: list[tuple[float, float | None] | Exception] = []
+
+    def ask(self, n: int) -> tuple[float, float | None] | Exception:
+        """Level n's entry, asking the sequence for the levels up to n not asked yet."""
+        while len(self.known) <= n:
+            m = len(self.known)
+            try:
+                r = self.p.p(r_index(m) if m else 1)
+                inv = 1.0 / r
+            except Exception as exc:  # raised when the level is stepped
+                self.known.append(exc)
+            else:
+                self.known.append((inv, inv - 1.0 if m and r >= TINY_R else None))
+        return self.known[n]
+
+    def __call__(self, n: int) -> tuple[float, float | None]:
+        """Level n's step; raises the error the sequence raised for it."""
+        entry = self.ask(n)
+        if isinstance(entry, Exception):
+            raise entry
+        return entry
+
+
+class _Rules(NamedTuple):
+    """How a walk steps and settles its lanes."""
+
+    step: Callable[[int], tuple[float, float | None] | None]  # None ends the walk there
+    radius: float
+    last: int  # the deepest level stepped
+    pair_rule: bool
+    wide: float  # lanes past `radius` but not past `wide` are handed back
+
+
+#: Lanes handed back by a walk, (level, index, cur, prev), to walk on from
+#: `level`: cur and prev are q_(level-1) and q_(level-2), or at level 0 cur
+#: is lambda and prev is None.
+_Part = tuple[int, np.ndarray, np.ndarray, np.ndarray | None]
+
+
+def _walk_lanes(cur, prev, start: int, out: np.ndarray, rules: _Rules) -> list[_Part]:
+    """Step lanes from level `start`, writing into `out` the level of each lane that settles.
+
+    The lanes are a _Part's cur and prev at `start`.  The walk ends after
+    rules.last, or at the first level whose step is None, where it hands
+    back the lanes still walking.  When rules.wide exceeds rules.radius it
+    also hands back, from level 0, each lane settled by the radius rule
+    alone with a modulus of at most rules.wide; the level written for it
+    here is then provisional.  Handed-back indices are into `out`.
+
+    A lane that settles stays in the work arrays behind an `alive` mask and
+    is never written again; once fewer than COMPACT_AT of the lanes are
+    alive, the arrays shrink to the alive ones, kept with their indices.
+    """
+    step, radius, last, pair_rule, wide = rules
+    lam = cur
+    prev_big = np.abs(cur) > 1.0 + ETA if start else None
     lanes = count = cur.size
     levels = out  # the level of each lane, written through to `out` until compacted
-    live = None  # flat index into the block of each lane; None until compacted
+    live = None  # index into `out` of each lane; None until compacted
     alive = None  # lanes not yet settled; None while all of them are
-    prev_big = None
-    for n in range(cfg.max_level + 1):
-        if n >= 1:
-            if n > len(steps):
-                r = p.p(r_index(n))
-                steps.append((1.0 / r, 1.0 / r - 1.0 if r >= TINY_R else None))
-            inv_r, shift = steps[n - 1]
-            # one expression per form, so numpy reuses its temporary in place
-            if shift is None:
-                cur, prev = (cur * prev - 1.0) * inv_r + 1.0, cur
-            else:
-                cur, prev = cur * prev * inv_r - shift, cur
+    handed: list[_Part] = []
+    for n in range(start, last + 1):
+        coefficient = step(n)
+        if coefficient is None:  # never at level 0
+            keep = slice(None) if alive is None else alive.nonzero()[0]
+            index = np.arange(lanes) if live is None else live
+            handed.append((n, index[keep], cur[keep], prev[keep]))
+            break
+        inv_r, shift = coefficient
+        # one expression per form, so numpy reuses its temporary in place
+        if n == 0:
+            cur = prev = (cur - 1.0) * inv_r + 1.0  # step 1 squares the seed
+        elif shift is None:
+            cur, prev = (cur * prev - 1.0) * inv_r + 1.0, cur
+        else:
+            cur, prev = cur * prev * inv_r - shift, cur
         mod = np.abs(cur)
         big = mod > 1.0 + ETA
         hit = ~(mod <= radius)
         pair = None
-        if cfg.early_exit and n >= 1:
+        if pair_rule and n >= 1:
             pair = big & prev_big
             hit |= pair
         if alive is not None:
@@ -302,6 +357,14 @@ def _escape_block(
             if pair is not None:  # the pair rule wins: it names the level before
                 pair &= hit
                 np.copyto(levels, n - 1, where=pair)
+            if wide > radius:
+                back = hit & (mod <= wide)
+                if pair is not None:
+                    back &= ~pair
+                back = back.nonzero()[0]
+                if back.size:
+                    back = back if live is None else live[back]
+                    handed.append((0, back, lam[back], None))
             count -= settled
             if count == 0:
                 break
@@ -325,6 +388,115 @@ def _escape_block(
         prev_big = big
     if live is not None:
         out[live] = levels
+    return handed
+
+
+class FiberWalk:
+    """The escape walk of several fibers over one band of pixels, their shared levels walked once.
+
+    A fiber is one (p, cfg) pair.  Escape level n depends only on lambda,
+    p_1 and p_(r_index(1..n)), so the fibers' walks differ only in their
+    radius tests through the root: the levels before the first one at which
+    their steps differ, and before the smallest max_level is passed.  root()
+    walks the root once, into one array of levels.  The pair rule is
+    checked first and does not depend on the radius, so a lane it settles,
+    or whose modulus passes every radius (NaN included), settles at the same
+    level in every fiber, and a lane at most the smallest radius is settled
+    by none.  A lane between the smallest and the widest radius is handed to
+    every fiber to walk again from its lambda; the lanes still walking at
+    the end of the root are handed on from there.  finish(k) walks those
+    with fiber k's own steps, radius and max_level, and writes their levels
+    over the array's, so the fibers take turns with one array.  Fibers whose
+    p_1 or early_exit differ share no root: finish(k) walks every pixel.
+
+    `blocks()` gives a fresh iterator over the band's pixels as flat
+    complex128 blocks, so lambda is built one block at a time, once for the
+    root (again for each fiber when there is none).  Each fiber's sequence
+    is asked for the steps, in the order, of a walk of that fiber alone, and
+    finish(k) raises an error it raised where that walk would.
+    """
+
+    def __init__(
+        self,
+        fibers: Sequence[tuple[ProbSeq, EscapeConfig]],
+        blocks: Callable[[], Iterator[np.ndarray]],
+    ) -> None:
+        self.fibers = [(_Steps(p), cfg) for p, cfg in fibers]
+        self.blocks = blocks
+        seeds = [steps.ask(0) for steps, _ in self.fibers]  # p_1, asked before any block
+        cfgs = [cfg for _, cfg in fibers]
+        self.shared = (
+            not isinstance(seeds[0], Exception)
+            and all(seed == seeds[0] for seed in seeds)
+            and len({cfg.early_exit for cfg in cfgs}) == 1
+        )
+        self.low = min(cfg.max_level for cfg in cfgs)
+        self.rests: list[_Part] = []
+
+    def _shared_step(self, n: int) -> tuple[float, float | None] | None:
+        """Level n's step when every fiber has that step, else None: the root ends there."""
+        if n > self.low:
+            return None
+        entries = [steps.ask(n) for steps, _ in self.fibers]
+        first = entries[0]
+        if isinstance(first, Exception) or any(entry != first for entry in entries):
+            return None
+        return first
+
+    @property
+    def done(self) -> bool:
+        """Whether root() settled every pixel of every fiber, leaving finish nothing to do."""
+        return self.shared and not self.rests
+
+    def root(self, out: np.ndarray) -> None:
+        """Walk the root over every block; `out` holds the band's levels, C-contiguous and INSIDE."""
+        if not self.shared:
+            return
+        cfgs = [cfg for _, cfg in self.fibers]
+        radii = [cfg.radius for cfg in cfgs]
+        last = max(cfg.max_level for cfg in cfgs)
+        rules = _Rules(self._shared_step, min(radii), last, cfgs[0].early_exit, max(radii))
+        out = out.reshape(-1)
+        at = 0
+        pending: dict[int, list[tuple]] = {}  # handed-back lanes by level, joined BLOCK at a time
+        with np.errstate(over="ignore", invalid="ignore"):
+            for lam in self.blocks():
+                for level, index, cur, prev in _walk_lanes(
+                    lam, None, 0, out[at : at + lam.size], rules
+                ):
+                    parts = pending.setdefault(level, [])
+                    parts.append((index + at, cur, prev))
+                    if sum(part[0].size for part in parts) >= BLOCK:
+                        self._keep(level, pending.pop(level))
+                at += lam.size
+        for level, parts in pending.items():
+            self._keep(level, parts)
+
+    def _keep(self, level: int, parts: list[tuple]) -> None:
+        """Keep lanes handed back at `level` as one part of the rests."""
+        index, cur, prev = zip(*parts)
+        prev = None if level == 0 else np.concatenate(prev)
+        self.rests.append((level, np.concatenate(index), np.concatenate(cur), prev))
+
+    def finish(self, k: int, out: np.ndarray) -> None:
+        """Walk fiber k past the root; `out` holds the levels root() or an earlier finish wrote."""
+        out = out.reshape(-1)
+        steps, cfg = self.fibers[k]
+        steps(0)  # p_1's error, if any, comes before any block's
+        rules = _Rules(steps, cfg.radius, cfg.max_level, cfg.early_exit, cfg.radius)
+        with np.errstate(over="ignore", invalid="ignore"):
+            if not self.shared:
+                at = 0
+                for lam in self.blocks():
+                    block = out[at : at + lam.size]
+                    block.fill(INSIDE)
+                    _walk_lanes(lam, None, 0, block, rules)
+                    at += lam.size
+                return
+            for level, index, cur, prev in self.rests:
+                levels = np.full(index.size, INSIDE, dtype=np.int32)
+                _walk_lanes(cur, prev, level, levels, rules)
+                out[index] = levels
 
 
 def in_E(lam: complex, p: ProbSeq, cfg: EscapeConfig) -> EscapeResult:

@@ -4,7 +4,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fibmachine import (
@@ -316,6 +316,7 @@ def late_fault(word):
 
 
 @given(order2_words())
+@example(("11" + "0" * 92, BaseDef((1, 1))))  # the Fibonacci coefficients under another name
 @settings(max_examples=600, deadline=None)
 def test_decode_equals_the_retired_paths(case):
     word, base = case
@@ -324,10 +325,12 @@ def test_decode_equals_the_retired_paths(case):
         return
     if old[0] is CapacityError and old[1].startswith("scale value F_"):
         # one capacity message for every base
-        assert base != FIBONACCI and new == (CapacityError, "decoded value exceeds the 64-bit range")
+        assert base.coeffs != (1, 1)
+        assert new == (CapacityError, "decoded value exceeds the 64-bit range")
     else:
-        # admissibility before value: the documented precedence change
-        assert base == FIBONACCI and late_fault(word), (word, new, old)
+        # admissibility before value: the documented precedence change, in
+        # every base with the Fibonacci coefficients, whatever its name
+        assert base.coeffs == (1, 1) and late_fault(word), (word, new, old)
         assert old == (CapacityError, "decoded value exceeds the 64-bit range")
         assert new == (InadmissibleWord, f"word {word!r} is not admissible in this base")
 

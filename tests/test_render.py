@@ -26,6 +26,7 @@ from fibmachine import (
 from fibmachine import render
 from fibmachine.figures import panel_config
 from fibmachine.render import PIXEL_BUDGET, _color
+from fibmachine.spectrum import BLOCK
 from oracles import Recording, old_pixel
 
 HALF = ConstantTail((), 0.5)
@@ -179,15 +180,22 @@ def _scanned_rows(grid):
     return len(np.unique(np.abs(grid.imag_axis())))
 
 
+def _built_lambdas(monkeypatch, record):
+    """Patch lam_array, which builds the lambda blocks scan_grid walks, to pass each to `record`."""
+    lam_array = GridSpec.lam_array
+
+    def recorded(grid, rows=None):
+        lam = lam_array(grid, rows)
+        record(lam)
+        return lam
+
+    monkeypatch.setattr(GridSpec, "lam_array", recorded)
+
+
 def _kernel_sizes(monkeypatch):
-    """Patch the kernel scan_grid calls to record the size of each array it gets."""
+    """Record the size of each lambda block the kernel gets."""
     sizes = []
-
-    def counted(lam, p, cfg):
-        sizes.append(lam.size)
-        return escape_levels(lam, p, cfg)
-
-    monkeypatch.setattr(render, "escape_levels", counted)
+    _built_lambdas(monkeypatch, lambda lam: sizes.append(lam.size))
     return sizes
 
 
@@ -249,7 +257,7 @@ def test_panel_3_sends_548_of_800_rows_to_the_kernel(monkeypatch):
     grid = GridSpec(cfg.grid.center, cfg.grid.width, cfg.grid.height, 800, 800)
     sizes = _kernel_sizes(monkeypatch)
     cells = scan_grid(grid, cfg.prob_seq, cfg.escape_config()).cells
-    assert sizes == [548 * 800]
+    assert sum(sizes) == 548 * 800 and max(sizes) <= BLOCK
     assert np.array_equal(cells, escape_levels(grid.lam_array(), cfg.prob_seq, cfg.escape_config()))
 
 
@@ -268,7 +276,7 @@ def test_scan_threads_are_capped_by_bands_and_cpus(monkeypatch, inline_pool, cpu
         bands = min(workers, rows)
         assert made == ([] if bands == 1 else [min(bands, cpus or 1)])
         if bands > 1:
-            sizes = [len(lam) for lam, _ in submitted]
+            sizes = [len(levels) for (levels,) in submitted]
             assert len(sizes) == bands and sum(sizes) == rows
             assert min(sizes) >= 1 and max(sizes) - min(sizes) <= 1
 
@@ -278,12 +286,7 @@ def test_scan_deals_rows_near_the_axis_to_every_band(monkeypatch, inline_pool):
     grid = GridSpec(center=0j, width=5.0, height=5.0, pixels_x=8, pixels_y=64)
     axis = np.unique(np.abs(grid.imag_axis()))
     seen = []
-
-    def recorded(lam, p, cfg):
-        seen.append(np.abs(lam[:, 0].imag))
-        return escape_levels(lam, p, cfg)
-
-    monkeypatch.setattr(render, "escape_levels", recorded)
+    _built_lambdas(monkeypatch, lambda lam: seen.append(np.abs(lam[:, 0].imag)))
     for workers in (2, 3, 4):
         seen.clear()
         scan_grid(grid, HALF, _cfg(HALF), workers=workers)
@@ -315,6 +318,60 @@ def test_iter_buffer_checks_and_counts():
     assert buf.inside_count() == 2
     with pytest.raises(ValueError):
         IterBuffer(3, 2, np.zeros((2, 2), dtype=np.int32))
+
+
+@pytest.mark.parametrize(
+    "cells",
+    [
+        np.array([[1.7, 0.0]]),
+        np.array([[np.nan, 1.0]]),
+        np.array([[1.0, 2.0]]),  # integral floats too: no dtype but an integer one
+        np.array([[True, False]]),
+        np.array([[1, 2]], dtype=object),
+        np.array([["1", "2"]]),
+        np.array([[1 + 0j, 2]]),
+    ],
+)
+def test_iter_buffer_refuses_cells_that_are_not_integers(cells):
+    with pytest.raises(ValueError, match="^cells must hold integers, got dtype "):
+        IterBuffer(2, 1, cells)
+
+
+@pytest.mark.parametrize(
+    "cells",
+    [
+        np.array([[0, 2**40]]),  # wrapped to 0 by a cast
+        np.array([[0, 2**31]]),
+        np.array([[-(2**31) - 1, 0]]),
+        np.array([[0, 2**32 - 1]], dtype=np.uint32),
+        np.array([[0, 2**64 - 1]], dtype=np.uint64),
+    ],
+)
+def test_iter_buffer_refuses_values_outside_int32(cells):
+    with pytest.raises(ValueError, match="^cells hold a value outside the int32 range$"):
+        IterBuffer(2, 1, cells)
+
+
+def test_iter_buffer_takes_integers_in_range_and_keeps_int32_cells():
+    for cells in ([[-(2**31), 2**31 - 1]], np.array([[7, 0]], dtype=np.uint8), np.zeros((1, 2), np.int16)):
+        buf = IterBuffer(2, 1, cells)
+        assert buf.cells.dtype == np.int32
+        assert buf.cells.tolist() == np.asarray(cells).tolist()
+    cells = np.array([[3, -1]], dtype=np.int32)
+    assert IterBuffer(2, 1, cells).cells is cells
+
+
+def test_writers_refuse_a_level_below_inside():
+    buf = parse_csv("0,0,-5\n1,0,2\n")
+    assert buf.cells.tolist() == [[-5, 2]]
+    with pytest.raises(ValueError, match=r"^cells hold level -5, below INSIDE \(-1\)"):
+        write_ppm(buf)
+    try:
+        import PIL  # noqa: F401
+    except ImportError:
+        return
+    with pytest.raises(ValueError, match=r"^cells hold level -5, below INSIDE \(-1\)"):
+        write_png(buf)
 
 
 # ---------------------------------------------------------------------------
