@@ -189,44 +189,68 @@ def _ladder_chunks(
 ) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
     """The rows of every state in [start, stop), as arrays of ROW_CHUNK rows.
 
-    Yields (states, depths, targets, probs).  Row r has depths[r] + 1
-    entries: targets[r] ascends as `_ladder`'s targets do and probs[r] is
-    `rungs.row(depths[r])`; columns past the row's entries hold a negative
-    target with probability 0.0.  With K set rungs from k0 = (bits & 1) ^ 1,
-    the depth is K + 1, target state - C[k0][m] (m = 0..K) has probability
-    fall[m + 1], and state + 1 has full[K + 1], where C[k0][m] is the sum of
-    F_k0, F_(k0+2), ..., m terms.  `rungs` grows to the deepest row in range
-    before the first chunk, so the descriptor sees the same p_k requests as
-    a row-by-row walk, and an empty range asks for none.
+    Yields (states, depths, targets, probs): _ladder_rows' chunks with
+    probs[r] = `rungs.row(depths[r])`, padded with 0.0 as targets is with
+    negative states, so target state - C[k0][m] has probability fall[m + 1]
+    and state + 1 has full[K + 1].  `rungs` grows to the deepest row in range before the
+    first chunk, so the descriptor sees the same p_k requests as a
+    row-by-row walk, and an empty range asks for none.
     """
     if stop <= start:
         return
+    deepest, chunks = _ladder_rows(start, stop)
+    probs = _depth_probs(rungs, deepest)
+    for states, depths, targets in chunks:
+        yield states, depths, targets, np.take(probs[:, : targets.shape[1]], depths, axis=0)
+
+
+def _ladder_rows(
+    start: int, stop: int
+) -> tuple[int, Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]]:
+    """The deepest row in [start, stop) (start < stop) and the rows' chunks, without probabilities.
+
+    A chunk is (states, depths, targets) for ROW_CHUNK rows.  Row r has
+    depths[r] + 1 entries: targets[r] ascends as `_ladder`'s targets do, and
+    columns past the row's entries hold a negative target.  With K set rungs
+    from k0 = (bits & 1) ^ 1, the depth is K + 1, and the targets are
+    state - C[k0][m] (m = 0..K), then state + 1, where C[k0][m] is the sum of
+    F_k0, F_(k0+2), ..., m terms.
+    """
     bits = _zeckendorf_bits(stop)[start:]
     # the rungs make the low bits 0101...01, so the XOR leaves 2K trailing zeros
     flip = (bits >> ((bits & 1) ^ 1)) ^ _EVEN_BITS
     depths = np.bitwise_count((flip & -flip) - 1) // 2 + 1
     deepest = int(depths.max())
-    rungs.row(deepest)
-    # row k0 * span + d of `offsets`, and row d of `probs`, lay out a row of depth d
+    # row k0 * span + d of `offsets` lays out a row of depth d
     span = deepest + 1
     offsets = np.full((2 * span, span), -stop, dtype=np.int64)
-    probs = np.zeros((span, span))
     for k0 in (0, 1):
         rung_sums = np.cumsum((0, *FIB64[k0 : k0 + 2 * deepest - 2 : 2]))
         for d in range(1, span):
             offsets[k0 * span + d, :d] = -rung_sums[d - 1 :: -1]
             offsets[k0 * span + d, d] = 1
-    for d in range(1, span):
+
+    def chunks() -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+        for lo in range(0, stop - start, ROW_CHUNK):
+            hi = min(lo + ROW_CHUNK, stop - start)
+            chunk_depths = depths[lo:hi].astype(np.intp)
+            width = int(chunk_depths.max()) + 1
+            states = np.arange(start + lo, start + hi, dtype=np.int64)
+            layout = ((bits[lo:hi] & 1) ^ 1) * span + chunk_depths
+            targets = np.take(offsets[:, :width], layout, axis=0)
+            targets += states[:, None]
+            yield states, chunk_depths, targets
+
+    return deepest, chunks()
+
+
+def _depth_probs(rungs: _RungTable, deepest: int) -> np.ndarray:
+    """Row d holds `rungs.row(d)` padded with 0.0, d up to `deepest`; asks for that row first."""
+    rungs.row(deepest)
+    probs = np.zeros((deepest + 1, deepest + 1))
+    for d in range(1, deepest + 1):
         probs[d, : d + 1] = rungs.row(d)
-    for lo in range(0, stop - start, ROW_CHUNK):
-        hi = min(lo + ROW_CHUNK, stop - start)
-        chunk_depths = depths[lo:hi].astype(np.intp)
-        width = int(chunk_depths.max()) + 1
-        states = np.arange(start + lo, start + hi, dtype=np.int64)
-        layout = ((bits[lo:hi] & 1) ^ 1) * span + chunk_depths
-        targets = np.take(offsets[:, :width], layout, axis=0)
-        targets += states[:, None]
-        yield states, chunk_depths, targets, np.take(probs[:, :width], chunk_depths, axis=0)
+    return probs
 
 
 def _runs(flat: list, counts: np.ndarray) -> Iterator[list]:

@@ -213,9 +213,9 @@ def cmd_spectrum_member(args: argparse.Namespace) -> int:
     cfg = _load(args)
     lam = _point(args)
     esc_cfg = cfg.escape_config()
-    verdict, result = spectrum._point_spectrum(lam, cfg.prob_seq, esc_cfg, args.bound)
-    if result is None:  # the bound was crossed before in_E was needed
-        result = spectrum.in_E(lam, cfg.prob_seq, esc_cfg)
+    verdict, result = spectrum._point_spectrum(
+        lam, cfg.prob_seq, esc_cfg, args.bound, need_E=True
+    )
     if result.escaped:
         print(f"E escaped at level {result.level}")
     else:

@@ -146,10 +146,10 @@ def is_admissible(word: Word, base: BaseDef = FIBONACCI) -> bool:
         return False
     if any(e < 0 for e in eps):
         return False
-    # the window at digit i reads eps[i], eps[i-1], ..: a slice of the MSB-first digits
+    # the window at digit i reads eps[i], eps[i-1], ..: d MSB-first digits, zipped from shifts
     a, d = base.coeffs, base.degree
     msb = eps[::-1] + (0,) * (d - 1)
-    return all(msb[j : j + d] < a for j in range(len(eps)))
+    return all(window < a for window in zip(*[msb[k:] for k in range(d)]))
 
 
 def _check_encodable(n: int) -> int:

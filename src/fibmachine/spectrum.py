@@ -16,8 +16,14 @@ FiberWalk: the walk of several fibers (sequence and escape parameters) over
 one set of pixels, which steps the levels whose coefficients they share
 once and then each fiber's remaining pixels alone.  escape_levels is that
 walk with one fiber.  The scalar membership test in_E walks one lambda
-through the same numpy expressions and tests without the block
-bookkeeping, so scalar and raster answers agree bit for bit.
+with the scalar step and carries a bound on its distance from numpy's
+arithmetic (a rounding model with the constants UNIT, MUL_ERR, ABS_ERR,
+TINY_ERR and SAFE); a test is decided there only when the modulus lies
+farther than that bound from the threshold.  Any other lambda walks
+through the kernel's numpy expressions without the block bookkeeping, so
+scalar and raster answers agree bit for bit.  in_point_spectrum takes its
+running maximum and in_E's result from one such walk.  eigen_residual's
+row layout depends on the level alone and is kept for small levels.
 
 EscapeConfig, escape_radius, RADIUS_EPS and LEVEL_BUDGET are defined in
 config, which needs no numpy, and are the same objects here.
@@ -27,7 +33,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterator, NamedTuple, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -38,7 +44,7 @@ from .errors import (
     integer,
     within,
 )
-from .chain import _ladder_chunks, _RungTable, _runs, _truncation_size
+from .chain import ROW_CHUNK, _depth_probs, _ladder_rows, _RungTable, _truncation_size
 from .config import LEVEL_BUDGET, RADIUS_EPS, EscapeConfig, escape_radius
 from .numeration import FIB64, BaseDef, digits_of_int
 from .probseq import ProbSeq
@@ -102,6 +108,11 @@ def _modulus(z: complex) -> float:
         return math.inf
 
 
+def _step(prod: complex, r: float) -> complex:
+    """The one scalar q-recursion step, from the product of the previous values."""
+    return prod / r - (1.0 / r - 1.0) if r >= TINY_R else (prod - 1.0) / r + 1.0
+
+
 def _walk(
     p: ProbSeq,
     levels: int,
@@ -140,7 +151,7 @@ def _walk(
         except OverflowError:
             q = complex(math.inf)
         else:
-            q = prod / r - (1.0 / r - 1.0) if r >= TINY_R else (prod - 1.0) / r + 1.0
+            q = _step(prod, r)
         values.append(q)
         if not (_modulus(q) <= CLAMP):
             return values, m
@@ -499,25 +510,73 @@ class FiberWalk:
                 out[index] = levels
 
 
+#: The rounding model of in_E's certificate (Higham, Accuracy and Stability
+#: of Numerical Algorithms, 2nd ed., SIAM 2002, §3.1-3.6), with UNIT the unit
+#: roundoff: a complex product, numpy's (which may fuse a multiply and an
+#: add) or CPython's, lies within MUL_ERR |a||b| of the exact product, and so
+#: does numpy's product of a complex by a real; a modulus, numpy's or
+#: CPython's, lies within ABS_ERR |z| of |z|; a sum, a difference, a real
+#: reciprocal and CPython's quotient of a complex by a real are rounded part
+#: by part to nearest, within UNIT of each exact part; and each operation may
+#: be off by TINY_ERR more where it underflows.  The constants are two to
+#: four times the largest errors seen (tests/test_scalar_lane.py measures
+#: both libraries against exact rational arithmetic).
+UNIT = 2.0**-53
+MUL_ERR = 4 * UNIT
+ABS_ERR = 8 * UNIT
+TINY_ERR = 2.0**-1060
+
+#: Widens every bound; covers the rounding of the bound's own arithmetic.
+SAFE = 1.0 + 2.0**-40
+
+#: |z| is at most GROW times either lane's modulus of z.
+GROW = 1.0 + 2 * ABS_ERR
+
+
+def _certain(r) -> bool:
+    """Whether the certificate covers a step by coefficient r: a float in [TINY_R, 1]."""
+    return type(r) is float and TINY_R <= r <= 1.0
+
+
 def in_E(lam: complex, p: ProbSeq, cfg: EscapeConfig) -> EscapeResult:
     """Membership in the fibered Julia set E: escape_levels' level at one lambda.
 
-    One lane of the escape walk, without the block bookkeeping.  The steps
-    are the kernel's numpy expressions on a 1-element complex128 array, since
-    numpy's products and moduli can differ in the last bit from Python's; the
-    tests run on the modulus as a float, the pair rule first; and `p` is asked
-    for the same coefficients in the same order.  The level, and any error,
-    are therefore those of escape_levels on a 1x1 grid.
+    The tests are decided on the scalar walk of _step wherever its error
+    bound against numpy's arithmetic allows (_lane), which is everywhere but
+    within about 1e-15, relative, of a threshold.  Other lambdas run the
+    numpy lane, the kernel's expressions on one lambda, from lambda on, with
+    the coefficients the walk already asked.  Either way the level, any
+    error, and the coefficients asked of `p` and their order are those of
+    escape_levels on a 1x1 grid.
+    """
+    known = [p.p(1)]
+    if _certain(known[0]):
+        verdict = _lane(complex(lam), p, cfg, known, False)[1]
+        if verdict is not None:
+            return verdict
+    return _numpy_lane(lam, p, cfg, known)
+
+
+def _numpy_lane(
+    lam: complex, p: ProbSeq, cfg: EscapeConfig, known: Sequence[float]
+) -> EscapeResult:
+    """in_E on numpy's arithmetic: one lane of the escape walk, without the block bookkeeping.
+
+    The steps are the kernel's numpy expressions on a 1-element complex128
+    array, since numpy's products and moduli can differ in the last bit from
+    Python's; the tests run on the modulus as a float, the pair rule first.
+    `known` holds the coefficients of the first levels, p_1 first, already
+    asked of `p`; the others are asked as the kernel asks them.
     """
     radius, pair_rule = cfg.radius, cfg.early_exit
     prev_big = False
-    inv_p1 = 1.0 / p.p(1)
+    inv_p1 = 1.0 / known[0]
     with np.errstate(over="ignore", invalid="ignore"):
         cur = (np.array([complex(lam)]) - 1.0) * inv_p1 + 1.0
         prev = cur  # step 1 squares the seed
         for n in range(cfg.max_level + 1):
             if n >= 1:
-                r = p.p(r_index(n))
+                r = known[n] if n < len(known) else p.p(r_index(n))
                 inv_r, prod, prev = 1.0 / r, cur * prev, cur
                 cur = prod * inv_r - (inv_r - 1.0) if r >= TINY_R else (prod - 1.0) * inv_r + 1.0
             m = np.abs(cur).item()
@@ -528,6 +587,87 @@ def in_E(lam: complex, p: ProbSeq, cfg: EscapeConfig) -> EscapeResult:
                 return EscapeResult(True, n)
             prev_big = big
     return EscapeResult(False, None)
+
+
+def _lane(
+    lam: complex, p: ProbSeq, cfg: EscapeConfig, known: list[float], walk_on: bool
+) -> tuple[list[float], EscapeResult | None]:
+    """Walk lambda's orbit with _step, deciding in_E's tests on it where that is certain.
+
+    Returns the moduli |q_n| of the levels walked and in_E's result, or None
+    where the walk could not decide it.  `known` starts as [p_1] and gets
+    each level's coefficient as the walk asks it of `p`.  The walk is
+    q_fib_orbit's: its seed, steps, errors and stop, past CLAMP (NaN too,
+    from level 1) or at max_level.  With `walk_on` it goes on to that stop;
+    without, it returns once the result is known or cannot be, and p_1 must
+    then be _certain.
+
+    The numpy lane steps the same recursion with x * (1/r) for x / r and with
+    numpy's complex product and modulus.  Beside q_n the walk carries err, a
+    bound on |q_n(numpy) - q_n| under the model above.  The seed's err comes
+    from |lambda - 1|/p_1 and the rounding of the + 1.  A step from
+    a = q_(n-1) and b = q_(n-2), with sizes s (GROW times the moduli) and
+    bounds e, is off by
+    (s_a e_b + e_a (s_b + e_b) + (s_a + e_a)(s_b + e_b)(3 MUL_ERR + 4 UNIT))/r
+    before the shift, plus TINY_ERR terms, and the shift's rounding adds
+    2 UNIT s.  numpy's modulus then lies within off = err + ABS_ERR (2 s + err)
+    of the walk's, so a test against a threshold (1 + ETA, the radius) is
+    decided only when the modulus lies farther than `off` from it: numpy's
+    lane then takes the same branch.  A coefficient that is not _certain or
+    an undecided test (NaN and infinities included) ends the certificate.
+    """
+    radius, pair_rule, last = cfg.radius, cfg.early_exit, cfg.max_level
+    edge = 1.0 + ETA
+    p1 = known[0]
+    cur = prev = 1.0 + (lam - 1.0) / p1  # step 1 squares the seed
+    mod = _modulus(cur)
+    mods = [mod]
+    verdict = None
+    sure = _certain(p1)
+    if sure:
+        x = lam - 1.0
+        size = prev_size = GROW * mod
+        spread = (abs(x.real) + abs(x.imag)) / p1  # at least |lambda - 1| / p_1
+        err = prev_err = (spread * (MUL_ERR + 3 * UNIT) + 2 * TINY_ERR + 2 * UNIT * size) * SAFE
+    prev_big = False
+    n = 0
+    while True:
+        if sure:
+            off = (err + ABS_ERR * (2 * size + err)) * SAFE
+            big = mod > edge
+            if pair_rule and not abs(mod - edge) > off:
+                sure = False
+            elif pair_rule and big and prev_big:
+                verdict = EscapeResult(True, n - 1)
+            elif not abs(mod - radius) > off:
+                sure = False
+            elif mod > radius:
+                verdict = EscapeResult(True, n)
+            elif n == last:
+                verdict = EscapeResult(False, None)
+            prev_big = big
+            sure = sure and verdict is None
+        if not (sure or walk_on):
+            return mods, verdict
+        if n == last or (not mod <= CLAMP if n else mod > CLAMP):
+            return mods, verdict
+        n += 1
+        r = p.p(r_index(n))
+        known.append(r)
+        if sure and not _certain(r):
+            sure = False
+            if not walk_on:
+                return mods, None
+        cur, prev = _step(cur * prev, r), cur
+        mod = _modulus(cur)
+        mods.append(mod)
+        if sure:
+            big_a, big_b = size + err, prev_size + prev_err
+            rounding = big_a * big_b * (3 * MUL_ERR + 4 * UNIT) + 5 * TINY_ERR
+            shifted = (size * prev_err + err * big_b + rounding) / r
+            prev_size, prev_err = size, err
+            size = GROW * mod
+            err = (shifted + 2 * UNIT * size) * SAFE
 
 
 # ---------------------------------------------------------------------------
@@ -551,22 +691,40 @@ def in_point_spectrum(
     Escaped when B crosses the bound or the in_E escape tests trigger; inside
     when B has plateaued below the bound by max_level; undetermined when it
     was still growing there.  The inside verdict therefore implies in_E's.
+
+    One walk of lambda (_lane) gives the moduli of q_fib_orbit, and so B,
+    and decides in_E's tests where its certificate allows; the numpy lane
+    decides the rest with the coefficients that walk asked.  `p` is asked
+    for each level's coefficient once, in level order, through the level
+    where q_fib_orbit stops, and past it only where in_E walks on.
     """
     return _point_spectrum(lam, p, cfg, bound)[0]
 
 
-def _point_spectrum(lam, p, cfg, bound) -> tuple[SpectrumResult, EscapeResult | None]:
-    """in_point_spectrum's verdict and the in_E result, None if the bound was crossed first."""
+def _point_spectrum(
+    lam, p, cfg, bound, need_E: bool = False
+) -> tuple[SpectrumResult, EscapeResult | None]:
+    """in_point_spectrum's verdict and in_E's result, both from one walk of lambda.
+
+    in_E's result is None when the bound was crossed first, unless `need_E`.
+    """
     if not bound > 0.0:
         raise ValueError(f"bound must be positive (inf allowed), got {bound!r}")
-    orbit = q_fib_orbit(lam, p, cfg.max_level)
+    lam = complex(lam)
+    known = [p.p(1)]
+    mods, esc = _lane(lam, p, cfg, known, True)
     history = [1.0, 1.0]  # B_(-2) and B_(-1)
-    for n, q in enumerate(orbit.values):
-        b = max(history[-1], history[-2] * _modulus(q))
+    crossed = None
+    for n, mod in enumerate(mods):
+        b = max(history[-1], history[-2] * mod)
         if b > bound:
-            return SpectrumResult("escaped", n, b), None
+            crossed = SpectrumResult("escaped", n, b)
+            break
         history.append(b)
-    esc = in_E(lam, p, cfg)
+    if esc is None and (crossed is None or need_E):
+        esc = _numpy_lane(lam, p, cfg, known)
+    if crossed is not None:
+        return crossed, esc
     if esc.escaped:
         return SpectrumResult("escaped", esc.level, history[-1]), esc
     window = min(PLATEAU_WINDOW, len(history) - 3)
@@ -597,6 +755,73 @@ class EigenResidual:
     sup_norm: float
 
 
+class _ResidualChunk(NamedTuple):
+    """Where one chunk of eigen_residual's rows puts its terms; depends on the level alone.
+
+    The terms of the chunk's rows lie one row after another, each row's
+    entries into w's support in target order, then -lambda w_i for a row
+    i <= top.  An entry's term is probs[k] * w[w_at[k]] at term_at[k], where
+    probs[k] is element prob_at[k] of the depth-probability table raveled; the
+    -lambda w_i terms lie at shift_at, for the rows in `shifted`.  `runs`
+    slices each row's terms out of the flat list, and a row with none is left
+    out; the first `interior` runs are rows below top.
+    """
+
+    prob_at: np.ndarray
+    w_at: np.ndarray
+    term_at: np.ndarray
+    shifted: slice
+    shift_at: np.ndarray
+    size: int
+    runs: list[slice]
+    interior: int
+
+
+#: eigen_residual's row layouts by level, (deepest row, chunks), kept for the
+#: levels whose rows fit in one ROW_CHUNK (level 14 and below, 0.15 MB at
+#: most each); deeper levels build theirs chunk by chunk on every call.
+_RESIDUAL_ROWS: dict[int, tuple[int, list[_ResidualChunk]]] = {}
+
+
+def _residual_rows(level: int, rows: int) -> tuple[int, Iterable[_ResidualChunk]]:
+    """The deepest ladder row and the chunks of eigen_residual's rows 0..rows at `level`."""
+    layout = _RESIDUAL_ROWS.get(level)
+    if layout is not None:
+        return layout
+    top = FIB64[level]
+    deepest, chunks = _ladder_rows(0, rows + 1)
+
+    def chunk(states: np.ndarray, depths: np.ndarray, targets: np.ndarray) -> _ResidualChunk:
+        inside = (targets >= 0) & (targets <= top)
+        shifted = states <= top
+        keep = np.concatenate((inside, shifted[:, None]), axis=1)
+        counts = keep.sum(axis=1)
+        # a row with no entries sums to 0.0, which raises neither maximum; all
+        # such rows lie past top, behind the interior rows
+        ends = np.cumsum(counts[counts > 0]).tolist()
+        rank = (np.cumsum(keep.ravel()) - 1).reshape(keep.shape)
+        prob_at = (depths[:, None] * (deepest + 1) + np.arange(targets.shape[1]))[inside]
+        w_at, term_at, shift_at = targets[inside], rank[:, :-1][inside], rank[:, -1][shifted]
+        first = int(states[0])
+        for part in (prob_at, w_at, term_at, shift_at):
+            part.flags.writeable = False  # the kept layout is shared by every call
+        return _ResidualChunk(
+            prob_at=prob_at,
+            w_at=w_at,
+            term_at=term_at,
+            shifted=slice(first, first + int(np.count_nonzero(shifted))),
+            shift_at=shift_at,
+            size=ends[-1] if ends else 0,
+            runs=list(map(slice, [0, *ends[:-1]], ends)),
+            interior=max(top - first, 0),
+        )
+
+    if rows + 1 > ROW_CHUNK:
+        return deepest, (chunk(*parts) for parts in chunks)
+    layout = _RESIDUAL_ROWS[level] = deepest, [chunk(*parts) for parts in chunks]
+    return layout
+
+
 def eigen_residual(lam: complex, p: ProbSeq, level: int) -> EigenResidual:
     # F_(level+1) + 1 rows are checked before q_values_upto checks its F_level + 1 values
     rows = _truncation_size(integer(level, "level", 1) + 1, 2, 1)
@@ -607,29 +832,30 @@ def eigen_residual(lam: complex, p: ProbSeq, level: int) -> EigenResidual:
     p1 = p.p(1)
     wc = np.array(w)
     wr, wi = wc.real, wc.imag
-    # lambda * w_i component by component, as CPython multiplies complex numbers
+    # -lambda * w_i component by component, as CPython multiplies complex numbers
     lr, li = lam.real, lam.imag
     with np.errstate(over="ignore", invalid="ignore"):
-        shift_re = np.concatenate((lr * wr - li * wi, np.zeros(rows - top)))
-        shift_im = np.concatenate((lr * wi + li * wr, np.zeros(rows - top)))
+        minus_re = -(lr * wr - li * wi)
+        minus_im = -(lr * wi + li * wr)
     interior = 0.0
     full = 0.0
-    for states, _, targets, probs in _ladder_chunks(0, rows + 1, _RungTable(p)):
+    deepest, chunks = _residual_rows(level, rows)
+    table = _depth_probs(_RungTable(p), deepest).ravel()
+    for chunk in chunks:
         # the row's entries into w's support, then -lambda*w_i for i <= top
-        inside = (targets >= 0) & (targets <= top)
-        keep = np.concatenate((inside, (states <= top)[:, None]), axis=1)
-        counts = keep.sum(axis=1)
-        # a row with no entries sums to 0.0, which raises neither maximum; all
-        # such rows lie past top, behind the interior rows
-        counts = counts[counts > 0]
-        at = np.where(inside, targets, 0)
+        probs = table[chunk.prob_at]
+        re_acc = np.empty(chunk.size)
+        im_acc = np.empty(chunk.size)
         with np.errstate(over="ignore", invalid="ignore"):
-            re_acc = np.concatenate((probs * wr[at], -shift_re[states][:, None]), axis=1)
-            im_acc = np.concatenate((probs * wi[at], -shift_im[states][:, None]), axis=1)
-        re_sums = map(math.fsum, _runs(re_acc[keep].tolist(), counts))
-        im_sums = map(math.fsum, _runs(im_acc[keep].tolist(), counts))
+            re_acc[chunk.term_at] = probs * wr[chunk.w_at]
+            im_acc[chunk.term_at] = probs * wi[chunk.w_at]
+        re_acc[chunk.shift_at] = minus_re[chunk.shifted]
+        im_acc[chunk.shift_at] = minus_im[chunk.shifted]
+        re_terms, im_terms = re_acc.tolist(), im_acc.tolist()
+        re_sums = map(math.fsum, map(re_terms.__getitem__, chunk.runs))
+        im_sums = map(math.fsum, map(im_terms.__getitem__, chunk.runs))
         res = list(map(abs, map(complex, re_sums, im_sums)))
-        interior = max([interior, *res[: max(top - int(states[0]), 0)]])
+        interior = max([interior, *res[: chunk.interior]])
         full = max([full, *res])
     q_top = abs(w[top])
     bound = (abs(1.0 - p1 - lam) * q_top + p1 * q_top + p1) / sup_norm

@@ -20,7 +20,13 @@ for its lambda array.  old_is_admissible, old_decode and old_random are
 numeration's and the generator's paths from before each was written once:
 the Fibonacci string shortcut and the order-2 loop of the admissibility
 test, the Fibonacci digit-sequence loop of decode, and random() with the
-SplitMix step written out.
+SplitMix step written out.  old_window_is_admissible is the admissibility
+test with one tuple slice per window, from before the windows were zipped.
+old_in_E is in_E as it was, the numpy lane walked from lambda, and
+old_point_spectrum the point-spectrum test as it walked each orbit twice:
+q_fib_orbit for the running maximum, then old_in_E; the certified in_E and
+the one-walk test must give their levels, verdicts and running maxima bit
+for bit.
 """
 
 import math
@@ -44,7 +50,16 @@ from fibmachine.odometer import CarryTrace, _checked_bits
 from fibmachine.probseq import ProbSeq
 from fibmachine.rng import _INCREMENT, _MIX1, _MIX2, MASK64
 from fibmachine.render import IterBuffer
-from fibmachine.spectrum import CLAMP, LEVEL_BUDGET, q_fib_orbit, r_index
+from fibmachine.spectrum import (
+    CLAMP,
+    LEVEL_BUDGET,
+    PLATEAU_WINDOW,
+    SpectrumResult,
+    _modulus,
+    _numpy_lane,
+    q_fib_orbit,
+    r_index,
+)
 
 
 class Recording(ProbSeq):
@@ -406,3 +421,40 @@ def old_random(rng):
     z = ((z ^ (z >> 30)) * _MIX1) & MASK64
     z = ((z ^ (z >> 27)) * _MIX2) & MASK64
     return ((z ^ (z >> 31)) >> 11) * 2.0**-53
+
+
+def old_window_is_admissible(word, base=FIBONACCI):
+    try:
+        eps = _as_lsb(word)
+    except InadmissibleWord:
+        return False
+    if any(e < 0 for e in eps):
+        return False
+    # the window at digit i reads eps[i], eps[i-1], ..: a slice of the MSB-first digits
+    a, d = base.coeffs, base.degree
+    msb = eps[::-1] + (0,) * (d - 1)
+    return all(msb[j : j + d] < a for j in range(len(eps)))
+
+
+def old_in_E(lam, p, cfg):
+    return _numpy_lane(lam, p, cfg, [p.p(1)])
+
+
+def old_point_spectrum(lam, p, cfg, bound):
+    """(verdict, in_E result or None where the bound was crossed first)."""
+    if not bound > 0.0:
+        raise ValueError(f"bound must be positive (inf allowed), got {bound!r}")
+    orbit = q_fib_orbit(lam, p, cfg.max_level)
+    history = [1.0, 1.0]  # B_(-2) and B_(-1)
+    for n, q in enumerate(orbit.values):
+        b = max(history[-1], history[-2] * _modulus(q))
+        if b > bound:
+            return SpectrumResult("escaped", n, b), None
+        history.append(b)
+    esc = old_in_E(lam, p, cfg)
+    if esc.escaped:
+        return SpectrumResult("escaped", esc.level, history[-1]), esc
+    window = min(PLATEAU_WINDOW, len(history) - 3)
+    if window >= 1 and history[-1] > history[-1 - window]:
+        return SpectrumResult("undetermined", None, history[-1]), esc
+    return SpectrumResult("inside", None, history[-1]), esc

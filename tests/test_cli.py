@@ -257,16 +257,25 @@ def test_spectrum_member_inside_and_escaped(capsys):
 )
 @pytest.mark.parametrize("doc", [None, HALF_DOC])
 def test_spectrum_member_runs_in_E_once(capsys, monkeypatch, tmp_path, argv, doc):
-    calls = []
+    # in_E's tests run once, on the one walk of lambda that also gives the
+    # running maximum; in_E itself is not called, and the numpy lane runs at
+    # most once, where that walk could not decide them
+    walks, lanes, calls = [], [], []
 
-    def counted(*args):
-        calls.append(args)
-        return in_E(*args)
+    def counted(record, function):
+        def call(*args):
+            record.append(args)
+            return function(*args)
 
-    monkeypatch.setattr(spectrum, "in_E", counted)
+        return call
+
+    monkeypatch.setattr(spectrum, "_lane", counted(walks, spectrum._lane))
+    monkeypatch.setattr(spectrum, "_numpy_lane", counted(lanes, spectrum._numpy_lane))
+    monkeypatch.setattr(spectrum, "in_E", counted(calls, in_E))
     config = ["--config", cfg_file(tmp_path, doc)] if doc else []
     code, out, _ = run(capsys, "spectrum", "member", *argv, *config)
-    assert code == 0 and len(calls) == 1
+    assert code == 0 and len(walks) == 1 and len(lanes) <= 1 and not calls
+    monkeypatch.undo()
     # the text of the two public tests, each run on its own
     cfg = load_config(config[1]) if doc else RunConfig(prob_seq=all_ones())
     lam = complex(float(argv[0]), float(argv[1]))

@@ -22,7 +22,7 @@ from fibmachine import (
 )
 from fibmachine.cli import main
 from fibmachine.numeration import _scale_table
-from oracles import old_decode, old_is_admissible
+from oracles import old_decode, old_is_admissible, old_window_is_admissible
 
 
 def greedy_oracle(n: int, scale: list[int]) -> str:
@@ -294,6 +294,40 @@ def order2_words(draw):
 def test_is_admissible_equals_the_retired_paths(case):
     word, base = case
     assert is_admissible(word, base) is old_is_admissible(word, base)
+
+
+@st.composite
+def order2_to_4_words(draw):
+    """(word, base): a base of order 2 to 4 and a word of 0-130 digits, random or
+    an encoded value mutated, as a string (MSB first, so -1 and 10 read as
+    several characters, some not digits at all) or an LSB-first sequence."""
+    d = draw(st.integers(2, 4))
+    a1 = draw(st.integers(1, 9))
+    rest = draw(st.lists(st.integers(1, a1), min_size=d - 1, max_size=d - 1))
+    base = BaseDef((a1, *sorted(rest, reverse=True)))
+    if draw(st.booleans()):
+        digits = draw(st.lists(st.integers(-2, 10), max_size=130))
+    else:
+        digits = [int(c) for c in encode(draw(st.integers(0, UINT64_MAX)), base)]
+        for _ in range(draw(st.integers(0, 3))):
+            if digits:
+                digits[draw(st.integers(0, len(digits) - 1))] = draw(st.integers(-2, 10))
+    form = draw(st.sampled_from(["str", "tuple", "list", "text"]))
+    if form == "text":  # characters that are not digits, or not ASCII
+        return "".join(map(str, digits)) + draw(st.sampled_from(["x", " ", "\u0663", "+1", ""])), base
+    if form == "str":
+        return "".join(map(str, digits)), base
+    lsb = digits[::-1]
+    return (tuple(lsb) if form == "tuple" else lsb), base
+
+
+@given(order2_to_4_words())
+@example(("1" * 90, BaseDef((1, 1, 1))))
+@example(((0, -1, 1), BaseDef((2, 2, 1, 1))))
+@settings(max_examples=800, deadline=None)
+def test_is_admissible_equals_the_window_slices(case):
+    word, base = case
+    assert is_admissible(word, base) is old_window_is_admissible(word, base)
 
 
 def late_fault(word):
