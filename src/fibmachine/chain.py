@@ -31,20 +31,19 @@ import enum
 import math
 from dataclasses import dataclass
 from itertools import accumulate
-from typing import Callable, Iterator
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
 from .errors import (
     CapacityError,
     InvalidBudget,
-    InvalidProbability,
     UnsupportedVariant,
     integer,
     within,
 )
 from .numeration import FIB64, UINT64_MAX, digits_of_int, fib_bits_of_int
-from .probseq import ConstantTail, GeometricDecay, PowerLawComplement, ProbSeq
+from .probseq import ConstantTail, GeometricDecay, PowerLawComplement, ProbSeq, _check_prob
 from .rng import SplitMix64
 
 #: Largest truncation size (number of states) any dense-ish loop will accept.
@@ -518,16 +517,33 @@ def classify(p: ProbSeq) -> Classification:
 # block weights (beta) and stationary weights (xi)
 
 
+def r_index(n: int, d: int = 2) -> int:
+    """The p index of step n >= 1 of an order-d recursion; beta's Pi and xi's digit n use it too."""
+    if n < 1:
+        raise ValueError("recursion coefficients start at step 1")
+    return n // d + n % d + 1
+
+
+def _block_products(factors: Sequence, size: int, unit) -> list:
+    """f(0..size-1) by f(F_m + k) = f(F_m) f(k), f(0) = unit, f(F_m) = factors[m] for F_m < size."""
+    out = [unit] * size
+    for m, factor in enumerate(factors):
+        lo = FIB64[m]
+        for k in range(lo, min(size, FIB64[m + 1])):
+            out[k] = factor * out[k - lo]
+    return out
+
+
 def block_index(n: int) -> int:
     """The r with F_r <= n < F_(r+1)."""
     return bisect.bisect_right(FIB64, integer(n, "n", 1)) - 1
 
 
 def _pi_block(r: int, p: ProbSeq) -> float:
-    # Pi_0 = 1; odd steps divide by p_((k+3)/2), even steps by p_(k/2 + 1)
+    """Pi_r: Pi_0 = 1, and block step k divides by p_(r_index(k))."""
     v = 1.0
     for k in range(1, r + 1):
-        v /= p.p((k + 3) // 2) if k % 2 else p.p(k // 2 + 1)
+        v /= p.p(r_index(k))
     return v
 
 
@@ -540,26 +556,19 @@ def xi(n: int, p: ProbSeq) -> float:
     """Stationary weight of state n: product of per-digit factors.
 
     The factor of digit index 0 is 1; digit index i >= 1 contributes
-    p_(floor((i+1)/2) + 1).  Multiplicative over the greedy digits.
+    p_(r_index(i)).  Multiplicative over the greedy digits.
     """
     v = 1.0
     for i, e in enumerate(digits_of_int(integer(n, "n", 0))):
         if e and i >= 1:
-            v *= p.p((i + 1) // 2 + 1)
+            v *= p.p(r_index(i))
     return v
 
 
 def _xi_array(size: int, p: ProbSeq) -> list[float]:
-    """xi_0..xi_(size-1) via the block recursion xi(F_m + k) = xi(F_m) xi(k)."""
-    out = [1.0] * size
-    m = 1
-    while m < len(FIB64) and FIB64[m] < size:
-        fm = FIB64[m]
-        xif = p.p((m + 1) // 2 + 1)
-        for k in range(fm, min(size, FIB64[m + 1])):
-            out[k] = xif * out[k - fm]
-        m += 1
-    return out
+    """xi_0..xi_(size-1) by the block rule, digit m's factor p_(r_index(m)) (1.0 at m = 0)."""
+    top = bisect.bisect_left(FIB64, size)  # the levels m with F_m < size
+    return _block_products([1.0, *(p.p(r_index(m)) for m in range(1, top))], size, 1.0)
 
 
 def beta_eigen_residual(level: int, p: ProbSeq) -> float:
@@ -606,7 +615,7 @@ def stationary_measure(
     a truncated diagnostic object).  The threshold must be positive; inf
     never flags.
     """
-    if not summable_threshold > 0.0:
+    if isinstance(summable_threshold, bool) or not summable_threshold > 0.0:
         raise ValueError(f"threshold must be positive (inf allowed), got {summable_threshold!r}")
     raw = _xi_array(_truncation_size(level), p)
     total = math.fsum(raw)
@@ -658,12 +667,11 @@ class ConstructedSeq(ProbSeq):
     """
 
     def __init__(self, p1: float, p2: float, budget: Callable[[int], float], count: int):
-        if not (0.0 < p1 <= 1.0) or not (0.0 < p2 <= 1.0):
-            raise InvalidProbability("p1 and p2 must lie in (0, 1]")
+        p1, p2 = _check_prob(p1, "p1"), _check_prob(p2, "p2")
         integer(count, "count", 3)
-        if abs(budget(1) - 1.0) > 1e-9:
+        if not abs(budget(1) - 1.0) <= 1e-9:
             raise InvalidBudget("budget must be normalized with b(1) = 1")
-        if abs(budget(2) - 3.0 * p2) > 1e-9:
+        if not abs(budget(2) - 3.0 * p2) <= 1e-9:
             raise InvalidBudget("budget must satisfy b(2) = 3*p2")
         self._budget = budget
         self._values = [p1, p2]

@@ -51,12 +51,13 @@ class GridSpec:
 
     def __post_init__(self) -> None:
         c = self.center
-        if not (isinstance(c, numbers.Complex) and math.isfinite(c.real) and math.isfinite(c.imag)):
+        finite = isinstance(c, numbers.Complex) and math.isfinite(c.real) and math.isfinite(c.imag)
+        if type(c) is bool or not finite:
             raise ValueError(f"grid center must be a finite number, got {c!r}")
         for name in ("width", "height"):
-            value = getattr(self, name)
-            if not (isinstance(value, numbers.Real) and 0.0 < value < math.inf):
-                raise ValueError(f"grid {name} must be positive and finite, got {value!r}")
+            size = getattr(self, name)
+            if type(size) is bool or not (isinstance(size, numbers.Real) and 0.0 < size < math.inf):
+                raise ValueError(f"grid {name} must be positive and finite, got {size!r}")
         for name in ("pixels_x", "pixels_y"):
             integer(getattr(self, name), f"grid {name}", 1)
 
@@ -114,6 +115,8 @@ class EscapeConfig:
                 f"escape radius must be finite and exceed 1, got {self.radius!r}"
             )
         within(integer(self.max_level, "max_level", 0), LEVEL_BUDGET, "level")
+        if not isinstance(self.early_exit, bool):
+            raise ValueError(f"early_exit must be True or False, got {self.early_exit!r}")
 
     @classmethod
     def for_probseq(

@@ -19,11 +19,12 @@ walk with one fiber.  The scalar membership test in_E walks one lambda
 with the scalar step and carries a bound on its distance from numpy's
 arithmetic (a rounding model with the constants UNIT, MUL_ERR, ABS_ERR,
 TINY_ERR and SAFE); a test is decided there only when the modulus lies
-farther than that bound from the threshold.  Any other lambda walks
-through the kernel's numpy expressions without the block bookkeeping, so
-scalar and raster answers agree bit for bit.  in_point_spectrum takes its
-running maximum and in_E's result from one such walk.  eigen_residual's
-row layout depends on the level alone and is kept for small levels.
+farther than that bound from the threshold.  Any other lambda runs the
+kernel's walk on one lane, so scalar and raster answers agree bit for bit
+by construction.  in_point_spectrum takes its running maximum and in_E's
+result from one such walk.  eigen_residual's row layout depends on the
+level alone and is kept for small levels.  The coefficient schedule
+r_index and the block rule come from chain, which xi shares them with.
 
 EscapeConfig, escape_radius, RADIUS_EPS and LEVEL_BUDGET are defined in
 config, which needs no numpy, and are the same objects here.
@@ -44,7 +45,8 @@ from .errors import (
     integer,
     within,
 )
-from .chain import ROW_CHUNK, _depth_probs, _ladder_rows, _RungTable, _truncation_size
+from .chain import ROW_CHUNK, _block_products, _depth_probs, _ladder_rows, _RungTable
+from .chain import _truncation_size, r_index
 from .config import LEVEL_BUDGET, RADIUS_EPS, EscapeConfig, escape_radius
 from .numeration import FIB64, BaseDef, digits_of_int
 from .probseq import ProbSeq
@@ -74,13 +76,6 @@ COMPACT_AT = 0.75
 #: Plateau window for the boundedness verdict: the running maximum must not
 #: have grown over this many trailing levels to count as settled.
 PLATEAU_WINDOW = 5
-
-
-def r_index(n: int, d: int = 2) -> int:
-    """Index of the probability dividing recursion step n (n >= 1) of an order-d base."""
-    if n < 1:
-        raise ValueError("recursion coefficients start at step 1")
-    return n // d + n % d + 1
 
 
 # ---------------------------------------------------------------------------
@@ -196,15 +191,8 @@ def q_at_integer(n: int, lam: complex, p: ProbSeq) -> complex:
 
 def q_values_upto(level: int, lam: complex, p: ProbSeq) -> list[complex]:
     """All q_m for m = 0..F_level, via the block rule q(F_m + k) = q(F_m) q(k)."""
-    top = _truncation_size(level, 0, 1)
-    values = _orbit_through(lam, p, level)
-    out = [complex(1.0)] * (top + 1)
-    for m, qf in enumerate(values):
-        lo = FIB64[m]
-        hi = min(top + 1, FIB64[m + 1])
-        for idx in range(lo, hi):
-            out[idx] = qf * out[idx - lo]
-    return out
+    size = _truncation_size(level, 0, 1) + 1
+    return _block_products(_orbit_through(lam, p, level), size, complex(1.0))
 
 
 def fibered_pair(lam: complex, p: ProbSeq, levels: int) -> list[tuple[complex, complex]]:
@@ -270,13 +258,15 @@ class _Steps:
     Level n's entry is (1/r, 1/r - 1) with r = p_(r_index(n)), None in place
     of 1/r - 1 below TINY_R.  Level 0's is (1/p_1, None): the seed
     (lambda - 1)/p_1 + 1 is that step applied to lambda.  An error the
-    sequence raises is kept as the level's entry and raised whenever the
-    level is stepped, so a shared walk may ask first and the sequence still
-    sees each request once.
+    sequence or 1/r raises is kept as the level's entry and raised whenever
+    the level is stepped, so a shared walk may ask first and the sequence
+    still sees each request once.  The coefficients in `asked`, p_1 first,
+    were asked by an earlier walk and are replayed in place of asking again.
     """
 
-    def __init__(self, p: ProbSeq) -> None:
+    def __init__(self, p: ProbSeq, asked: Sequence[float] = ()) -> None:
         self.p = p
+        self.asked = asked
         self.known: list[tuple[float, float | None] | Exception] = []
 
     def ask(self, n: int) -> tuple[float, float | None] | Exception:
@@ -284,7 +274,7 @@ class _Steps:
         while len(self.known) <= n:
             m = len(self.known)
             try:
-                r = self.p.p(r_index(m) if m else 1)
+                r = self.asked[m] if m < len(self.asked) else self.p.p(r_index(m) if m else 1)
                 inv = 1.0 / r
             except Exception as exc:  # raised when the level is stepped
                 self.known.append(exc)
@@ -544,10 +534,10 @@ def in_E(lam: complex, p: ProbSeq, cfg: EscapeConfig) -> EscapeResult:
     The tests are decided on the scalar walk of _step wherever its error
     bound against numpy's arithmetic allows (_lane), which is everywhere but
     within about 1e-15, relative, of a threshold.  Other lambdas run the
-    numpy lane, the kernel's expressions on one lambda, from lambda on, with
-    the coefficients the walk already asked.  Either way the level, any
-    error, and the coefficients asked of `p` and their order are those of
-    escape_levels on a 1x1 grid.
+    kernel's walk (_walk_lanes) on one lambda, from lambda on, under the
+    rules escape_levels walks by, replaying the coefficients the scalar walk
+    already asked.  Either way the level, any error, and the coefficients
+    asked of `p` and their order are those of escape_levels on a 1x1 grid.
     """
     known = [p.p(1)]
     if _certain(known[0]):
@@ -560,33 +550,18 @@ def in_E(lam: complex, p: ProbSeq, cfg: EscapeConfig) -> EscapeResult:
 def _numpy_lane(
     lam: complex, p: ProbSeq, cfg: EscapeConfig, known: Sequence[float]
 ) -> EscapeResult:
-    """in_E on numpy's arithmetic: one lane of the escape walk, without the block bookkeeping.
+    """in_E on numpy's arithmetic: the kernel's walk of one lambda, as escape_levels walks it.
 
-    The steps are the kernel's numpy expressions on a 1-element complex128
-    array, since numpy's products and moduli can differ in the last bit from
-    Python's; the tests run on the modulus as a float, the pair rule first.
     `known` holds the coefficients of the first levels, p_1 first, already
-    asked of `p`; the others are asked as the kernel asks them.
+    asked of `p`; the walk replays them and asks for the others as the
+    kernel asks them.
     """
-    radius, pair_rule = cfg.radius, cfg.early_exit
-    prev_big = False
-    inv_p1 = 1.0 / known[0]
+    level = np.full(1, INSIDE, dtype=np.int32)
+    rules = _Rules(_Steps(p, known), cfg.radius, cfg.max_level, cfg.early_exit, cfg.radius)
     with np.errstate(over="ignore", invalid="ignore"):
-        cur = (np.array([complex(lam)]) - 1.0) * inv_p1 + 1.0
-        prev = cur  # step 1 squares the seed
-        for n in range(cfg.max_level + 1):
-            if n >= 1:
-                r = known[n] if n < len(known) else p.p(r_index(n))
-                inv_r, prod, prev = 1.0 / r, cur * prev, cur
-                cur = prod * inv_r - (inv_r - 1.0) if r >= TINY_R else (prod - 1.0) * inv_r + 1.0
-            m = np.abs(cur).item()
-            big = m > 1.0 + ETA
-            if pair_rule and big and prev_big:
-                return EscapeResult(True, n - 1)
-            if not m <= radius:
-                return EscapeResult(True, n)
-            prev_big = big
-    return EscapeResult(False, None)
+        _walk_lanes(np.array([complex(lam)]), None, 0, level, rules)
+    level = int(level[0])
+    return EscapeResult(False, None) if level == INSIDE else EscapeResult(True, level)
 
 
 def _lane(
@@ -693,10 +668,10 @@ def in_point_spectrum(
     was still growing there.  The inside verdict therefore implies in_E's.
 
     One walk of lambda (_lane) gives the moduli of q_fib_orbit, and so B,
-    and decides in_E's tests where its certificate allows; the numpy lane
-    decides the rest with the coefficients that walk asked.  `p` is asked
-    for each level's coefficient once, in level order, through the level
-    where q_fib_orbit stops, and past it only where in_E walks on.
+    and decides in_E's tests where its certificate allows; the kernel's walk
+    decides the rest, replaying the coefficients that walk asked.  `p` is
+    asked for each level's coefficient once, in level order, through the
+    level where q_fib_orbit stops, and past it only where in_E walks on.
     """
     return _point_spectrum(lam, p, cfg, bound)[0]
 
@@ -708,7 +683,7 @@ def _point_spectrum(
 
     in_E's result is None when the bound was crossed first, unless `need_E`.
     """
-    if not bound > 0.0:
+    if isinstance(bound, bool) or not bound > 0.0:
         raise ValueError(f"bound must be positive (inf allowed), got {bound!r}")
     lam = complex(lam)
     known = [p.p(1)]

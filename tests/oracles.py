@@ -22,11 +22,16 @@ the Fibonacci string shortcut and the order-2 loop of the admissibility
 test, the Fibonacci digit-sequence loop of decode, and random() with the
 SplitMix step written out.  old_window_is_admissible is the admissibility
 test with one tuple slice per window, from before the windows were zipped.
-old_in_E is in_E as it was, the numpy lane walked from lambda, and
-old_point_spectrum the point-spectrum test as it walked each orbit twice:
-q_fib_orbit for the running maximum, then old_in_E; the certified in_E and
-the one-walk test must give their levels, verdicts and running maxima bit
-for bit.
+old_numpy_lane is in_E's numpy lane as it was, its own loop over the
+kernel's expressions on one lambda, and old_in_E that lane walked from
+lambda; old_point_spectrum is the point-spectrum test as it walked each
+orbit twice: q_fib_orbit for the running maximum, then old_in_E; the
+certified in_E and the one-walk test must give their levels, verdicts and
+running maxima bit for bit.  old_pi_block, old_xi, old_xi_array and
+old_q_values_upto are the chain weights and the q values as written before
+the coefficient schedule and the block rule each had one home, with the
+index formulas derived by hand; the new ones must give the same floats and
+ask the same p_i in the same order.
 """
 
 import math
@@ -34,7 +39,14 @@ import warnings
 
 import numpy as np
 
-from fibmachine.chain import Distribution, _ladder_chunks, _RungTable, _runs, _truncation_size
+from fibmachine.chain import (
+    Distribution,
+    _ladder_chunks,
+    _RungTable,
+    _runs,
+    _truncation_size,
+    block_index,
+)
 from fibmachine.cli import CSV_BLOCK, fmt
 from fibmachine.errors import BudgetExceeded, CapacityError, InadmissibleWord, InvalidSeed
 from fibmachine.numeration import (
@@ -44,6 +56,7 @@ from fibmachine.numeration import (
     _as_lsb,
     _fib_value,
     _scale_table,
+    digits_of_int,
     fib_bits,
 )
 from fibmachine.odometer import CarryTrace, _checked_bits
@@ -52,11 +65,14 @@ from fibmachine.rng import _INCREMENT, _MIX1, _MIX2, MASK64
 from fibmachine.render import IterBuffer
 from fibmachine.spectrum import (
     CLAMP,
+    ETA,
     LEVEL_BUDGET,
     PLATEAU_WINDOW,
+    TINY_R,
+    EscapeResult,
     SpectrumResult,
     _modulus,
-    _numpy_lane,
+    _orbit_through,
     q_fib_orbit,
     r_index,
 )
@@ -436,8 +452,30 @@ def old_window_is_admissible(word, base=FIBONACCI):
     return all(msb[j : j + d] < a for j in range(len(eps)))
 
 
+def old_numpy_lane(lam, p, cfg, known):
+    radius, pair_rule = cfg.radius, cfg.early_exit
+    prev_big = False
+    inv_p1 = 1.0 / known[0]
+    with np.errstate(over="ignore", invalid="ignore"):
+        cur = (np.array([complex(lam)]) - 1.0) * inv_p1 + 1.0
+        prev = cur  # step 1 squares the seed
+        for n in range(cfg.max_level + 1):
+            if n >= 1:
+                r = known[n] if n < len(known) else p.p(r_index(n))
+                inv_r, prod, prev = 1.0 / r, cur * prev, cur
+                cur = prod * inv_r - (inv_r - 1.0) if r >= TINY_R else (prod - 1.0) * inv_r + 1.0
+            m = np.abs(cur).item()
+            big = m > 1.0 + ETA
+            if pair_rule and big and prev_big:
+                return EscapeResult(True, n - 1)
+            if not m <= radius:
+                return EscapeResult(True, n)
+            prev_big = big
+    return EscapeResult(False, None)
+
+
 def old_in_E(lam, p, cfg):
-    return _numpy_lane(lam, p, cfg, [p.p(1)])
+    return old_numpy_lane(lam, p, cfg, [p.p(1)])
 
 
 def old_point_spectrum(lam, p, cfg, bound):
@@ -458,3 +496,47 @@ def old_point_spectrum(lam, p, cfg, bound):
     if window >= 1 and history[-1] > history[-1 - window]:
         return SpectrumResult("undetermined", None, history[-1]), esc
     return SpectrumResult("inside", None, history[-1]), esc
+
+
+def old_pi_block(r, p):
+    # Pi_0 = 1; odd steps divide by p_((k+3)/2), even steps by p_(k/2 + 1)
+    v = 1.0
+    for k in range(1, r + 1):
+        v /= p.p((k + 3) // 2) if k % 2 else p.p(k // 2 + 1)
+    return v
+
+
+def old_beta(n, p):
+    return old_pi_block(block_index(n), p)
+
+
+def old_xi(n, p):
+    v = 1.0
+    for i, e in enumerate(digits_of_int(n)):
+        if e and i >= 1:
+            v *= p.p((i + 1) // 2 + 1)
+    return v
+
+
+def old_xi_array(size, p):
+    out = [1.0] * size
+    m = 1
+    while m < len(FIB64) and FIB64[m] < size:
+        fm = FIB64[m]
+        xif = p.p((m + 1) // 2 + 1)
+        for k in range(fm, min(size, FIB64[m + 1])):
+            out[k] = xif * out[k - fm]
+        m += 1
+    return out
+
+
+def old_q_values_upto(level, lam, p):
+    top = _truncation_size(level, 0, 1)
+    values = _orbit_through(lam, p, level)
+    out = [complex(1.0)] * (top + 1)
+    for m, qf in enumerate(values):
+        lo = FIB64[m]
+        hi = min(top + 1, FIB64[m + 1])
+        for idx in range(lo, hi):
+            out[idx] = qf * out[idx - lo]
+    return out

@@ -4,10 +4,16 @@ Every count argument refuses a bool and a float, integral or not, with a
 ValueError naming it, before any work and without a TypeError from deeper
 down.  Every budget refusal has the one message format, and a scan of the
 source keeps any other module from raising BudgetExceeded or comparing a
-budget itself.
+budget itself.  The real and flag arguments of the public entry points
+refuse a bool (or, for a flag, anything else) naming the field, numpy
+scalars still pass, and ConstructedSeq checks its p1, p2 and budget where
+they enter.  A second scan keeps the coefficient schedule in r_index: no
+other expression computes the index of a p.p(...) request by halving.
 """
 
 import ast
+import json
+import math
 import re
 from pathlib import Path
 
@@ -21,6 +27,8 @@ from fibmachine import (
     ConstantTail,
     EscapeConfig,
     GridSpec,
+    InvalidBudget,
+    InvalidProbability,
     base_sequence,
     beta,
     beta_eigen_residual,
@@ -31,6 +39,7 @@ from fibmachine import (
     encode,
     fibered_pair,
     geometric_budget,
+    in_point_spectrum,
     non_connectedness_test,
     phi_orbit,
     q_at_integer,
@@ -46,7 +55,9 @@ from fibmachine import (
     transition_terms,
     xi,
 )
-from fibmachine.chain import MATRIX_BUDGET, STEP_BUDGET
+from fibmachine.chain import MATRIX_BUDGET, STEP_BUDGET, ConstructedSeq
+from fibmachine.config import load_config
+from fibmachine.errors import ConfigError
 from fibmachine.numeration import FIB64, fib_bits_of_int
 from fibmachine.render import PIXEL_BUDGET
 from fibmachine.spectrum import LEVEL_BUDGET
@@ -176,3 +187,116 @@ def test_only_errors_raises_budget_exceeded_or_compares_a_budget():
     assert len(sites) > 10
     assert {name: found for name, found in sites.items() if found and name != "errors.py"} == {}
     assert [what for _, what in sites["errors.py"]] == ["raise"]
+
+
+# ---------------------------------------------------------------------------
+# reals and flags
+
+
+FIELDS = {
+    "GridSpec center": ("grid center must be", lambda v: GridSpec(center=v)),
+    "GridSpec width": ("grid width must be", lambda v: GridSpec(width=v)),
+    "GridSpec height": ("grid height must be", lambda v: GridSpec(height=v)),
+    "EscapeConfig early_exit": ("early_exit must be", lambda v: EscapeConfig(2.0, 5, v)),
+    "in_point_spectrum bound": ("bound must be", lambda v: in_point_spectrum(0.5, HALF, CFG, v)),
+    "stationary_measure summable_threshold": (
+        "threshold must be",
+        lambda v: stationary_measure(5, HALF, summable_threshold=v),
+    ),
+}
+
+
+@pytest.mark.parametrize("bad", [True, False])
+@pytest.mark.parametrize("entry", sorted(FIELDS))
+def test_every_real_or_flag_argument_refuses_a_bool_where_it_is_not_one(entry, bad):
+    what, call = FIELDS[entry]
+    if entry.endswith("early_exit"):
+        call(bad)  # a flag takes a bool
+        bad = "no" if bad else 1
+    with pytest.raises(ValueError, match=f"^{re.escape(what)}.*{re.escape(repr(bad))}$"):
+        call(bad)
+
+
+def test_numpy_scalars_still_pass():
+    assert GridSpec(center=np.float32(0.5)).center == 0.5
+    assert GridSpec(center=np.complex64(0.5 - 0.25j)).center == 0.5 - 0.25j
+    assert GridSpec(width=np.float64(2.0), height=np.float32(3.0)).width == 2.0
+    cfg = EscapeConfig(np.float64(4.0), 5)
+    assert in_point_spectrum(0.5, HALF, cfg, np.float64(1e6)) == in_point_spectrum(
+        0.5, HALF, cfg, 1e6
+    )
+    assert not stationary_measure(5, HALF, np.float64(1e6)).unsummable
+
+
+def test_the_config_loader_messages_stay(tmp_path):
+    for doc, message in [
+        ({"grid": {"center": True}}, "grid center must be a number, got True"),
+        ({"grid": {"width": True}}, "grid width must be a number, got True"),
+        ({"escape": {"early_exit": "no"}}, "escape early_exit must be true or false, got 'no'"),
+        ({"escape": {"early_exit": 1}}, "escape early_exit must be true or false, got 1"),
+    ]:
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            load_config(path)
+
+
+def test_constructed_seq_checks_p1_p2_and_the_budget_where_they_enter():
+    budget = geometric_budget(0.5)
+    for p1, p2, what in [(True, 0.5, "p1"), (0.5, True, "p2"), ("0.5", 0.5, "p1"),
+                         (0.5, "0.5", "p2"), (0.0, 0.5, "p1"), (0.5, 1.5, "p2"),
+                         (math.nan, 0.5, "p1"), (0.5, math.inf, "p2")]:
+        with pytest.raises(InvalidProbability, match=f"^{what} must "):
+            ConstructedSeq(p1, p2, budget, 3)
+    assert type(ConstructedSeq(np.float64(0.5), 1, geometric_budget(1.0), 3).p(2)) is float
+    nan_at = lambda k: lambda i: math.nan if i == k else budget(i)
+    with pytest.raises(InvalidBudget, match="b\\(1\\) = 1"):
+        ConstructedSeq(1.0, 0.5, nan_at(1), 3)
+    with pytest.raises(InvalidBudget, match="b\\(2\\) = 3\\*p2"):
+        ConstructedSeq(1.0, 0.5, nan_at(2), 3)
+
+
+# ---------------------------------------------------------------------------
+# the coefficient schedule
+
+
+def halved_requests(source):
+    """Lines of every p(...) call whose argument halves with //, outside a function r_index."""
+    tree = ast.parse(source)
+    skip = {
+        id(node)
+        for function in ast.walk(tree)
+        if isinstance(function, ast.FunctionDef) and function.name == "r_index"
+        for node in ast.walk(function)
+    }
+    lines = []
+    for node in ast.walk(tree):
+        if id(node) in skip or not (isinstance(node, ast.Call) and _name(node.func) == "p"):
+            continue
+        for arg in node.args:
+            if any(
+                isinstance(part, ast.BinOp) and isinstance(part.op, ast.FloorDiv)
+                for part in ast.walk(arg)
+            ):
+                lines.append(node.lineno)
+    return sorted(set(lines))
+
+
+def test_halved_requests_are_found():
+    source = (
+        "def r_index(n, d=2):\n    return p.p(n // d)\n"
+        "v /= p.p((k + 3) // 2) if k % 2 else p.p(k // 2 + 1)\n"
+        "x = self.p.p((i + 1) // 2 + 1)\n"
+        "y = p.p(r_index(m))\n"
+    )
+    assert halved_requests(source) == [3, 4]
+
+
+def test_only_r_index_computes_a_coefficient_index():
+    package = Path(fibmachine.__file__).parent
+    found = {
+        path.name: halved_requests(path.read_text(encoding="utf-8"))
+        for path in sorted(package.glob("*.py"))
+    }
+    assert len(found) > 10
+    assert {name: lines for name, lines in found.items() if lines} == {}

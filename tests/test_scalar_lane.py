@@ -2,11 +2,15 @@
 
 in_E decides its tests on the scalar walk of the q-recursion where a bound
 on the walk's distance from numpy's arithmetic puts the modulus clear of the
-threshold, and runs the numpy lane (spectrum._numpy_lane, the kernel's
-expressions on one lambda) everywhere else.  The numpy lane walked from
-lambda, oracles.old_in_E, is the oracle here: wherever the scalar lane
-decides, its answer must be old_in_E's, and a lambda within an ulp of a
-level boundary must fall back.  The
+threshold, and runs the numpy lane (spectrum._numpy_lane, the kernel's walk
+of one lambda) everywhere else.  The numpy lane as it was written before it
+ran the kernel, its own loop walked from lambda, oracles.old_in_E, is the
+oracle here: wherever the scalar lane decides, its answer must be
+old_in_E's, and a lambda within an ulp of a level boundary must fall back.
+On those lambdas, on non-finite and huge parts, on coefficients below
+TINY_R and on sequences that run out or return 0.0, in_E must be
+escape_levels on a 1x1 grid: the same level, the same error and the same
+requests of `p` in the same order.  The
 rounding model the bound rests on is itself checked against exact rational
 arithmetic.  in_point_spectrum and `spectrum member` walk each lambda once;
 oracles.old_point_spectrum is the two-walk test they replace, and their
@@ -28,6 +32,7 @@ from fibmachine import (
     EscapeConfig,
     GeometricDecay,
     PowerLawComplement,
+    ProbSeq,
     RunConfig,
     TailUndefined,
     all_ones,
@@ -47,6 +52,7 @@ from fibmachine.spectrum import (
     ABS_ERR,
     CLAMP,
     ETA,
+    INSIDE,
     MUL_ERR,
     TINY_R,
     UNIT,
@@ -80,6 +86,45 @@ def outcome(result):
 
 def window(rng, n, half=2.5):
     return [complex(rng.uniform(-half, half), rng.uniform(-half, half)) for _ in range(n)]
+
+
+class ZeroAt(ProbSeq):
+    """`inner` with p_index = 0.0, which 1/r refuses when its level is stepped."""
+
+    def __init__(self, inner, index):
+        self.inner, self.index = inner, index
+
+    def p(self, i):
+        return 0.0 if i == self.index else self.inner.p(i)
+
+    def delta_lower_bound(self):
+        return self.inner.delta_lower_bound()
+
+
+def _answer(call, lam, p, cfg):
+    """The level call(lambda, recorded p, cfg) gives, or its error, and p's requests in order."""
+    recorded = Recording(p)
+    try:
+        got = call(lam, recorded, cfg)
+    except Exception as exc:
+        got = (type(exc), str(exc))
+    return got, recorded.asked
+
+
+def _in_E_level(lam, p, cfg):
+    result = in_E(lam, p, cfg)
+    return result.level if result.escaped else INSIDE
+
+
+def _kernel_level(lam, p, cfg):
+    return int(escape_levels(np.array([[lam]]), p, cfg)[0, 0])
+
+
+def assert_in_E_is_the_kernel(lam, p, cfg):
+    """in_E's level, error and requests are escape_levels' on a 1x1 grid; returns the answer."""
+    got = _answer(_in_E_level, lam, p, cfg)
+    assert got == _answer(_kernel_level, lam, p, cfg), (p, lam, cfg)
+    return got[0]
 
 
 # ---------------------------------------------------------------------------
@@ -134,7 +179,8 @@ def _level(lam, p, cfg):
 def test_lambdas_at_level_boundaries_fall_back():
     # bisect along horizontal lines to the two adjacent floats where the
     # numpy lane's level changes: the deciding modulus lies within rounding
-    # of its threshold there, so the scalar lane must not decide either one
+    # of its threshold there, so the scalar lane must not decide either one,
+    # and in_E's answer there is the kernel's
     rng = random.Random(2200)
     boundary = 0
     for p, cfg in _lane_configs(17, True):
@@ -153,6 +199,7 @@ def test_lambdas_at_level_boundaries_fall_back():
                         hi = mid
                 for x in (lo, hi):
                     assert certified(complex(x, im), p, cfg) is None, (p, x, im)
+                    assert_in_E_is_the_kernel(complex(x, im), p, cfg)
                     boundary += 1
     assert boundary >= 400
 
@@ -175,6 +222,7 @@ def test_non_finite_and_huge_parts(early_exit):
                 assert outcome(in_E(lam, p, cfg)) == want
                 level = int(escape_levels(np.array([[lam]]), p, cfg)[0, 0])
                 assert level == (want[1] if want[0] else -1)
+                assert_in_E_is_the_kernel(lam, p, cfg)
 
 
 def test_coefficients_below_tiny_r_end_the_certificate():
@@ -189,6 +237,7 @@ def test_coefficients_below_tiny_r_end_the_certificate():
             if abs(seed) <= cfg.radius:  # the seed does not settle it
                 assert certified(lam, seq, cfg) is None, (seq, lam)
             assert outcome(in_E(lam, seq, cfg)) == outcome(old_in_E(lam, seq, cfg))
+            assert_in_E_is_the_kernel(lam, seq, cfg)
 
 
 @pytest.mark.parametrize("radius", [math.nextafter(1.0 + ETA, 2.0), 1.0 + 2 * ETA, CLAMP, 1e200])
@@ -486,3 +535,39 @@ def test_residual_layout_is_kept_only_while_it_fits_one_chunk():
             assert [x.hex() for x in (got.value, got.interior, got.bound, got.sup_norm)] == [
                 x.hex() for x in (want.value, want.interior, want.bound, want.sup_norm)
             ]
+
+
+# ---------------------------------------------------------------------------
+# in_E is escape_levels at one lambda
+
+
+def test_in_E_is_the_kernel_where_the_tail_runs_out():
+    rng = random.Random(3300)
+    raised = 0
+    for prefix in [(), (0.5,), (0.5, 0.6), (0.5, 0.6, 0.7, 0.8), (1.0, 0.999, 0.5)]:
+        p = ConstantTail(prefix, tail=None)
+        for early_exit in (True, False):
+            cfg = EscapeConfig(radius=4.0, max_level=17, early_exit=early_exit)
+            for lam in [1.0, 0.9, 0.6 + 0.3j, 20.0, complex(math.nan, 0.0), *window(rng, 30, 2.0)]:
+                got = assert_in_E_is_the_kernel(lam, p, cfg)
+                raised += isinstance(got, tuple)
+    assert raised > 0
+
+
+def test_in_E_is_the_kernel_where_a_coefficient_is_zero():
+    # p_index = 0.0 raises ZeroDivisionError where its level is stepped, and
+    # not at all when the verdict comes first
+    rng = random.Random(3400)
+    raised = settled_first = 0
+    for index in (1, 2, 3, 5, 9):
+        for inner in (HALF, MIXED, all_ones()):
+            p = ZeroAt(inner, index)
+            cfg = EscapeConfig(radius=4.0, max_level=17)
+            for lam in [1.0, 0.5, 3.0, 0.9 + 0.6j, 30.0, *window(rng, 20, 2.0)]:
+                got = assert_in_E_is_the_kernel(lam, p, cfg)
+                if isinstance(got, tuple):
+                    assert got[0] is ZeroDivisionError
+                    raised += 1
+                elif index > 1:
+                    settled_first += 1
+    assert raised > 0 and settled_first > 0
