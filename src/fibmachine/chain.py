@@ -17,7 +17,9 @@ walk bit for bit.  The truncated matrix keeps those rows as arrays, its
 targets and probabilities in compressed-row form, and builds a row's
 Distribution only when it is asked for.  Simulation draws its uniforms in
 blocks and keeps the rows of recently visited states in a bounded per-call
-cache.
+cache.  Every p_i, and every row's probabilities, come from the one
+Coefficients table kept on each descriptor, which asks it for each index
+once, in ascending order; the walks here and in spectrum index its lists.
 
 Also here: the transience/recurrence classification of a descriptor, the
 block-constant eigenvector weights (beta), the stationary weights (xi), and
@@ -29,6 +31,7 @@ from __future__ import annotations
 import bisect
 import enum
 import math
+import threading
 from dataclasses import dataclass
 from itertools import accumulate
 from typing import Callable, Iterator, Sequence
@@ -65,6 +68,83 @@ PHI_SQUARED = (3.0 + math.sqrt(5.0)) / 2.0
 
 
 # ---------------------------------------------------------------------------
+# the coefficient table
+
+
+#: Held while a table grows: bands of one scan share a descriptor across threads.
+_GROWING = threading.RLock()
+
+
+class Coefficients:
+    """p_1, p_2, ... of one descriptor, each asked of it once, in ascending index.
+
+    values[i - 1] is p_i, levels[n] the coefficient of level n (p_1 at level
+    0, then p_(r_index(n))) and rows[K] the transition row of ladder depth K.
+    The lists only grow, under a lock; walks index them, and call `at`,
+    `level` or `row` past their end.  A request that raises is not kept, so
+    the next one raises afresh; past it, the index needed is asked alone.
+    """
+
+    __slots__ = ("values", "levels", "rows", "full", "fall")
+
+    def __init__(self) -> None:
+        self.values: list[float] = []
+        self.levels: list[float] = []
+        self.rows: list[tuple[float, ...]] = [()]
+        self.full = [1.0]
+        self.fall = [0.0]  # no rung 0
+
+    def at(self, p: ProbSeq, i: int) -> float:
+        """p_i, asking `p` first for each index up to i not asked yet."""
+        values = self.values
+        if i <= len(values):
+            return values[i - 1]
+        with _GROWING:
+            try:
+                while len(values) < i:
+                    values.append(p.p(len(values) + 1))
+            except Exception:
+                if len(values) + 1 == i:
+                    raise
+                return p.p(i)
+            finally:
+                levels = self.levels
+                while (k := r_index(len(levels)) if levels else 1) <= len(values):
+                    levels.append(values[k - 1])
+        return values[i - 1]
+
+    def level(self, p: ProbSeq, n: int) -> float:
+        """The coefficient of level n: p_1 at level 0, p_(r_index(n)) after."""
+        levels = self.levels
+        return levels[n] if n < len(levels) else self.at(p, r_index(n) if n else 1)
+
+    def row(self, p: ProbSeq, depth: int) -> tuple[float, ...]:
+        """(fall[K], ..., fall[1], full[K]) at depth K, lined up with `_ladder`'s targets.
+
+        full[k] = p_1*...*p_k from 1.0, fall[k] = full[k-1] * (1 - p_k): ProbFactor.value's floats.
+        """
+        rows = self.rows
+        if depth < len(rows):
+            return rows[depth]
+        with _GROWING:
+            full, fall = self.full, self.fall
+            while len(rows) <= depth:
+                pk = self.at(p, len(rows))
+                fall.append(full[-1] * (1.0 - pk))
+                full.append(full[-1] * pk)
+                rows.append((*fall[:0:-1], full[-1]))
+        return rows[depth]
+
+
+def coefficients(p: ProbSeq) -> Coefficients:
+    """The coefficient table of `p`, made on first use and kept on `p`: it lives as long as `p`."""
+    try:
+        return p.__dict__["_coefficients"]
+    except KeyError:
+        return p.__dict__.setdefault("_coefficients", Coefficients())
+
+
+# ---------------------------------------------------------------------------
 # transition structure
 
 
@@ -80,11 +160,12 @@ class ProbFactor:
     fail: int | None = None
 
     def value(self, p: ProbSeq) -> float:
+        at = coefficients(p).at
         v = 1.0
         for k in range(1, self.hops + 1):
-            v *= p.p(k)
+            v *= at(p, k)
         if self.fail is not None:
-            v *= 1.0 - p.p(self.fail)
+            v *= 1.0 - at(p, self.fail)
         return v
 
     def text(self) -> str:
@@ -133,36 +214,6 @@ def _ladder(state: int, bits: int) -> tuple[list[int], list[int]]:
     return targets, target_bits
 
 
-class _RungTable:
-    """Transition probabilities of one descriptor by ladder depth, grown on demand.
-
-    full[k] = p_1*...*p_k, multiplied left to right from 1.0, and
-    fall[k] = full[k-1] * (1 - p_k): the floats ProbFactor.value gives.  The
-    row of depth K lines up with the targets of `_ladder`:
-    (fall[K], ..., fall[1], full[K]).  The table grows only to the deepest
-    rung asked for, so the descriptor sees the same p_k requests, in the same
-    order, as it would from evaluating the factors one by one.
-    """
-
-    def __init__(self, p: ProbSeq):
-        self._p = p
-        self._full = [1.0]
-        self._fall = [0.0]  # no rung 0
-        self._rows: list[tuple[float, ...]] = [()]
-
-    def row(self, depth: int) -> tuple[float, ...]:
-        rows = self._rows
-        if depth < len(rows):
-            return rows[depth]
-        full, fall = self._full, self._fall
-        while len(rows) <= depth:
-            pk = self._p.p(len(rows))
-            fall.append(full[-1] * (1.0 - pk))
-            full.append(full[-1] * pk)
-            rows.append((*fall[:0:-1], full[-1]))
-        return rows[depth]
-
-
 #: Rows of the bulk ladder table handled together, so that no padded array
 #: or list built from the table spans more states than this.
 ROW_CHUNK = 2048
@@ -184,21 +235,21 @@ def _zeckendorf_bits(stop: int) -> np.ndarray:
 
 
 def _ladder_chunks(
-    start: int, stop: int, rungs: _RungTable
+    start: int, stop: int, p: ProbSeq
 ) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
     """The rows of every state in [start, stop), as arrays of ROW_CHUNK rows.
 
     Yields (states, depths, targets, probs): _ladder_rows' chunks with
-    probs[r] = `rungs.row(depths[r])`, padded with 0.0 as targets is with
-    negative states, so target state - C[k0][m] has probability fall[m + 1]
-    and state + 1 has full[K + 1].  `rungs` grows to the deepest row in range before the
-    first chunk, so the descriptor sees the same p_k requests as a
-    row-by-row walk, and an empty range asks for none.
+    probs[r] the row of depth depths[r] in `p`'s table, padded with 0.0 as
+    targets is with negative states, so target state - C[k0][m] has
+    probability fall[m + 1] and state + 1 has full[K + 1].  The table grows
+    to the deepest row in range before the first chunk, so an error comes
+    as from a row-by-row walk, and an empty range asks for nothing.
     """
     if stop <= start:
         return
     deepest, chunks = _ladder_rows(start, stop)
-    probs = _depth_probs(rungs, deepest)
+    probs = _depth_probs(p, deepest)
     for states, depths, targets in chunks:
         yield states, depths, targets, np.take(probs[:, : targets.shape[1]], depths, axis=0)
 
@@ -243,12 +294,13 @@ def _ladder_rows(
     return deepest, chunks()
 
 
-def _depth_probs(rungs: _RungTable, deepest: int) -> np.ndarray:
-    """Row d holds `rungs.row(d)` padded with 0.0, d up to `deepest`; asks for that row first."""
-    rungs.row(deepest)
+def _depth_probs(p: ProbSeq, deepest: int) -> np.ndarray:
+    """Row d holds `p`'s depth-d row padded with 0.0, d up to `deepest`; asks for that row first."""
+    row = coefficients(p).row
+    row(p, deepest)
     probs = np.zeros((deepest + 1, deepest + 1))
     for d in range(1, deepest + 1):
-        probs[d, : d + 1] = rungs.row(d)
+        probs[d, : d + 1] = row(p, d)
     return probs
 
 
@@ -307,7 +359,7 @@ class Distribution:
 def transition_dist(state: int, p: ProbSeq) -> Distribution:
     """Numeric transition row of `state` under the descriptor p."""
     targets, _ = _ladder(state, _state_bits(state))
-    return Distribution(state, _entries(targets, _RungTable(p).row(len(targets) - 1)))
+    return Distribution(state, _entries(targets, coefficients(p).row(p, len(targets) - 1)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -350,7 +402,7 @@ def transition_matrix(level: int, p: ProbSeq) -> TruncatedMatrix:
     counts: list[np.ndarray] = [np.zeros(1, dtype=np.int64)]
     targets: list[np.ndarray] = []
     probs: list[np.ndarray] = []
-    for _, _, chunk_targets, chunk_probs in _ladder_chunks(0, size, _RungTable(p)):
+    for _, _, chunk_targets, chunk_probs in _ladder_chunks(0, size, p):
         kept = chunk_probs > 0.0  # drops underflowed zeros and the padding
         counts.append(np.count_nonzero(kept, axis=1))
         targets.append(chunk_targets[kept])
@@ -399,7 +451,7 @@ def simulate(start: int, steps: int, p: ProbSeq, rng: SplitMix64 | int) -> Simul
     within(steps, STEP_BUDGET, "step")
     if isinstance(rng, int):
         rng = SplitMix64(rng)
-    row = _RungTable(p).row
+    row = coefficients(p).row
     totals_of: dict[int, tuple[float, ...]] = {}  # running totals by depth
     cache: dict[int, tuple[list[int], list[int], tuple[float, ...], tuple[float, ...]]] = {}
     state = start
@@ -417,7 +469,7 @@ def simulate(start: int, steps: int, p: ProbSeq, rng: SplitMix64 | int) -> Simul
                         cache.clear()
                     targets, target_bits = _ladder(state, bits)
                     depth = len(targets) - 1
-                    probs = row(depth)
+                    probs = row(p, depth)
                     totals = totals_of.get(depth)
                     if totals is None:
                         totals = totals_of[depth] = tuple(accumulate(probs))
@@ -524,13 +576,20 @@ def r_index(n: int, d: int = 2) -> int:
     return n // d + n % d + 1
 
 
-def _block_products(factors: Sequence, size: int, unit) -> list:
-    """f(0..size-1) by f(F_m + k) = f(F_m) f(k), f(0) = unit, f(F_m) = factors[m] for F_m < size."""
-    out = [unit] * size
-    for m, factor in enumerate(factors):
-        lo = FIB64[m]
-        for k in range(lo, min(size, FIB64[m + 1])):
-            out[k] = factor * out[k - lo]
+def _block_products(factors: Sequence, size: int, unit: float | complex) -> np.ndarray:
+    """f(0..size-1) by f(F_m + k) = f(F_m) f(k), f(0) = unit, f(F_m) = factors[m] for F_m < size.
+
+    One numpy product per block, on float64 for a float unit.  A complex
+    unit keeps Python complex numbers in an object array, so each value is
+    CPython's own product; complex128 taken part by part was three times
+    slower at level 12 (234 values), where eigen_residual builds its rows.
+    """
+    out = np.full(size, unit, dtype=object if isinstance(unit, complex) else float)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for m, factor in enumerate(factors[: bisect.bisect_left(FIB64, size)]):
+            # the block reads f(0..hi-lo-1), all below F_m, so it never reads itself
+            lo, hi = FIB64[m], min(size, FIB64[m + 1])
+            np.multiply(out[: hi - lo], factor, out=out[lo:hi])
     return out
 
 
@@ -541,9 +600,10 @@ def block_index(n: int) -> int:
 
 def _pi_block(r: int, p: ProbSeq) -> float:
     """Pi_r: Pi_0 = 1, and block step k divides by p_(r_index(k))."""
+    level = coefficients(p).level
     v = 1.0
     for k in range(1, r + 1):
-        v /= p.p(r_index(k))
+        v /= level(p, k)
     return v
 
 
@@ -558,17 +618,19 @@ def xi(n: int, p: ProbSeq) -> float:
     The factor of digit index 0 is 1; digit index i >= 1 contributes
     p_(r_index(i)).  Multiplicative over the greedy digits.
     """
+    level = coefficients(p).level
     v = 1.0
     for i, e in enumerate(digits_of_int(integer(n, "n", 0))):
         if e and i >= 1:
-            v *= p.p(r_index(i))
+            v *= level(p, i)
     return v
 
 
-def _xi_array(size: int, p: ProbSeq) -> list[float]:
+def _xi_array(size: int, p: ProbSeq) -> np.ndarray:
     """xi_0..xi_(size-1) by the block rule, digit m's factor p_(r_index(m)) (1.0 at m = 0)."""
     top = bisect.bisect_left(FIB64, size)  # the levels m with F_m < size
-    return _block_products([1.0, *(p.p(r_index(m)) for m in range(1, top))], size, 1.0)
+    level = coefficients(p).level
+    return _block_products([1.0, *(level(p, m) for m in range(1, top))], size, 1.0)
 
 
 def beta_eigen_residual(level: int, p: ProbSeq) -> float:
@@ -585,7 +647,7 @@ def beta_eigen_residual(level: int, p: ProbSeq) -> float:
         betas[FIB64[r] : FIB64[r + 1]] = _pi_block(r, p)
         r += 1
     worst = 0.0
-    for states, _, targets, probs in _ladder_chunks(1, size - 1, _RungTable(p)):
+    for states, _, targets, probs in _ladder_chunks(1, size - 1, p):
         with np.errstate(over="ignore", invalid="ignore"):
             terms = probs * betas[targets]
         # -beta_i, then the row's entries into states >= 1
@@ -613,14 +675,19 @@ def stationary_measure(
     The raw partial sum is reported; when it exceeds `summable_threshold` the
     measure is flagged unsummable (the normalized vector is still returned, as
     a truncated diagnostic object).  The threshold must be positive; inf
-    never flags.
+    never flags.  It is kept as a float, so a numpy scalar gives the result
+    a float gives.
     """
     if isinstance(summable_threshold, bool) or not summable_threshold > 0.0:
         raise ValueError(f"threshold must be positive (inf allowed), got {summable_threshold!r}")
+    try:
+        threshold = float(summable_threshold)
+    except OverflowError:  # an integer past the float range, which no sum reaches
+        threshold = math.inf
     raw = _xi_array(_truncation_size(level), p)
-    total = math.fsum(raw)
-    weights = tuple(v / total for v in raw)
-    return StationaryMeasure(level, weights, total, total > summable_threshold, summable_threshold)
+    total = math.fsum(raw.tolist())
+    weights = tuple((raw / total).tolist())
+    return StationaryMeasure(level, weights, total, total > threshold, threshold)
 
 
 def stationarity_residual(level: int, p: ProbSeq) -> float:
@@ -630,10 +697,10 @@ def stationarity_residual(level: int, p: ProbSeq) -> float:
     other state does, so the truncated product is exact for j >= 1.
     """
     size = _truncation_size(level)
-    mu = np.array(_xi_array(size, p))
+    mu = _xi_array(size, p)
     into: list[np.ndarray] = []
     inflow: list[np.ndarray] = []
-    for states, _, targets, probs in _ladder_chunks(0, size, _RungTable(p)):
+    for states, _, targets, probs in _ladder_chunks(0, size, p):
         # the top state's increment leaves the block
         keep = (targets >= 0) & (targets < size)
         into.append(targets[keep])

@@ -37,7 +37,13 @@ def _check_prob(value: object, what: str) -> float:
 
 
 class ProbSeq:
-    """Base class: an accessor p(i) for i >= 1 plus tail diagnostics."""
+    """Base class: an accessor p(i) for i >= 1 plus tail diagnostics.
+
+    p(i) must depend on i alone, and give the same value, or raise, on every
+    call: the package asks each index once per descriptor, keeps the values
+    in a table on the descriptor (chain.Coefficients) and reads them from
+    there.  A request that raises is not kept, and is asked again.
+    """
 
     def p(self, i: int) -> float:
         raise NotImplementedError

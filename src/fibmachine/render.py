@@ -105,9 +105,10 @@ def scan_fibers(
     BLOCK pixels' worth of rows at a time: it walks the levels that all
     fibers share once, then each fiber's rest when its buffer is asked for,
     so one fiber's levels are held at a time.  The kernel is elementwise, so
-    any worker count gives the cells of the sequential scan; at one worker
-    each `p` is asked for the coefficients that a scan of every row with
-    that fiber alone asks for, in the same order.
+    any worker count gives the cells of the sequential scan.  The bands read
+    each `p` through its coefficient table, which grows under a lock, so at
+    any worker count `p` is asked for the indices a scan of every row with
+    that fiber alone asks for, each once, in ascending order.
     """
     within(grid.pixels_x * grid.pixels_y, PIXEL_BUDGET, "pixel")
     integer(workers, "workers", 1)

@@ -24,7 +24,8 @@ kernel's walk on one lane, so scalar and raster answers agree bit for bit
 by construction.  in_point_spectrum takes its running maximum and in_E's
 result from one such walk.  eigen_residual's row layout depends on the
 level alone and is kept for small levels.  The coefficient schedule
-r_index and the block rule come from chain, which xi shares them with.
+r_index, the block rule and the coefficient table every walk reads come
+from chain, which xi shares them with.
 
 EscapeConfig, escape_radius, RADIUS_EPS and LEVEL_BUDGET are defined in
 config, which needs no numpy, and are the same objects here.
@@ -45,8 +46,8 @@ from .errors import (
     integer,
     within,
 )
-from .chain import ROW_CHUNK, _block_products, _depth_probs, _ladder_rows, _RungTable
-from .chain import _truncation_size, r_index
+from .chain import ROW_CHUNK, _block_products, _depth_probs, _ladder_rows
+from .chain import _truncation_size, coefficients, r_index
 from .config import LEVEL_BUDGET, RADIUS_EPS, EscapeConfig, escape_radius
 from .numeration import FIB64, BaseDef, digits_of_int
 from .probseq import ProbSeq
@@ -125,15 +126,20 @@ def _walk(
     CLAMP, a power or a modulus past the float range counting as inf.
     """
     within(integer(levels, "levels", 0), LEVEL_BUDGET, "level")
+    table = coefficients(p)
     if seeds is None:
-        values = [1.0 + (lam - 1.0) / p.p(1)]
+        values = [1.0 + (lam - 1.0) / table.level(p, 0)]
         if _modulus(values[0]) > CLAMP:
             return values, 0
     else:
         values = [complex(s) for s in seeds[: levels + 1]]
     d, first, rest = len(powers), powers[0], list(enumerate(powers[1:], start=2))
+    steps = table.levels if d == 2 else ()  # the table lists order-2 levels only
     for m in range(len(values), levels + 1):
-        r = p.p(r_index(m, d))
+        try:
+            r = steps[m]
+        except IndexError:
+            r = table.level(p, m) if d == 2 else table.at(p, r_index(m, d))
         prod = values[m - 1]
         try:
             if m < d:
@@ -192,7 +198,7 @@ def q_at_integer(n: int, lam: complex, p: ProbSeq) -> complex:
 def q_values_upto(level: int, lam: complex, p: ProbSeq) -> list[complex]:
     """All q_m for m = 0..F_level, via the block rule q(F_m + k) = q(F_m) q(k)."""
     size = _truncation_size(level, 0, 1) + 1
-    return _block_products(_orbit_through(lam, p, level), size, complex(1.0))
+    return _block_products(_orbit_through(lam, p, level), size, complex(1.0)).tolist()
 
 
 def fibered_pair(lam: complex, p: ProbSeq, levels: int) -> list[tuple[complex, complex]]:
@@ -239,9 +245,9 @@ def escape_levels(lam_grid: np.ndarray, p: ProbSeq, cfg: EscapeConfig) -> np.nda
     modulus, and hence every level, is the same.  The seed is written the
     same way, (lambda - 1) * (1/p_1) + 1, and past 1/r = 2^53 (r below
     TINY_R) the step is (x - 1) * (1/r) + 1.  The coefficient of level n is
-    asked of `p` when a block first steps level n, so `p` sees the same
-    requests as a level-by-level sweep of all pixels (a ConstantTail without
-    a tail raises TailUndefined at the same inputs).
+    read from `p`'s coefficient table when a block first steps level n, so
+    `p` is asked for what a level-by-level sweep of all pixels needs (a
+    ConstantTail without a tail raises TailUndefined at the same inputs).
     """
     grid = np.ascontiguousarray(lam_grid, dtype=np.complex128)
     out = np.full(grid.shape, INSIDE, dtype=np.int32)
@@ -253,28 +259,27 @@ def escape_levels(lam_grid: np.ndarray, p: ProbSeq, cfg: EscapeConfig) -> np.nda
 
 
 class _Steps:
-    """The steps of one fiber's walk, each asked of its sequence once, in level order.
+    """The steps of one fiber's walk, read in level order from its sequence's table.
 
     Level n's entry is (1/r, 1/r - 1) with r = p_(r_index(n)), None in place
     of 1/r - 1 below TINY_R.  Level 0's is (1/p_1, None): the seed
     (lambda - 1)/p_1 + 1 is that step applied to lambda.  An error the
     sequence or 1/r raises is kept as the level's entry and raised whenever
-    the level is stepped, so a shared walk may ask first and the sequence
-    still sees each request once.  The coefficients in `asked`, p_1 first,
-    were asked by an earlier walk and are replayed in place of asking again.
+    the level is stepped, so a shared walk may read ahead of a fiber and
+    the fiber still raises where its own walk would.
     """
 
-    def __init__(self, p: ProbSeq, asked: Sequence[float] = ()) -> None:
+    def __init__(self, p: ProbSeq) -> None:
         self.p = p
-        self.asked = asked
+        self.level = coefficients(p).level
         self.known: list[tuple[float, float | None] | Exception] = []
 
     def ask(self, n: int) -> tuple[float, float | None] | Exception:
-        """Level n's entry, asking the sequence for the levels up to n not asked yet."""
+        """Level n's entry, reading the coefficients of the levels up to n not read yet."""
         while len(self.known) <= n:
             m = len(self.known)
             try:
-                r = self.asked[m] if m < len(self.asked) else self.p.p(r_index(m) if m else 1)
+                r = self.level(self.p, m)
                 inv = 1.0 / r
             except Exception as exc:  # raised when the level is stepped
                 self.known.append(exc)
@@ -412,9 +417,10 @@ class FiberWalk:
 
     `blocks()` gives a fresh iterator over the band's pixels as flat
     complex128 blocks, so lambda is built one block at a time, once for the
-    root (again for each fiber when there is none).  Each fiber's sequence
-    is asked for the steps, in the order, of a walk of that fiber alone, and
-    finish(k) raises an error it raised where that walk would.
+    root (again for each fiber when there is none).  Each fiber's steps come
+    from its sequence's coefficient table, read only as far as a walk of
+    that fiber alone reads it, and finish(k) raises an error the sequence
+    raised where that walk would.
     """
 
     def __init__(
@@ -535,29 +541,21 @@ def in_E(lam: complex, p: ProbSeq, cfg: EscapeConfig) -> EscapeResult:
     bound against numpy's arithmetic allows (_lane), which is everywhere but
     within about 1e-15, relative, of a threshold.  Other lambdas run the
     kernel's walk (_walk_lanes) on one lambda, from lambda on, under the
-    rules escape_levels walks by, replaying the coefficients the scalar walk
-    already asked.  Either way the level, any error, and the coefficients
-    asked of `p` and their order are those of escape_levels on a 1x1 grid.
+    rules escape_levels walks by.  Both read `p`'s coefficient table, so the
+    level, any error, and the indices `p` is asked for are those of
+    escape_levels on a 1x1 grid: each once per descriptor, in ascending order.
     """
-    known = [p.p(1)]
-    if _certain(known[0]):
-        verdict = _lane(complex(lam), p, cfg, known, False)[1]
+    if _certain(coefficients(p).level(p, 0)):
+        verdict = _lane(complex(lam), p, cfg, False)[1]
         if verdict is not None:
             return verdict
-    return _numpy_lane(lam, p, cfg, known)
+    return _numpy_lane(lam, p, cfg)
 
 
-def _numpy_lane(
-    lam: complex, p: ProbSeq, cfg: EscapeConfig, known: Sequence[float]
-) -> EscapeResult:
-    """in_E on numpy's arithmetic: the kernel's walk of one lambda, as escape_levels walks it.
-
-    `known` holds the coefficients of the first levels, p_1 first, already
-    asked of `p`; the walk replays them and asks for the others as the
-    kernel asks them.
-    """
+def _numpy_lane(lam: complex, p: ProbSeq, cfg: EscapeConfig) -> EscapeResult:
+    """in_E on numpy's arithmetic: the kernel's walk of one lambda, as escape_levels walks it."""
     level = np.full(1, INSIDE, dtype=np.int32)
-    rules = _Rules(_Steps(p, known), cfg.radius, cfg.max_level, cfg.early_exit, cfg.radius)
+    rules = _Rules(_Steps(p), cfg.radius, cfg.max_level, cfg.early_exit, cfg.radius)
     with np.errstate(over="ignore", invalid="ignore"):
         _walk_lanes(np.array([complex(lam)]), None, 0, level, rules)
     level = int(level[0])
@@ -565,17 +563,17 @@ def _numpy_lane(
 
 
 def _lane(
-    lam: complex, p: ProbSeq, cfg: EscapeConfig, known: list[float], walk_on: bool
+    lam: complex, p: ProbSeq, cfg: EscapeConfig, walk_on: bool
 ) -> tuple[list[float], EscapeResult | None]:
     """Walk lambda's orbit with _step, deciding in_E's tests on it where that is certain.
 
     Returns the moduli |q_n| of the levels walked and in_E's result, or None
-    where the walk could not decide it.  `known` starts as [p_1] and gets
-    each level's coefficient as the walk asks it of `p`.  The walk is
-    q_fib_orbit's: its seed, steps, errors and stop, past CLAMP (NaN too,
-    from level 1) or at max_level.  With `walk_on` it goes on to that stop;
-    without, it returns once the result is known or cannot be, and p_1 must
-    then be _certain.
+    where the walk could not decide it.  Level n's coefficient is read from
+    `p`'s table (its level list, indexed by n) when the walk steps level n.
+    The walk is q_fib_orbit's: its seed, steps, errors and stop, past CLAMP
+    (NaN too, from level 1) or at max_level.  With `walk_on` it goes on to
+    that stop; without, it returns once the result is known or cannot be,
+    and p_1 must then be _certain.
 
     The numpy lane steps the same recursion with x * (1/r) for x / r and with
     numpy's complex product and modulus.  Beside q_n the walk carries err, a
@@ -593,7 +591,9 @@ def _lane(
     """
     radius, pair_rule, last = cfg.radius, cfg.early_exit, cfg.max_level
     edge = 1.0 + ETA
-    p1 = known[0]
+    table = coefficients(p)
+    steps = table.levels
+    p1 = table.level(p, 0)
     cur = prev = 1.0 + (lam - 1.0) / p1  # step 1 squares the seed
     mod = _modulus(cur)
     mods = [mod]
@@ -627,8 +627,10 @@ def _lane(
         if n == last or (not mod <= CLAMP if n else mod > CLAMP):
             return mods, verdict
         n += 1
-        r = p.p(r_index(n))
-        known.append(r)
+        try:
+            r = steps[n]
+        except IndexError:
+            r = table.level(p, n)
         if sure and not _certain(r):
             sure = False
             if not walk_on:
@@ -669,8 +671,8 @@ def in_point_spectrum(
 
     One walk of lambda (_lane) gives the moduli of q_fib_orbit, and so B,
     and decides in_E's tests where its certificate allows; the kernel's walk
-    decides the rest, replaying the coefficients that walk asked.  `p` is
-    asked for each level's coefficient once, in level order, through the
+    decides the rest.  Both read `p`'s coefficient table, which asks `p`
+    for each index once per descriptor, in ascending order, through the
     level where q_fib_orbit stops, and past it only where in_E walks on.
     """
     return _point_spectrum(lam, p, cfg, bound)[0]
@@ -686,8 +688,7 @@ def _point_spectrum(
     if isinstance(bound, bool) or not bound > 0.0:
         raise ValueError(f"bound must be positive (inf allowed), got {bound!r}")
     lam = complex(lam)
-    known = [p.p(1)]
-    mods, esc = _lane(lam, p, cfg, known, True)
+    mods, esc = _lane(lam, p, cfg, True)
     history = [1.0, 1.0]  # B_(-2) and B_(-1)
     crossed = None
     for n, mod in enumerate(mods):
@@ -697,7 +698,7 @@ def _point_spectrum(
             break
         history.append(b)
     if esc is None and (crossed is None or need_E):
-        esc = _numpy_lane(lam, p, cfg, known)
+        esc = _numpy_lane(lam, p, cfg)
     if crossed is not None:
         return crossed, esc
     if esc.escaped:
@@ -804,7 +805,7 @@ def eigen_residual(lam: complex, p: ProbSeq, level: int) -> EigenResidual:
     lam = complex(lam)
     w = q_values_upto(level, lam, p)
     sup_norm = max(map(abs, w))
-    p1 = p.p(1)
+    p1 = coefficients(p).level(p, 0)
     wc = np.array(w)
     wr, wi = wc.real, wc.imag
     # -lambda * w_i component by component, as CPython multiplies complex numbers
@@ -815,7 +816,7 @@ def eigen_residual(lam: complex, p: ProbSeq, level: int) -> EigenResidual:
     interior = 0.0
     full = 0.0
     deepest, chunks = _residual_rows(level, rows)
-    table = _depth_probs(_RungTable(p), deepest).ravel()
+    table = _depth_probs(p, deepest).ravel()
     for chunk in chunks:
         # the row's entries into w's support, then -lambda*w_i for i <= top
         probs = table[chunk.prob_at]
@@ -889,7 +890,7 @@ def non_connectedness_test(p: ProbSeq, levels: int = 40) -> ConnectivityResult:
     radius) certifies non-connectedness; anything else is Inconclusive.
     """
     radius = escape_radius(p, 0.0)
-    values = _walk(p, levels, seeds=(0.0, 1.0 - 1.0 / p.p(2)))[0]
+    values = _walk(p, levels, seeds=(0.0, 1.0 - 1.0 / coefficients(p).at(p, 2)))[0]
     prev_big = False
     for n, v in enumerate(values):
         mod = _modulus(v)

@@ -42,10 +42,10 @@ import numpy as np
 from fibmachine.chain import (
     Distribution,
     _ladder_chunks,
-    _RungTable,
     _runs,
     _truncation_size,
     block_index,
+    coefficients,
 )
 from fibmachine.cli import CSV_BLOCK, fmt
 from fibmachine.errors import BudgetExceeded, CapacityError, InadmissibleWord, InvalidSeed
@@ -291,12 +291,12 @@ def old_parse_csv(text):
 def old_transition_matrix(level, p):
     """The truncated matrix built one Distribution per row; returns its rows and leak."""
     size = _truncation_size(level)
-    rungs = _RungTable(p)
+    row = coefficients(p).row
     positive = []  # by depth, without underflowed zeros
     rows = []
-    for states, depths, targets, probs in _ladder_chunks(0, size, rungs):
+    for states, depths, targets, probs in _ladder_chunks(0, size, p):
         while len(positive) <= depths.max():
-            positive.append(tuple(v for v in rungs.row(len(positive)) if v > 0.0))
+            positive.append(tuple(v for v in row(p, len(positive)) if v > 0.0))
         kept = probs > 0.0
         row_targets = _runs(targets[kept].tolist(), kept.sum(axis=1))
         row_probs = map(positive.__getitem__, depths.tolist())

@@ -49,8 +49,8 @@ from fibmachine.chain import (
     _ladder_chunks,
     _pi_block,
     _pick,
-    _RungTable,
     _xi_array,
+    coefficients,
 )
 from fibmachine.cli import main
 from fibmachine.numeration import FIB64, UINT64_MAX, digits_of_int, fib_bits_of_int
@@ -394,7 +394,7 @@ def test_bulk_loops_raise_tail_undefined_where_they_did():
 def table_rows(start, stop, p):
     """(state, targets, probability bits) of each row the table yields."""
     rows = []
-    for states, depths, targets, probs in _ladder_chunks(start, stop, _RungTable(p)):
+    for states, depths, targets, probs in _ladder_chunks(start, stop, p):
         assert len(states) <= ROW_CHUNK
         for state, depth, t, v in zip(states.tolist(), depths.tolist(), targets.tolist(), probs.tolist()):
             # past the row's entries: negative targets with probability 0.0
@@ -405,11 +405,11 @@ def table_rows(start, stop, p):
 
 def walked_rows(start, stop, p):
     """The same rows from one `_ladder` walk per state."""
-    rungs = _RungTable(p)
+    row = coefficients(p).row
     rows = []
     for state in range(start, stop):
         targets, _ = _ladder(state, fib_bits_of_int(state))
-        rows.append((state, targets, [x.hex() for x in rungs.row(len(targets) - 1)]))
+        rows.append((state, targets, [x.hex() for x in row(p, len(targets) - 1)]))
     return rows
 
 

@@ -4,13 +4,17 @@ r_index is the only formula for the index of a level's coefficient, and
 chain._block_products the only loop of the block rule f(F_m + k) = f(F_m) f(k).
 The weights built on them (xi, beta, the stationary measure and the two
 chain residuals) and q_values_upto must give the floats of the code they
-replace, oracles.old_*, whose index formulas were derived by hand, and ask
-the same p_i in the same order.  The stationary measure and the residuals
-are compared with the package's own functions run on the old helpers.
+replace, oracles.old_*, whose index formulas were derived by hand.  They
+read p_i from the descriptor's coefficient table, which asks p_1 up to the
+highest index the old code asked, each once and in ascending order.  The
+stationary measure and the residuals are compared with the package's own
+functions run on the old helpers.
 """
 
 import math
+import random
 
+import numpy as np
 import pytest
 
 from fibmachine import (
@@ -60,6 +64,13 @@ def outcome(call, p):
     return got, recorded.asked
 
 
+def assert_same(new, old, *where):
+    """Equal floats or errors; new asked p_1 up to the old code's highest index, each once, in order."""
+    (got, asked), (want, old_asked) = new, old
+    assert got == want, where
+    assert asked == list(range(1, max(old_asked, default=0) + 1)), where
+
+
 def _hex(value):
     if isinstance(value, complex):
         return [value.real.hex(), value.imag.hex()]
@@ -79,13 +90,19 @@ def test_xi_and_beta_are_the_old_ones(name):
         top = FIB64[level]
         states = {top - 1, top, top + FIB64[max(level - 2, 0)], *range(0, min(top, 40))}
         for n in sorted(states):
-            assert outcome(lambda p: xi(n, p), sequences()[name]) == outcome(
-                lambda p: old_xi(n, p), sequences()[name]
-            ), (name, n)
+            assert_same(
+                outcome(lambda p: xi(n, p), sequences()[name]),
+                outcome(lambda p: old_xi(n, p), sequences()[name]),
+                name,
+                n,
+            )
             if n >= 1:
-                assert outcome(lambda p: beta(n, p), sequences()[name]) == outcome(
-                    lambda p: old_beta(n, p), sequences()[name]
-                ), (name, n)
+                assert_same(
+                    outcome(lambda p: beta(n, p), sequences()[name]),
+                    outcome(lambda p: old_beta(n, p), sequences()[name]),
+                    name,
+                    n,
+                )
 
 
 @pytest.mark.parametrize("name", sorted(sequences()))
@@ -101,10 +118,11 @@ def test_chain_weights_and_residuals_are_the_old_ones(name, monkeypatch):
         for what, call in calls.items():
             new = outcome(lambda p: call(level, p), sequences()[name])
             with monkeypatch.context() as old_code:
-                old_code.setattr(chain, "_xi_array", old_xi_array)
+                # the old list, as the array the package's callers now take
+                old_code.setattr(chain, "_xi_array", lambda size, p: np.array(old_xi_array(size, p)))
                 old_code.setattr(chain, "_pi_block", old_pi_block)
                 old = outcome(lambda p: call(level, p), sequences()[name])
-            assert new == old, (name, what, level)
+            assert_same(new, old, name, what, level)
             assert new[1] or level == 1, (name, what, level)  # each one asks p for something
 
 
@@ -115,7 +133,7 @@ def test_q_values_are_the_old_ones(name):
         for lam in (0.9 + 0.05j, 0.3 - 0.2j, 1.0, -1.2 + 0.4j):
             new = outcome(lambda p: q_values_upto(level, lam, p), sequences()[name])
             old = outcome(lambda p: old_q_values_upto(level, lam, p), sequences()[name])
-            assert new == old, (name, level, lam)
+            assert_same(new, old, name, level, lam)
             escaped += isinstance(new[0], tuple)
     assert escaped < 21 * 4
 
@@ -126,4 +144,27 @@ def test_block_products_are_the_block_rule():
     for n, value in enumerate(got):
         digits = [m for m in range(len(factors)) if fib_bits_of_int(n) >> m & 1]
         assert value == math.prod(factors[m] for m in digits), n
-    assert chain._block_products([], 1, 1j) == [1j]
+    assert chain._block_products([], 1, 1j).tolist() == [1j]
+
+
+def test_blocks_have_the_bits_of_python_products():
+    # complex and float values, overflow, infinities and NaN included, are
+    # the products of the loop the block rule replaced; factors past the
+    # last block are not read
+    rng = random.Random(4100)
+    special = [0.0, -0.0, 1e308, -1e308, math.inf, -math.inf, math.nan, 5e-324]
+    for _ in range(200):
+        factors = [
+            complex(rng.choice(special) if rng.random() < 0.1 else rng.uniform(-3, 3),
+                    rng.choice(special) if rng.random() < 0.1 else rng.uniform(-3, 3))
+            for _ in range(15)
+        ]
+        size = rng.randrange(1, FIB64[13])
+        for unit, values in ((complex(1.0), factors), (1.0, [f.real for f in factors])):
+            want = [unit] * size
+            for m, factor in enumerate(values):
+                for k in range(FIB64[m], min(size, FIB64[m + 1])):
+                    want[k] = factor * want[k - FIB64[m]]
+            got = chain._block_products(values, size, unit).tolist()
+            assert [type(v) for v in got] == [type(unit)] * size
+            assert _hex(got) == _hex(want)

@@ -396,7 +396,13 @@ def test_lane_requests_the_kernels_coefficients_in_its_order():
                     lane, kernel = Recording(p), Recording(p)
                     in_E(lam, lane, cfg)
                     escape_levels(np.array([[lam]]), kernel, cfg)
+                    # p_1 up to the last index the walk reads, each once, in order
                     assert lane.asked == kernel.asked, (p, lam, cfg)
+                    assert lane.asked == list(range(1, len(lane.asked) + 1)), (p, lam, cfg)
+                    # one descriptor's table serves the other walk: nothing is asked again
+                    asked = list(lane.asked)
+                    escape_levels(np.array([[lam]]), lane, cfg)
+                    assert lane.asked == asked, (p, lam, cfg)
 
 
 @pytest.mark.parametrize("prefix", [(0.5, 0.6), (0.5, 0.6, 0.7, 0.8)])

@@ -226,6 +226,19 @@ def test_numpy_scalars_still_pass():
         0.5, HALF, cfg, 1e6
     )
     assert not stationary_measure(5, HALF, np.float64(1e6)).unsummable
+    # the threshold is a float from where it enters, so the result holds Python types
+    for threshold in (np.float64(1e6), np.float32(1e6), np.float64(1.0), np.float32(1.0)):
+        measure = stationary_measure(5, HALF, threshold)
+        want = stationary_measure(5, HALF, float(threshold))
+        assert measure.unsummable is want.unsummable is (float(threshold) < 6.5)
+        assert type(measure.threshold) is float and measure.threshold == float(threshold)
+        assert measure == want
+    huge = stationary_measure(5, HALF, 10**400)
+    assert huge.unsummable is False and huge.threshold == math.inf
+    for bad in (np.float64(math.nan), np.float64(0.0), np.float32(-1.0)):
+        message = f"threshold must be positive (inf allowed), got {bad!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            stationary_measure(5, HALF, bad)
 
 
 def test_the_config_loader_messages_stay(tmp_path):

@@ -10,12 +10,14 @@ old_in_E's, and a lambda within an ulp of a level boundary must fall back.
 On those lambdas, on non-finite and huge parts, on coefficients below
 TINY_R and on sequences that run out or return 0.0, in_E must be
 escape_levels on a 1x1 grid: the same level, the same error and the same
-requests of `p` in the same order.  The
-rounding model the bound rests on is itself checked against exact rational
-arithmetic.  in_point_spectrum and `spectrum member` walk each lambda once;
-oracles.old_point_spectrum is the two-walk test they replace, and their
-verdicts, levels, running maxima, requests of `p` and CLI text must be
-today's.
+requests of `p` in the same order.  Both read `p` through its coefficient
+table, so `p` is asked for each index once, in ascending order, however
+often it is called.  The rounding model the bound rests on is itself
+checked against exact rational arithmetic.  in_point_spectrum and
+`spectrum member` walk each lambda once; oracles.old_point_spectrum is the
+two-walk test they replace, and their verdicts, levels, running maxima and
+CLI text must be today's, with `p` asked for the indices of the levels
+walked.
 """
 
 import dataclasses
@@ -77,7 +79,7 @@ TRANSIENT_DOC = {
 
 def certified(lam, p, cfg):
     """The scalar lane's answer, or None where it falls back to the numpy lane."""
-    return _lane(complex(lam), p, cfg, [p.p(1)], False)[1]
+    return _lane(complex(lam), p, cfg, False)[1]
 
 
 def outcome(result):
@@ -125,6 +127,16 @@ def assert_in_E_is_the_kernel(lam, p, cfg):
     got = _answer(_in_E_level, lam, p, cfg)
     assert got == _answer(_kernel_level, lam, p, cfg), (p, lam, cfg)
     return got[0]
+
+
+def assert_asked_once(lam, p, cfg):
+    """in_E, twice on one recorded p, asks for p_1..p_k once each, in order, the second time nothing."""
+    recorded = Recording(p)
+    first = outcome(in_E(lam, recorded, cfg))
+    asked = list(recorded.asked)
+    assert asked == list(range(1, len(asked) + 1)), (p, lam, cfg)
+    assert outcome(in_E(lam, recorded, cfg)) == first
+    assert recorded.asked == asked, (p, lam, cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -200,6 +212,7 @@ def test_lambdas_at_level_boundaries_fall_back():
                 for x in (lo, hi):
                     assert certified(complex(x, im), p, cfg) is None, (p, x, im)
                     assert_in_E_is_the_kernel(complex(x, im), p, cfg)
+                    assert_asked_once(complex(x, im), p, cfg)
                     boundary += 1
     assert boundary >= 400
 
@@ -223,6 +236,7 @@ def test_non_finite_and_huge_parts(early_exit):
                 level = int(escape_levels(np.array([[lam]]), p, cfg)[0, 0])
                 assert level == (want[1] if want[0] else -1)
                 assert_in_E_is_the_kernel(lam, p, cfg)
+                assert_asked_once(lam, p, cfg)
 
 
 def test_coefficients_below_tiny_r_end_the_certificate():
@@ -238,6 +252,7 @@ def test_coefficients_below_tiny_r_end_the_certificate():
                 assert certified(lam, seq, cfg) is None, (seq, lam)
             assert outcome(in_E(lam, seq, cfg)) == outcome(old_in_E(lam, seq, cfg))
             assert_in_E_is_the_kernel(lam, seq, cfg)
+            assert_asked_once(lam, seq, cfg)
 
 
 @pytest.mark.parametrize("radius", [math.nextafter(1.0 + ETA, 2.0), 1.0 + 2 * ETA, CLAMP, 1e200])
@@ -382,9 +397,9 @@ def test_point_spectrum_and_in_E_agree_with_the_oracles_at_every_bound(bound):
 
 
 def _walked(lam, p, levels):
-    """The coefficients of q_fib_orbit's walk, one per level: p_1, then p_(r_index(n))."""
+    """The indices q_fib_orbit's walk reads, each once in ascending order: p_1 to p_(r_index(stop))."""
     stop = len(q_fib_orbit(lam, p, levels).values) - 1
-    return [1, *(r_index(n) for n in range(1, stop + 1))]
+    return list(range(1, r_index(stop) + 1 if stop else 2))
 
 
 def test_point_spectrum_asks_each_coefficient_once_in_level_order():
@@ -394,7 +409,10 @@ def test_point_spectrum_asks_each_coefficient_once_in_level_order():
         for lam in [1.0, 0.3 + 0.2j, *window(rng, 40)]:
             for bound in (1.5, 1e6):
                 recorded = Recording(p)
-                in_point_spectrum(lam, recorded, cfg, bound)
+                got = in_point_spectrum(lam, recorded, cfg, bound)
+                assert recorded.asked == _walked(lam, p, cfg.max_level), (p, lam)
+                # a second call reads the table and asks nothing
+                assert in_point_spectrum(lam, recorded, cfg, bound) == got
                 assert recorded.asked == _walked(lam, p, cfg.max_level), (p, lam)
 
 
@@ -431,9 +449,15 @@ def test_point_spectrum_raises_the_tail_error_at_the_same_level():
                 with pytest.raises(TailUndefined) as got:
                     in_point_spectrum(lam, new, cfg, 1e6)
                 assert str(got.value) == str(err)
-                # one request per level, in level order, up to the one that raised
-                assert new.asked == [1, *(r_index(n) for n in range(1, len(new.asked)))]
+                # each index once, in ascending order, up to the one that raised
+                assert new.asked == list(range(1, len(new.asked) + 1))
                 assert new.asked[-1] == old.asked[-1]
+                # that index is not kept: the next call asks it again, and only it
+                asked = list(new.asked)
+                with pytest.raises(TailUndefined) as again:
+                    in_point_spectrum(lam, new, cfg, 1e6)
+                assert str(again.value) == str(err) and again.value is not got.value
+                assert new.asked == asked + asked[-1:]
                 raised += 1
             else:
                 got = in_point_spectrum(lam, new, cfg, 1e6)

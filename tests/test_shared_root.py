@@ -8,6 +8,7 @@ that fiber alone, and every panel's bytes those of render_panel.
 """
 
 import hashlib
+import time
 from unittest import mock
 
 import numpy as np
@@ -173,8 +174,30 @@ def test_scan_fibers_yields_each_fibers_scan_at_any_worker_count():
         bufs = scan_fibers(grid, [(s, cfg) for s, (_, cfg) in zip(seen, fibers)], workers)
         got = [buf.cells for buf in bufs]
         assert all(np.array_equal(a, b) for a, b in zip(got, want)), workers
-        if workers == 1:  # each sequence is asked what it is asked alone
-            assert [s.asked for s in seen] == [s.asked for s in alone]
+        # each sequence is asked what it is asked alone, at any worker count
+        assert [s.asked for s in seen] == [s.asked for s in alone], workers
+
+
+class SlowRecording(Recording):
+    """A Recording that yields its thread inside every request, so two bands meet mid-request."""
+
+    def p(self, i):
+        time.sleep(1e-4)
+        return super().p(i)
+
+
+def test_two_bands_on_one_descriptor_ask_each_index_once_in_order():
+    # both bands' threads read one descriptor's table; growth takes a lock
+    p, cfg = panel_config(3).prob_seq, panel_config(3).escape_config()
+    grid = GridSpec(0.1 + 0.05j, 5.0, 4.0, 64, 48)
+    alone = Recording(p)
+    want = next(scan_fibers(grid, [(alone, cfg)], workers=1)).cells
+    assert alone.asked == list(range(1, len(alone.asked) + 1)) and len(alone.asked) > 5
+    for _ in range(5):
+        seen = SlowRecording(p)
+        for buf in scan_fibers(grid, [(seen, cfg), (seen, cfg)], workers=2):
+            assert np.array_equal(buf.cells, want)
+        assert seen.asked == alone.asked
 
 
 # ---------------------------------------------------------------------------

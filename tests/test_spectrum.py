@@ -112,11 +112,16 @@ def test_orbit_clamp_stops_iteration():
 
 
 def test_orbit_asks_for_the_step_schedule():
-    # the seed divides by p_1, then step n by p_(r_index(n))
+    # the seed divides by p_1, then step n by p_(r_index(n)); the table asks
+    # each of p_1..p_(r_index(8)) once, in ascending order, and keeps them
     p = Recording(MIXED)
     orbit = q_fib_orbit(0.5, p, 8)
-    assert p.asked == [1, *(r_index(n) for n in range(1, 9))]
-    assert orbit.values == q_fib_orbit(0.5, MIXED, 8).values
+    assert p.asked == list(range(1, r_index(8) + 1))
+    assert orbit.values == q_fib_orbit(0.5, ConstantTail(MIXED.prefix, MIXED.tail), 8).values
+    assert q_fib_orbit(0.5, p, 8) == orbit
+    assert p.asked == list(range(1, r_index(8) + 1))
+    q_fib_orbit(0.5, p, 10)
+    assert p.asked == list(range(1, r_index(10) + 1))
 
 
 def test_q_at_integer_digit_products():
