@@ -438,9 +438,10 @@ class SimulationSummary:
 def simulate(start: int, steps: int, p: ProbSeq, rng: SplitMix64 | int) -> SimulationSummary:
     """Run `steps` transitions; deterministic for a fixed seed.
 
-    Each step draws one uniform from `rng` and takes the same target as
-    `Distribution.sample` on the state's `transition_dist` row would; the
-    walk carries the state's bits from step to step.
+    `rng` is a SplitMix64 or the seed of a fresh one.  Each step draws one
+    uniform from it and takes the same target as `Distribution.sample` on
+    the state's `transition_dist` row would; the walk carries the state's
+    bits from step to step.
     The uniforms come in blocks of at most DRAW_CHUNK.  The rows of the
     states visited are kept, with their running totals, in a per-call cache
     of at most ROW_CACHE states, cleared when full; `bisect_right` on a row's
@@ -449,7 +450,7 @@ def simulate(start: int, steps: int, p: ProbSeq, rng: SplitMix64 | int) -> Simul
     """
     steps = integer(steps, "steps", 1)
     within(steps, STEP_BUDGET, "step")
-    if isinstance(rng, int):
+    if not isinstance(rng, SplitMix64):
         rng = SplitMix64(rng)
     row = coefficients(p).row
     totals_of: dict[int, tuple[float, ...]] = {}  # running totals by depth

@@ -368,8 +368,11 @@ def parse_csv(text: str) -> IterBuffer:
     Text that write_csv wrote, give or take trailing whitespace, is read on
     a fast path.  Otherwise lines may come in any order and end in CRLF,
     but every cell of the grid they span must appear exactly once; negative
-    coordinates and values outside int32 are rejected.
+    coordinates and values outside int32 are rejected, and so is any `text`
+    that is not a str.
     """
+    if not isinstance(text, str):
+        raise ValueError(f"text must be a str, got {type(text).__name__}")
     cells = _canonical_cells(text)
     if cells is not None:
         return IterBuffer(cells.shape[1], cells.shape[0], cells)

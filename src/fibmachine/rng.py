@@ -14,6 +14,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .errors import integer
+
 MASK64 = (1 << 64) - 1
 _INCREMENT = 0x9E3779B97F4A7C15
 _MIX1 = 0xBF58476D1CE4E5B9
@@ -22,7 +24,8 @@ _MIX2 = 0x94D049BB133111EB
 
 class SplitMix64:
     def __init__(self, seed: int):
-        self._state = seed & MASK64
+        """Start from `seed`, any integer (numpy's too), masked to 64 bits; a bool is refused."""
+        self._state = integer(seed, "seed") & MASK64
 
     def next_u64(self) -> int:
         self._state = (self._state + _INCREMENT) & MASK64

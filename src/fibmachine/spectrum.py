@@ -11,17 +11,18 @@ and runs the pixels in cache-sized blocks.  Inside a block a settled pixel
 rides along behind a mask until a quarter of the lanes have settled, and
 the work arrays then shrink to the live ones.  Each step multiplies by
 1/r_n, which gives the moduli of numpy's division by r_n exactly.  One
-block walk, which starts from lambda or from a level's state, serves
-FiberWalk: the walk of several fibers (sequence and escape parameters) over
-one set of pixels, which steps the levels whose coefficients they share
-once and then each fiber's remaining pixels alone.  escape_levels is that
-walk with one fiber.  The scalar membership test in_E walks one lambda
-with the scalar step and carries a bound on its distance from numpy's
-arithmetic (a rounding model with the constants UNIT, MUL_ERR, ABS_ERR,
-TINY_ERR and SAFE); a test is decided there only when the modulus lies
-farther than that bound from the threshold.  Any other lambda runs the
-kernel's walk on one lane, so scalar and raster answers agree bit for bit
-by construction.  in_point_spectrum takes its running maximum and in_E's
+block walk, which starts from lambda or from a level's state and takes
+each level's coefficient r_n, has one caller, FiberWalk: the walk of
+several fibers (sequence and escape parameters) over one set of pixels,
+which steps the levels whose coefficients they share once and then each
+fiber's remaining pixels alone.  escape_levels is that walk with one
+fiber.  The scalar membership test in_E walks one lambda with the scalar
+step and carries a bound on its distance from numpy's arithmetic (a
+rounding model with the constants UNIT, MUL_ERR, ABS_ERR, TINY_ERR and
+SAFE); a test is decided there only when the modulus lies farther than
+that bound from the threshold.  Any other lambda runs escape_levels on
+that one lambda, so scalar and raster answers agree bit for bit by
+construction.  in_point_spectrum takes its running maximum and in_E's
 result from one such walk.  eigen_residual's row layout depends on the
 level alone and is kept for small levels.  The coefficient schedule
 r_index, the block rule and the coefficient table every walk reads come
@@ -34,7 +35,9 @@ config, which needs no numpy, and are the same objects here.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
@@ -94,6 +97,15 @@ class QOrbit:
     lam: complex
     values: tuple[complex, ...]
     escaped_at: int | None = None
+
+
+def _lam(lam) -> complex:
+    """lam as a complex; a bool, a str or anything but a number is refused, naming lam."""
+    if type(lam) is complex:  # skips the abstract-class check, which costs several times more
+        return lam
+    if type(lam) is bool or not isinstance(lam, numbers.Number):
+        raise ValueError(f"lam must be a number, got {lam!r}")
+    return complex(lam)
 
 
 def _modulus(z: complex) -> float:
@@ -168,7 +180,7 @@ def q_fib_orbit(lam: complex, p: ProbSeq, levels: int) -> QOrbit:
     (1/r_n - 1), or below r_n = TINY_R steps (x - 1)/r_n + 1 instead.
     More than LEVEL_BUDGET levels raise BudgetExceeded.
     """
-    lam = complex(lam)
+    lam = _lam(lam)
     values, escaped_at = _walk(p, levels, lam=lam)
     return QOrbit(lam, tuple(values), escaped_at)
 
@@ -258,47 +270,10 @@ def escape_levels(lam_grid: np.ndarray, p: ProbSeq, cfg: EscapeConfig) -> np.nda
     return out
 
 
-class _Steps:
-    """The steps of one fiber's walk, read in level order from its sequence's table.
-
-    Level n's entry is (1/r, 1/r - 1) with r = p_(r_index(n)), None in place
-    of 1/r - 1 below TINY_R.  Level 0's is (1/p_1, None): the seed
-    (lambda - 1)/p_1 + 1 is that step applied to lambda.  An error the
-    sequence or 1/r raises is kept as the level's entry and raised whenever
-    the level is stepped, so a shared walk may read ahead of a fiber and
-    the fiber still raises where its own walk would.
-    """
-
-    def __init__(self, p: ProbSeq) -> None:
-        self.p = p
-        self.level = coefficients(p).level
-        self.known: list[tuple[float, float | None] | Exception] = []
-
-    def ask(self, n: int) -> tuple[float, float | None] | Exception:
-        """Level n's entry, reading the coefficients of the levels up to n not read yet."""
-        while len(self.known) <= n:
-            m = len(self.known)
-            try:
-                r = self.level(self.p, m)
-                inv = 1.0 / r
-            except Exception as exc:  # raised when the level is stepped
-                self.known.append(exc)
-            else:
-                self.known.append((inv, inv - 1.0 if m and r >= TINY_R else None))
-        return self.known[n]
-
-    def __call__(self, n: int) -> tuple[float, float | None]:
-        """Level n's step; raises the error the sequence raised for it."""
-        entry = self.ask(n)
-        if isinstance(entry, Exception):
-            raise entry
-        return entry
-
-
 class _Rules(NamedTuple):
     """How a walk steps and settles its lanes."""
 
-    step: Callable[[int], tuple[float, float | None] | None]  # None ends the walk there
+    step: Callable[[int], float | None]  # level n's coefficient r; None ends the walk there
     radius: float
     last: int  # the deepest level stepped
     pair_rule: bool
@@ -314,10 +289,12 @@ _Part = tuple[int, np.ndarray, np.ndarray, np.ndarray | None]
 def _walk_lanes(cur, prev, start: int, out: np.ndarray, rules: _Rules) -> list[_Part]:
     """Step lanes from level `start`, writing into `out` the level of each lane that settles.
 
-    The lanes are a _Part's cur and prev at `start`.  The walk ends after
-    rules.last, or at the first level whose step is None, where it hands
-    back the lanes still walking.  When rules.wide exceeds rules.radius it
-    also hands back, from level 0, each lane settled by the radius rule
+    The lanes are a _Part's cur and prev at `start`.  Level n multiplies by
+    1/r for its coefficient r: the seed (lambda - 1)/r + 1 at level 0, then
+    x/r - (1/r - 1), or (x - 1)/r + 1 below TINY_R.  The walk ends after
+    rules.last, or at the first level whose coefficient is None, where it
+    hands back the lanes still walking.  When rules.wide exceeds rules.radius
+    it also hands back, from level 0, each lane settled by the radius rule
     alone with a modulus of at most rules.wide; the level written for it
     here is then provisional.  Handed-back indices are into `out`.
 
@@ -334,20 +311,20 @@ def _walk_lanes(cur, prev, start: int, out: np.ndarray, rules: _Rules) -> list[_
     alive = None  # lanes not yet settled; None while all of them are
     handed: list[_Part] = []
     for n in range(start, last + 1):
-        coefficient = step(n)
-        if coefficient is None:  # never at level 0
+        r = step(n)
+        if r is None:  # never at level 0
             keep = slice(None) if alive is None else alive.nonzero()[0]
             index = np.arange(lanes) if live is None else live
             handed.append((n, index[keep], cur[keep], prev[keep]))
             break
-        inv_r, shift = coefficient
+        inv_r = 1.0 / r
         # one expression per form, so numpy reuses its temporary in place
         if n == 0:
             cur = prev = (cur - 1.0) * inv_r + 1.0  # step 1 squares the seed
-        elif shift is None:
-            cur, prev = (cur * prev - 1.0) * inv_r + 1.0, cur
+        elif r >= TINY_R:
+            cur, prev = cur * prev * inv_r - (inv_r - 1.0), cur
         else:
-            cur, prev = cur * prev * inv_r - shift, cur
+            cur, prev = (cur * prev - 1.0) * inv_r + 1.0, cur
         mod = np.abs(cur)
         big = mod > 1.0 + ETA
         hit = ~(mod <= radius)
@@ -417,10 +394,12 @@ class FiberWalk:
 
     `blocks()` gives a fresh iterator over the band's pixels as flat
     complex128 blocks, so lambda is built one block at a time, once for the
-    root (again for each fiber when there is none).  Each fiber's steps come
-    from its sequence's coefficient table, read only as far as a walk of
-    that fiber alone reads it, and finish(k) raises an error the sequence
-    raised where that walk would.
+    root (again for each fiber when there is none).  FiberWalk is the only
+    caller of the block walk.  Each fiber's coefficients are read from its
+    sequence's coefficient table, in level order and only as far as a walk
+    of that fiber alone reads them, and kept with the error a level's read
+    raised; finish(k) raises that error where fiber k steps the level, so
+    a failing index is asked once per walk.
     """
 
     def __init__(
@@ -428,25 +407,39 @@ class FiberWalk:
         fibers: Sequence[tuple[ProbSeq, EscapeConfig]],
         blocks: Callable[[], Iterator[np.ndarray]],
     ) -> None:
-        self.fibers = [(_Steps(p), cfg) for p, cfg in fibers]
+        self.fibers = list(fibers)
         self.blocks = blocks
-        seeds = [steps.ask(0) for steps, _ in self.fibers]  # p_1, asked before any block
-        cfgs = [cfg for _, cfg in fibers]
+        self.known: list[list[float | Exception]] = [[] for _ in self.fibers]
+        self.low = min(cfg.max_level for _, cfg in self.fibers)
         self.shared = (
-            not isinstance(seeds[0], Exception)
-            and all(seed == seeds[0] for seed in seeds)
-            and len({cfg.early_exit for cfg in cfgs}) == 1
+            self._shared_step(0) is not None  # p_1, asked before any block
+            and len({cfg.early_exit for _, cfg in self.fibers}) == 1
         )
-        self.low = min(cfg.max_level for cfg in cfgs)
         self.rests: list[_Part] = []
 
-    def _shared_step(self, n: int) -> tuple[float, float | None] | None:
-        """Level n's step when every fiber has that step, else None: the root ends there."""
+    def _read(self, k: int, n: int) -> float | Exception:
+        """Fiber k's coefficient of level n, or the error its read raised; each level is read once."""
+        known, p = self.known[k], self.fibers[k][0]
+        while len(known) <= n:
+            try:
+                known.append(coefficients(p).level(p, len(known)))
+            except Exception as exc:  # raised when fiber k steps the level
+                known.append(exc)
+        return known[n]
+
+    def _step(self, k: int, n: int) -> float:
+        """Fiber k's coefficient of level n; raises the error its sequence raised for it."""
+        r = self._read(k, n)
+        if isinstance(r, Exception):
+            raise r
+        return r
+
+    def _shared_step(self, n: int) -> float | None:
+        """Level n's coefficient when every fiber has it, else None: the root ends there."""
         if n > self.low:
             return None
-        entries = [steps.ask(n) for steps, _ in self.fibers]
-        first = entries[0]
-        if isinstance(first, Exception) or any(entry != first for entry in entries):
+        first, *rest = [self._read(k, n) for k in range(len(self.fibers))]
+        if isinstance(first, Exception) or any(r != first for r in rest):
             return None
         return first
 
@@ -488,9 +481,10 @@ class FiberWalk:
     def finish(self, k: int, out: np.ndarray) -> None:
         """Walk fiber k past the root; `out` holds the levels root() or an earlier finish wrote."""
         out = out.reshape(-1)
-        steps, cfg = self.fibers[k]
-        steps(0)  # p_1's error, if any, comes before any block's
-        rules = _Rules(steps, cfg.radius, cfg.max_level, cfg.early_exit, cfg.radius)
+        cfg = self.fibers[k][1]
+        step = partial(self._step, k)
+        step(0)  # p_1's error, if any, comes before any block's
+        rules = _Rules(step, cfg.radius, cfg.max_level, cfg.early_exit, cfg.radius)
         with np.errstate(over="ignore", invalid="ignore"):
             if not self.shared:
                 at = 0
@@ -539,26 +533,23 @@ def in_E(lam: complex, p: ProbSeq, cfg: EscapeConfig) -> EscapeResult:
 
     The tests are decided on the scalar walk of _step wherever its error
     bound against numpy's arithmetic allows (_lane), which is everywhere but
-    within about 1e-15, relative, of a threshold.  Other lambdas run the
-    kernel's walk (_walk_lanes) on one lambda, from lambda on, under the
-    rules escape_levels walks by.  Both read `p`'s coefficient table, so the
-    level, any error, and the indices `p` is asked for are those of
-    escape_levels on a 1x1 grid: each once per descriptor, in ascending order.
+    within about 1e-15, relative, of a threshold.  Other lambdas run
+    escape_levels on a 1x1 grid of lambda (_numpy_lane).  Both read `p`'s
+    coefficient table, so the level, any error, and the indices `p` is asked
+    for are those of escape_levels on a 1x1 grid: each once per descriptor,
+    in ascending order.
     """
+    lam = _lam(lam)
     if _certain(coefficients(p).level(p, 0)):
-        verdict = _lane(complex(lam), p, cfg, False)[1]
+        verdict = _lane(lam, p, cfg, False)[1]
         if verdict is not None:
             return verdict
     return _numpy_lane(lam, p, cfg)
 
 
 def _numpy_lane(lam: complex, p: ProbSeq, cfg: EscapeConfig) -> EscapeResult:
-    """in_E on numpy's arithmetic: the kernel's walk of one lambda, as escape_levels walks it."""
-    level = np.full(1, INSIDE, dtype=np.int32)
-    rules = _Rules(_Steps(p), cfg.radius, cfg.max_level, cfg.early_exit, cfg.radius)
-    with np.errstate(over="ignore", invalid="ignore"):
-        _walk_lanes(np.array([complex(lam)]), None, 0, level, rules)
-    level = int(level[0])
+    """in_E on numpy's arithmetic: escape_levels at one lambda."""
+    level = int(escape_levels(np.array([complex(lam)]), p, cfg)[0])
     return EscapeResult(False, None) if level == INSIDE else EscapeResult(True, level)
 
 
@@ -687,7 +678,7 @@ def _point_spectrum(
     """
     if isinstance(bound, bool) or not bound > 0.0:
         raise ValueError(f"bound must be positive (inf allowed), got {bound!r}")
-    lam = complex(lam)
+    lam = _lam(lam)
     mods, esc = _lane(lam, p, cfg, True)
     history = [1.0, 1.0]  # B_(-2) and B_(-1)
     crossed = None
@@ -802,7 +793,7 @@ def eigen_residual(lam: complex, p: ProbSeq, level: int) -> EigenResidual:
     # F_(level+1) + 1 rows are checked before q_values_upto checks its F_level + 1 values
     rows = _truncation_size(integer(level, "level", 1) + 1, 2, 1)
     top = FIB64[level]
-    lam = complex(lam)
+    lam = _lam(lam)
     w = q_values_upto(level, lam, p)
     sup_norm = max(map(abs, w))
     p1 = coefficients(p).level(p, 0)
@@ -924,4 +915,4 @@ def q_general_orbit(
     """
     if seeds is not None and len(seeds) != base.degree:
         raise InvalidSeed(f"need exactly {base.degree} seed values, got {len(seeds)}")
-    return _walk(p, levels, base.coeffs, seeds, complex(lam))[0]
+    return _walk(p, levels, base.coeffs, seeds, _lam(lam))[0]

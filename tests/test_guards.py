@@ -7,14 +7,19 @@ source keeps any other module from raising BudgetExceeded or comparing a
 budget itself.  The real and flag arguments of the public entry points
 refuse a bool (or, for a flag, anything else) naming the field, numpy
 scalars still pass, and ConstructedSeq checks its p1, p2 and budget where
-they enter.  A second scan keeps the coefficient schedule in r_index: no
-other expression computes the index of a p.p(...) request by halving.
+they enter.  A seed enters SplitMix64 and simulate through `integer`
+too, and lambda enters every spectral entry point as a number: a bool, a
+str or a non-number is refused naming lam.  A second scan keeps the
+coefficient schedule in r_index: no other expression computes the index of
+a p.p(...) request by halving.  A third keeps FiberWalk the only caller of
+the escape kernel: no _walk_lanes call or _Rules built outside it.
 """
 
 import ast
 import json
 import math
 import re
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -29,6 +34,7 @@ from fibmachine import (
     GridSpec,
     InvalidBudget,
     InvalidProbability,
+    SplitMix64,
     base_sequence,
     beta,
     beta_eigen_residual,
@@ -39,6 +45,7 @@ from fibmachine import (
     encode,
     fibered_pair,
     geometric_budget,
+    in_E,
     in_point_spectrum,
     non_connectedness_test,
     phi_orbit,
@@ -81,6 +88,8 @@ ENTRIES = {
     "EscapeConfig": ("max_level", lambda v: EscapeConfig(4.0, v)),
     "simulate steps": ("steps", lambda v: simulate(0, v, HALF, 1)),
     "simulate start": ("state", lambda v: simulate(v, 5, HALF, 1)),
+    "simulate seed": ("seed", lambda v: simulate(0, 5, HALF, v)),
+    "SplitMix64": ("seed", SplitMix64),
     "scan_grid": ("workers", lambda v: scan_grid(SMALL, HALF, CFG, workers=v)),
     "GridSpec pixels_x": ("grid pixels_x", lambda v: GridSpec(pixels_x=v)),
     "GridSpec pixels_y": ("grid pixels_y", lambda v: GridSpec(pixels_y=v)),
@@ -113,6 +122,18 @@ def test_every_count_argument_refuses_bools_and_floats(entry, bad):
 @pytest.mark.parametrize("entry", sorted(ENTRIES))
 def test_every_count_argument_takes_a_numpy_integer(entry):
     ENTRIES[entry][1](np.int64(3))
+
+
+def test_a_seed_is_any_integer_masked_to_64_bits():
+    def draws(seed):
+        rng = SplitMix64(seed)
+        return [rng.next_u64() for _ in range(3)]
+
+    for seed in (np.int64(7), np.uint64(7), np.int8(7), 7 + 2**64):
+        assert draws(seed) == draws(7)
+    assert SplitMix64(-1)._state == SplitMix64(np.int64(-1))._state == 2**64 - 1
+    got = simulate(0, 50, HALF, np.int64(7))
+    assert got == simulate(0, 50, HALF, 7) == simulate(0, 50, HALF, SplitMix64(7))
 
 
 def budget_message(count, budget, unit):
@@ -241,6 +262,33 @@ def test_numpy_scalars_still_pass():
             stationary_measure(5, HALF, bad)
 
 
+LAMBDA = {
+    "q_fib_orbit": lambda v: q_fib_orbit(v, HALF, 5),
+    "q_at_integer": lambda v: q_at_integer(3, v, HALF),
+    "q_values_upto": lambda v: q_values_upto(3, v, HALF),
+    "fibered_pair": lambda v: fibered_pair(v, HALF, 5),
+    "in_E": lambda v: in_E(v, HALF, CFG),
+    "in_point_spectrum": lambda v: in_point_spectrum(v, HALF, CFG, 1e6),
+    "eigen_residual": lambda v: eigen_residual(v, HALF, 3),
+    "q_general_orbit": lambda v: q_general_orbit(v, HALF, FIBONACCI, levels=5),
+}
+
+
+@pytest.mark.parametrize("bad", [True, False, np.bool_(True), "0.5", "1+2j", b"1", None, [0.5]])
+@pytest.mark.parametrize("entry", sorted(LAMBDA))
+def test_every_lambda_refuses_a_bool_a_str_or_a_non_number(entry, bad):
+    with pytest.raises(ValueError, match=f"^{re.escape(f'lam must be a number, got {bad!r}')}$"):
+        LAMBDA[entry](bad)
+
+
+@pytest.mark.parametrize("entry", sorted(LAMBDA))
+def test_every_lambda_takes_any_number(entry):
+    call = LAMBDA[entry]
+    for lam in (np.complex128(0.5 + 0.25j), np.complex64(0.5 - 0.25j), np.float32(0.5),
+                np.int64(0), Fraction(1, 2), 1):
+        assert call(lam) == call(complex(lam))
+
+
 def test_the_config_loader_messages_stay(tmp_path):
     for doc, message in [
         ({"grid": {"center": True}}, "grid center must be a number, got True"),
@@ -313,3 +361,57 @@ def test_only_r_index_computes_a_coefficient_index():
     }
     assert len(found) > 10
     assert {name: lines for name, lines in found.items() if lines} == {}
+
+
+# ---------------------------------------------------------------------------
+# the escape kernel's one caller
+
+
+def kernel_sites(source):
+    """(line, what) of each _walk_lanes or _Rules call outside class FiberWalk, and of class _Steps."""
+    tree = ast.parse(source)
+    inside = {
+        id(node)
+        for cls in ast.walk(tree)
+        if isinstance(cls, ast.ClassDef) and cls.name == "FiberWalk"
+        for node in ast.walk(cls)
+    }
+    sites = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ClassDef) and node.name == "_Steps":
+            sites.append((node.lineno, "_Steps"))
+        if isinstance(node, ast.Call) and _name(node.func) in ("_walk_lanes", "_Rules"):
+            if id(node) not in inside:
+                sites.append((node.lineno, _name(node.func)))
+    return sorted(sites)
+
+
+def test_kernel_sites_are_found():
+    source = (
+        "class FiberWalk:\n"
+        "    def root(self):\n"
+        "        _walk_lanes(lam, None, 0, out, _Rules(step, 4.0, 5, True, 4.0))\n"
+        "def _numpy_lane(lam):\n"
+        "    return spectrum._walk_lanes(lam, None, 0, out, _Rules(step, 4.0, 5, True, 4.0))\n"
+        "class _Steps:\n"
+        "    pass\n"
+    )
+    assert kernel_sites(source) == [(5, "_Rules"), (5, "_walk_lanes"), (6, "_Steps")]
+
+
+def test_fiber_walk_is_the_only_caller_of_the_escape_kernel():
+    package = Path(fibmachine.__file__).parent
+    found = {
+        path.name: kernel_sites(path.read_text(encoding="utf-8"))
+        for path in sorted(package.glob("*.py"))
+    }
+    assert len(found) > 10
+    assert {name: sites for name, sites in found.items() if sites} == {}
+    # the scan sees the calls FiberWalk makes
+    source = (package / "spectrum.py").read_text(encoding="utf-8")
+    calls = [
+        _name(node.func)
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Call) and _name(node.func) in ("_walk_lanes", "_Rules")
+    ]
+    assert calls.count("_walk_lanes") >= 2 and calls.count("_Rules") >= 2

@@ -427,6 +427,14 @@ def test_csv_parse_errors():
         parse_csv("0,0,-1\n2,0,5\n")  # gap at (1,0)
 
 
+def test_csv_parse_refuses_text_that_is_not_a_str():
+    # bytes used to reach str.startswith and die there with a TypeError
+    for bad, name in [(b"0,0,1\n", "bytes"), (bytearray(b"0,0,1\n"), "bytearray"),
+                      (None, "NoneType"), (["0,0,1"], "list"), (7, "int")]:
+        with pytest.raises(ValueError, match=f"^text must be a str, got {name}$"):
+            parse_csv(bad)
+
+
 def test_csv_rejects_negative_and_repeated_coordinates():
     # -1 used to wrap to the last column and leave cell (0, 0) uninitialized
     with pytest.raises(ValueError, match="line 1: negative coordinate"):
