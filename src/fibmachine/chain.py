@@ -11,15 +11,17 @@ and beta residuals, and the spectral residual) build those rows ROW_CHUNK at a t
 as numpy arrays: the Zeckendorf bits of the states follow the block rule
 bits(F_m + k) = bits(k) | 1<<m, the ladder depth is a count of trailing bits,
 and each row's targets and probabilities are read from small per-depth
-tables.  Each sum over a row or over a target's inflow is still one
-math.fsum over the same products, so the results are those of the per-row
-walk bit for bit.  The truncated matrix keeps those rows as arrays, its
-targets and probabilities in compressed-row form, and builds a row's
-Distribution only when it is asked for.  Simulation draws its uniforms in
-blocks and keeps the rows of recently visited states in a bounded per-call
-cache.  Every p_i, and every row's probabilities, come from the one
-Coefficients table kept on each descriptor, which asks it for each index
-once, in ascending order; the walks here and in spectrum index its lists.
+tables.  Each sum over a row or over a target's inflow is math.fsum's sum
+of the same products, so the results are those of the per-row walk bit for
+bit: _fsum_rows sums a chunk's rows at once by error-free TwoSum sweeps and
+leaves to math.fsum only the rows whose rounding it cannot certify.  The
+truncated matrix keeps its rows as arrays, targets and probabilities in
+compressed-row form, and builds a row's Distribution only when asked.
+Simulation draws its uniforms in blocks and keeps the rows of recently
+visited states in a bounded per-call cache.  Every p_i, and every row's
+probabilities, come from the one Coefficients table kept on each
+descriptor, which asks it for each index once, in ascending order; the
+walks here and in spectrum index its lists.
 
 Also here: the transience/recurrence classification of a descriptor, the
 block-constant eigenvector weights (beta), the stationary weights (xi), and
@@ -304,10 +306,44 @@ def _depth_probs(p: ProbSeq, deepest: int) -> np.ndarray:
     return probs
 
 
-def _runs(flat: list, counts: np.ndarray) -> Iterator[list]:
-    """Consecutive slices of `flat`, counts[r] items in slice r."""
-    ends = np.cumsum(counts).tolist()
-    return map(flat.__getitem__, map(slice, [0, *ends[:-1]], ends))
+def _fsum_rows(terms: np.ndarray, keep: np.ndarray) -> np.ndarray:
+    """math.fsum(terms[r][keep[r]].tolist()) for every row r, bit for bit; reads nothing else.
+
+    Two error-free sweeps over all rows at once, each a tree of TwoSums (the terms, then
+    their errors), as in SumK (K = 2) of Ogita, Rump and Oishi, SIAM J. Sci. Comput. 26(6),
+    2005, leave each row's exact sum in a top term and errors.  With at most one error not
+    0.0, one IEEE addition rounds it as fsum does; else the top term is fsum's if the errors'
+    absolute sum times 2 + 2**-39 (2, and room for rounding) is below the smaller gap around it
+    (Rump, Ogita and Oishi, ibid. 31(2), 2008; rows of under 2**12 terms).  Other rows, and
+    rows with a term from 2**1000 up (no TwoSum overflows), go to math.fsum in row order.
+    """
+    rows, width = terms.shape
+    if not terms.size:
+        return np.zeros(rows)
+    work = np.zeros((width, rows))  # work[j] holds term j of every row
+    np.copyto(work.T, terms, where=keep)
+    fallback = ~(np.maximum(work.max(axis=0), -work.min(axis=0)) < 2.0**1000)  # or NaN
+    work[:, fallback] = 0.0
+    scratch = np.empty((3, width // 2, rows))
+    for part in work, work[1:], work[:2]:
+        n = len(part)
+        while n > 1:  # TwoSum (Knuth, TAOCP 4.2.2) by pairs: fl(a + b) into a, its error into b
+            h = n // 2
+            a, b = part[:h], part[n - h : n]
+            s, back, front = scratch[0, :h], scratch[1, :h], scratch[2, :h]
+            np.subtract(np.add(a, b, out=s), a, out=back)
+            np.subtract(a, np.subtract(s, back, out=front), out=front)
+            np.add(front, np.subtract(b, back, out=b), out=b)
+            a[...] = s
+            n -= h
+    top, errors = work[0], work[1:]
+    sums = top + errors.sum(axis=0) + 0.0  # fsum's zero is +0.0
+    left = np.flatnonzero(np.count_nonzero(errors, axis=0) > 1)
+    rest, size = np.abs(errors[:, left]).sum(axis=0), np.abs(top[left])
+    fallback[left] = ~(rest * (2.0 + 2.0**-39) < size - np.nextafter(size, 0.0))
+    for r in np.flatnonzero(fallback).tolist():
+        sums[r] = math.fsum(terms[r][keep[r]].tolist())
+    return sums
 
 
 def transition_terms(state: int) -> tuple[tuple[int, ProbFactor], ...]:
@@ -654,8 +690,8 @@ def beta_eigen_residual(level: int, p: ProbSeq) -> float:
         # -beta_i, then the row's entries into states >= 1
         acc = np.concatenate((-betas[states][:, None], terms), axis=1)
         keep = np.concatenate((np.ones((len(states), 1), bool), targets >= 1), axis=1)
-        sums = map(math.fsum, _runs(acc[keep].tolist(), keep.sum(axis=1)))
-        worst = max([worst, *map(abs, sums)])
+        # max over the row sums' moduli from 0.0, where a NaN never wins
+        worst = float(np.fmax.reduce(np.abs(_fsum_rows(acc, keep)), initial=worst))
     return worst
 
 
@@ -695,30 +731,37 @@ def stationarity_residual(level: int, p: ProbSeq) -> float:
     """max over 1 <= j < F_level of |(mu S)_j - mu_j| with mu_i = xi_i.
 
     State 0 is excluded: it receives mass from outside the truncation.  No
-    other state does, so the truncated product is exact for j >= 1.
+    other state does, so the truncated product is exact for j >= 1.  In source
+    order, j's inflow is j - 1's increment, j's self-loop, then falls from above.
     """
     size = _truncation_size(level)
     mu = _xi_array(size, p)
-    into: list[np.ndarray] = []
-    inflow: list[np.ndarray] = []
-    for states, _, targets, probs in _ladder_chunks(0, size, p):
-        # the top state's increment leaves the block
-        keep = (targets >= 0) & (targets < size)
-        into.append(targets[keep])
-        inflow.append((probs * mu[states][:, None])[keep])
-    # group the inflow by target, each group in the order of its sources
-    targets = np.concatenate(into)
-    values = np.concatenate(inflow)[np.argsort(targets, kind="stable")]
-    counts = np.bincount(targets, minlength=size)
-    ends = np.cumsum(counts)
-    worst = None
-    for lo in range(1, size, ROW_CHUNK):
-        hi = min(lo + ROW_CHUNK, size)
-        group = values[ends[lo - 1] : ends[hi - 1]].tolist()
-        sums = np.fromiter(map(math.fsum, _runs(group, counts[lo:hi])), float, hi - lo)
-        gaps = np.abs(sums - mu[lo:hi]).tolist()
-        worst = max(gaps if worst is None else [worst, *gaps])
-    return worst
+    stay, rise = np.empty(size), np.empty(size + 1)  # rise[j]: the increment of j - 1
+    fall_to, fall = [], []
+    for states, depths, targets, probs in _ladder_chunks(0, size, p):
+        inflow = probs * mu[states][:, None]
+        rows, lo = np.arange(len(states)), int(states[0])
+        stay[lo : lo + len(rows)] = inflow[rows, depths - 1]
+        rise[lo + 1 : lo + 1 + len(rows)] = inflow[rows, depths]
+        falling = np.arange(targets.shape[1]) < depths[:, None] - 1
+        fall_to.append(targets[falling])
+        fall.append(inflow[falling])
+    fall_to = np.concatenate(fall_to)
+    fall = np.concatenate(fall)[np.argsort(fall_to, kind="stable")]  # by target, then source
+    counts = np.bincount(fall_to, minlength=size)
+    starts = np.cumsum(counts) - counts
+    del fall_to
+    gaps = np.empty(size)
+    by_count = np.argsort(counts[1:].astype(np.uint8), kind="stable") + 1  # radix: counts < 256
+    for lo in range(0, size - 1, ROW_CHUNK):
+        group = by_count[lo : lo + ROW_CHUNK]
+        width = int(counts[group].max()) + 2
+        falls = np.take(fall, starts[group][:, None] + np.arange(width - 2), mode="clip")
+        terms = np.column_stack((rise[group], stay[group], falls))
+        keep = np.arange(width) < counts[group][:, None] + 2
+        gaps[group] = np.abs(_fsum_rows(terms, keep) - mu[group])
+    # max over gaps[1:] as Python takes it: a NaN first stays, a later one never wins
+    return max(float(gaps[1]), float(np.fmax.reduce(gaps[2:], initial=0.0)))
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import math
 import sys
 from pathlib import Path
@@ -283,6 +284,7 @@ def cmd_repro(args: argparse.Namespace) -> int:
 # parser
 
 
+@functools.cache  # parsing leaves the parser as it was, and its defaults are immutable
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="fibmachine",

@@ -49,7 +49,7 @@ from .errors import (
     integer,
     within,
 )
-from .chain import ROW_CHUNK, _block_products, _depth_probs, _ladder_rows
+from .chain import ROW_CHUNK, _block_products, _depth_probs, _fsum_rows, _ladder_rows
 from .chain import _truncation_size, coefficients, r_index
 from .config import LEVEL_BUDGET, RADIUS_EPS, EscapeConfig, escape_radius
 from .numeration import FIB64, BaseDef, digits_of_int
@@ -725,22 +725,19 @@ class EigenResidual:
 class _ResidualChunk(NamedTuple):
     """Where one chunk of eigen_residual's rows puts its terms; depends on the level alone.
 
-    The terms of the chunk's rows lie one row after another, each row's
-    entries into w's support in target order, then -lambda w_i for a row
-    i <= top.  An entry's term is probs[k] * w[w_at[k]] at term_at[k], where
-    probs[k] is element prob_at[k] of the depth-probability table raveled; the
-    -lambda w_i terms lie at shift_at, for the rows in `shifted`.  `runs`
-    slices each row's terms out of the flat list, and a row with none is left
-    out; the first `interior` runs are rows below top.
+    Each row i with terms is two rows of a padded term array, its real parts
+    then its imaginary parts: its entries into w's support in target order,
+    then -lambda w_i for i <= top, packed to the left; `keep` marks them.
+    Term k is element prob_at[k] of the depth-probability table raveled,
+    with 1.0 appended, times w_at[k] of (w, -lambda w), real part at flat
+    position term_at[0, k] and imaginary part at term_at[1, k].  The first
+    `interior` rows are the rows below top.
     """
 
     prob_at: np.ndarray
     w_at: np.ndarray
     term_at: np.ndarray
-    shifted: slice
-    shift_at: np.ndarray
-    size: int
-    runs: list[slice]
+    keep: np.ndarray
     interior: int
 
 
@@ -759,34 +756,39 @@ def _residual_rows(level: int, rows: int) -> tuple[int, Iterable[_ResidualChunk]
     deepest, chunks = _ladder_rows(0, rows + 1)
 
     def chunk(states: np.ndarray, depths: np.ndarray, targets: np.ndarray) -> _ResidualChunk:
-        inside = (targets >= 0) & (targets <= top)
-        shifted = states <= top
-        keep = np.concatenate((inside, shifted[:, None]), axis=1)
+        keep = np.concatenate(((targets >= 0) & (targets <= top), states[:, None] <= top), axis=1)
+        prob_at = depths[:, None] * (deepest + 1) + np.arange(targets.shape[1] + 1)
+        prob_at[:, -1] = (deepest + 1) ** 2  # -lambda w_i takes the 1.0 after the table
+        w_at = np.column_stack((targets, states + top + 1))
+        # a row with no terms sums to 0.0, which raises neither maximum, and
+        # is left out; all such rows lie past top, behind the interior rows
         counts = keep.sum(axis=1)
-        # a row with no entries sums to 0.0, which raises neither maximum; all
-        # such rows lie past top, behind the interior rows
-        ends = np.cumsum(counts[counts > 0]).tolist()
-        rank = (np.cumsum(keep.ravel()) - 1).reshape(keep.shape)
-        prob_at = (depths[:, None] * (deepest + 1) + np.arange(targets.shape[1]))[inside]
-        w_at, term_at, shift_at = targets[inside], rank[:, :-1][inside], rank[:, -1][shifted]
-        first = int(states[0])
-        for part in (prob_at, w_at, term_at, shift_at):
-            part.flags.writeable = False  # the kept layout is shared by every call
-        return _ResidualChunk(
-            prob_at=prob_at,
-            w_at=w_at,
-            term_at=term_at,
-            shifted=slice(first, first + int(np.count_nonzero(shifted))),
-            shift_at=shift_at,
-            size=ends[-1] if ends else 0,
-            runs=list(map(slice, [0, *ends[:-1]], ends)),
-            interior=max(top - first, 0),
+        width = int(counts.max())
+        at = np.cumsum(keep, axis=1) - 1 + 2 * width * (np.cumsum(counts > 0) - 1)[:, None]
+        parts = (
+            prob_at[keep],
+            w_at[keep],
+            np.stack((at[keep], at[keep] + width)),
+            np.repeat(np.arange(width) < counts[counts > 0][:, None], 2, axis=0),
         )
+        for part in parts:
+            part.flags.writeable = False  # the kept layout is shared by every call
+        return _ResidualChunk(*parts, interior=max(top - int(states[0]), 0))
 
     if rows + 1 > ROW_CHUNK:
         return deepest, (chunk(*parts) for parts in chunks)
     layout = _RESIDUAL_ROWS[level] = deepest, [chunk(*parts) for parts in chunks]
     return layout
+
+
+def _peak(start: float, size: np.ndarray, re: np.ndarray, im: np.ndarray) -> float:
+    """max([start, *map(abs, map(complex, re, im))]) for start >= 0.0 and size = hypot(re, im).
+
+    abs() is hypot too, within a few ulps of numpy's: it sees the rows within 2**-40 of the top.
+    """
+    top = np.fmax.reduce(size, initial=start)  # as in max, a NaN never wins
+    near = np.flatnonzero(size >= top * (1.0 - 2.0**-40)).tolist() if top else []
+    return max([start, *map(abs, map(complex, re[near].tolist(), im[near].tolist()))])
 
 
 def eigen_residual(lam: complex, p: ProbSeq, level: int) -> EigenResidual:
@@ -795,35 +797,28 @@ def eigen_residual(lam: complex, p: ProbSeq, level: int) -> EigenResidual:
     top = FIB64[level]
     lam = _lam(lam)
     w = q_values_upto(level, lam, p)
-    sup_norm = max(map(abs, w))
     p1 = coefficients(p).level(p, 0)
     wc = np.array(w)
-    wr, wi = wc.real, wc.imag
+    parts = np.stack((wc.real, wc.imag))
     # -lambda * w_i component by component, as CPython multiplies complex numbers
     lr, li = lam.real, lam.imag
     with np.errstate(over="ignore", invalid="ignore"):
-        minus_re = -(lr * wr - li * wi)
-        minus_im = -(lr * wi + li * wr)
+        sup_norm = _peak(0.0, np.hypot(*parts), *parts)  # max(map(abs, w)), as w[0] = 1
+        minus = -np.stack((lr * parts[0] - li * parts[1], lr * parts[1] + li * parts[0]))
+    source = np.concatenate((parts, minus), axis=1)  # (w, -lambda w)
     interior = 0.0
     full = 0.0
     deepest, chunks = _residual_rows(level, rows)
-    table = _depth_probs(p, deepest).ravel()
+    table = np.append(_depth_probs(p, deepest), 1.0)
     for chunk in chunks:
-        # the row's entries into w's support, then -lambda*w_i for i <= top
-        probs = table[chunk.prob_at]
-        re_acc = np.empty(chunk.size)
-        im_acc = np.empty(chunk.size)
+        terms = np.empty(chunk.keep.shape)
         with np.errstate(over="ignore", invalid="ignore"):
-            re_acc[chunk.term_at] = probs * wr[chunk.w_at]
-            im_acc[chunk.term_at] = probs * wi[chunk.w_at]
-        re_acc[chunk.shift_at] = minus_re[chunk.shifted]
-        im_acc[chunk.shift_at] = minus_im[chunk.shifted]
-        re_terms, im_terms = re_acc.tolist(), im_acc.tolist()
-        re_sums = map(math.fsum, map(re_terms.__getitem__, chunk.runs))
-        im_sums = map(math.fsum, map(im_terms.__getitem__, chunk.runs))
-        res = list(map(abs, map(complex, re_sums, im_sums)))
-        interior = max([interior, *res[: chunk.interior]])
-        full = max([full, *res])
+            terms.reshape(-1)[chunk.term_at] = table[chunk.prob_at] * source[:, chunk.w_at]
+            sums = _fsum_rows(terms, chunk.keep)
+            re, im = sums[0::2], sums[1::2]
+            size = np.hypot(re, im)
+        interior = _peak(interior, *(x[: chunk.interior] for x in (size, re, im)))
+        full = _peak(full, size, re, im)
     q_top = abs(w[top])
     bound = (abs(1.0 - p1 - lam) * q_top + p1 * q_top + p1) / sup_norm
     return EigenResidual(

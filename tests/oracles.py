@@ -31,7 +31,9 @@ running maxima bit for bit.  old_pi_block, old_xi, old_xi_array and
 old_q_values_upto are the chain weights and the q values as written before
 the coefficient schedule and the block rule each had one home, with the
 index formulas derived by hand; the new ones must give the same floats and
-ask the same p_i in the same order.
+ask the same p_i in the same order.  _runs is the per-row slicing the
+residuals used before their row sums went through chain._fsum_rows;
+old_transition_matrix still cuts its rows with it.
 """
 
 import math
@@ -42,7 +44,6 @@ import numpy as np
 from fibmachine.chain import (
     Distribution,
     _ladder_chunks,
-    _runs,
     _truncation_size,
     block_index,
     coefficients,
@@ -286,6 +287,12 @@ def old_parse_csv(text):
     cells = np.empty(width * height, dtype=np.int32)
     cells[flat] = values
     return IterBuffer(width, height, cells.reshape(height, width))
+
+
+def _runs(flat, counts):
+    """Consecutive slices of `flat`, counts[r] items in slice r."""
+    ends = np.cumsum(counts).tolist()
+    return map(flat.__getitem__, map(slice, [0, *ends[:-1]], ends))
 
 
 def old_transition_matrix(level, p):

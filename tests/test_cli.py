@@ -499,3 +499,49 @@ def test_spectrum_orbit_past_the_float_range_escapes_at_level_0(capsys):
     assert out == "0 1.3e+308+1.3e+308j\nescaped_at 0\n"
     code, out, _ = run(capsys, "spectrum", "member", "1.3e308", "1.3e308")
     assert code == 0 and out.startswith("E escaped at level 0\npoint_spectrum escaped at level 0")
+
+
+# ---------------------------------------------------------------------------
+# one parser per process
+
+
+def exits(capsys, *argv):
+    """(code, out, err) of a call, SystemExit included, as the CLI would end it."""
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:
+        code = ("exit", exc.code)
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def test_the_parser_is_built_once_and_serves_every_call_as_a_fresh_one(capsys, tmp_path):
+    from fibmachine import cli
+
+    cfg = cfg_file(tmp_path, HALF_DOC)
+    calls = [
+        ("encode", "12"),
+        ("succ", "101", "--method", "carry", "--verbose"),
+        ("succ", "101"),
+        ("chain", "row", "7", "--config", cfg),
+        ("chain", "stationary", "5", "--threshold", "10", "--config", cfg),
+        ("chain", "stationary", "5"),
+        ("chain", "simulate", "--steps", "20", "--seed", "3", "--verbose"),
+        ("chain", "simulate", "--steps", "20"),
+        ("spectrum", "residual", "0.2", "0.1", "6"),
+        ("spectrum", "member", "0.3", "0.1", "--bound", "100"),
+        ("decode", "10101"),
+        ("chain", "matrix"),  # an argparse error: exit 2
+        ("encode", "12"),
+        ("chain", "--help"),
+        ("chain", "classify", "--config", cfg),
+    ]
+    fresh = []
+    for argv in calls:
+        cli.build_parser.cache_clear()
+        fresh.append(exits(capsys, *argv))
+    assert fresh[11][0] == ("exit", 2) and "required: level" in fresh[11][2]
+    assert fresh[13][0] == ("exit", 0) and "usage: fibmachine chain" in fresh[13][1]
+    parser = cli.build_parser()
+    assert [exits(capsys, *argv) for argv in calls] == fresh
+    assert cli.build_parser() is parser

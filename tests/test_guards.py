@@ -12,7 +12,9 @@ too, and lambda enters every spectral entry point as a number: a bool, a
 str or a non-number is refused naming lam.  A second scan keeps the
 coefficient schedule in r_index: no other expression computes the index of
 a p.p(...) request by halving.  A third keeps FiberWalk the only caller of
-the escape kernel: no _walk_lanes call or _Rules built outside it.
+the escape kernel: no _walk_lanes call or _Rules built outside it.  A
+fourth keeps the residuals' row sums in chain._fsum_rows: neither
+beta_eigen_residual, stationarity_residual nor eigen_residual names fsum.
 """
 
 import ast
@@ -415,3 +417,53 @@ def test_fiber_walk_is_the_only_caller_of_the_escape_kernel():
         if isinstance(node, ast.Call) and _name(node.func) in ("_walk_lanes", "_Rules")
     ]
     assert calls.count("_walk_lanes") >= 2 and calls.count("_Rules") >= 2
+
+
+# ---------------------------------------------------------------------------
+# one exact row sum
+
+
+#: The residuals whose row sums go through chain._fsum_rows, by module.
+RESIDUALS = {
+    "chain.py": ("beta_eigen_residual", "stationarity_residual"),
+    "spectrum.py": ("eigen_residual",),
+}
+
+
+def residual_sums(source, functions):
+    """{function: (fsum lines, calls)} for each named function: where it names fsum, and what it calls."""
+    found = {}
+    for function in ast.walk(ast.parse(source)):
+        if isinstance(function, ast.FunctionDef) and function.name in functions:
+            nodes = list(ast.walk(function))
+            lines = [node.lineno for node in nodes if _name(node) == "fsum"]
+            calls = {_name(node.func) for node in nodes if isinstance(node, ast.Call)}
+            found[function.name] = (sorted(lines), calls)
+    return found
+
+
+def test_fsum_in_a_residual_is_found():
+    source = (
+        "def beta_eigen_residual(level, p):\n"
+        "    return max(map(math.fsum, rows))\n"
+        "def eigen_residual(lam, p, level):\n"
+        "    return fsum(row) + _fsum_rows(terms, keep)\n"
+        "def other():\n"
+        "    return math.fsum(x)\n"
+    )
+    found = residual_sums(source, ("beta_eigen_residual", "eigen_residual"))
+    assert {name: lines for name, (lines, _) in found.items()} == {
+        "beta_eigen_residual": [2],
+        "eigen_residual": [4],
+    }
+    assert "_fsum_rows" in found["eigen_residual"][1]
+
+
+def test_the_residuals_sum_their_rows_only_through_the_one_helper():
+    package = Path(fibmachine.__file__).parent
+    for name, functions in RESIDUALS.items():
+        found = residual_sums((package / name).read_text(encoding="utf-8"), functions)
+        assert sorted(found) == sorted(functions), name
+        for function, (lines, calls) in found.items():
+            assert lines == [], (name, function)
+            assert "_fsum_rows" in calls, (name, function)
