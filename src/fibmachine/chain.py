@@ -7,12 +7,13 @@ transition row analytically: a self-loop, a fallback target for each rung that
 can fail mid-way, and the full increment when every rung succeeds.
 
 The loops over every state below F_L (the truncated matrix, the stationarity
-and beta residuals, and the spectral residual) build those rows ROW_CHUNK at a time
-as numpy arrays: the Zeckendorf bits of the states follow the block rule
-bits(F_m + k) = bits(k) | 1<<m, the ladder depth is a count of trailing bits,
-and each row's targets and probabilities are read from small per-depth
-tables.  Each sum over a row or over a target's inflow is math.fsum's sum
-of the same products, so the results are those of the per-row walk bit for
+and beta residuals, and the spectral residual) work ROW_CHUNK states at a
+time as numpy arrays.  The Zeckendorf bits follow the block rule
+bits(F_m + k) = bits(k) | 1<<m, and a ladder has one shape: the number t of
+trailing zero digits of the next state fixes its rungs, so a row's targets
+and probabilities, and a target's inflow, come from small per-t tables.
+Each sum over a row or over a target's inflow is math.fsum's sum of the
+same products, so the results are those of the per-row walk bit for
 bit: _fsum_rows sums a chunk's rows at once by error-free TwoSum sweeps and
 leaves to math.fsum only the rows whose rounding it cannot certify.  The
 truncated matrix keeps its rows as arrays, targets and probabilities in
@@ -45,6 +46,7 @@ from .errors import (
     InvalidBudget,
     UnsupportedVariant,
     integer,
+    real,
     within,
 )
 from .numeration import FIB64, UINT64_MAX, digits_of_int, fib_bits_of_int
@@ -220,12 +222,17 @@ def _ladder(state: int, bits: int) -> tuple[list[int], list[int]]:
 #: or list built from the table spans more states than this.
 ROW_CHUNK = 2048
 
-#: Every other bit, from bit 0: XOR with a ladder's rung pattern clears it.
-_EVEN_BITS = 0x5555555555555555
+#: _RUNG_SUMS[k0][m] = F_k0 + F_(k0+2) + ... (m terms): m rungs from digit k0.
+_RUNG_SUMS = tuple(tuple(accumulate(FIB64[k0::2], initial=0)) for k0 in (0, 1))
 
 
-def _zeckendorf_bits(stop: int) -> np.ndarray:
-    """Zeckendorf bits of every state below `stop`, by bits(F_m + k) = bits(k) | 1<<m."""
+def _trailing_zeros(start: int, stop: int) -> np.ndarray:
+    """t(i), the number of trailing zero digits of i's Zeckendorf word, for 1 <= start <= i < stop.
+
+    The ladder's one shape: state i's increment clears its c rungs from digit
+    k0 and sets digit k0 + 2c - 1, so t(i + 1) = 2c + k0 - 1 gives c and k0.
+    The Zeckendorf bits of 0..stop-1 come by bits(F_m + k) = bits(k) | 1<<m.
+    """
     bits = np.zeros(stop, dtype=np.int64)
     m = 0
     while FIB64[m] < stop:
@@ -233,7 +240,8 @@ def _zeckendorf_bits(stop: int) -> np.ndarray:
         count = min(FIB64[m + 1], stop) - lo
         np.bitwise_or(bits[:count], 1 << m, out=bits[lo : lo + count])
         m += 1
-    return bits
+    bits = bits[start:]
+    return np.bitwise_count((bits & -bits) - 1)
 
 
 def _ladder_chunks(
@@ -243,8 +251,8 @@ def _ladder_chunks(
 
     Yields (states, depths, targets, probs): _ladder_rows' chunks with
     probs[r] the row of depth depths[r] in `p`'s table, padded with 0.0 as
-    targets is with negative states, so target state - C[k0][m] has
-    probability fall[m + 1] and state + 1 has full[K + 1].  The table grows
+    targets is with negative states, so target state - _RUNG_SUMS[k0][m] has
+    probability fall[m + 1] and state + 1 has full[c + 1].  The table grows
     to the deepest row in range before the first chunk, so an error comes
     as from a row-by-row walk, and an empty range asks for nothing.
     """
@@ -263,33 +271,27 @@ def _ladder_rows(
 
     A chunk is (states, depths, targets) for ROW_CHUNK rows.  Row r has
     depths[r] + 1 entries: targets[r] ascends as `_ladder`'s targets do, and
-    columns past the row's entries hold a negative target.  With K set rungs
-    from k0 = (bits & 1) ^ 1, the depth is K + 1, and the targets are
-    state - C[k0][m] (m = 0..K), then state + 1, where C[k0][m] is the sum of
-    F_k0, F_(k0+2), ..., m terms.
+    columns past the row's entries hold a negative target.  A row's shape is
+    t = t(state + 1) alone: its ladder climbs c = (t + 1) // 2 rungs from
+    digit k0 = (t + 1) % 2, the depth is c + 1, and the targets are
+    state - _RUNG_SUMS[k0][m] (m = c..0), then state + 1.
     """
-    bits = _zeckendorf_bits(stop)[start:]
-    # the rungs make the low bits 0101...01, so the XOR leaves 2K trailing zeros
-    flip = (bits >> ((bits & 1) ^ 1)) ^ _EVEN_BITS
-    depths = np.bitwise_count((flip & -flip) - 1) // 2 + 1
-    deepest = int(depths.max())
-    # row k0 * span + d of `offsets` lays out a row of depth d
-    span = deepest + 1
-    offsets = np.full((2 * span, span), -stop, dtype=np.int64)
-    for k0 in (0, 1):
-        rung_sums = np.cumsum((0, *FIB64[k0 : k0 + 2 * deepest - 2 : 2]))
-        for d in range(1, span):
-            offsets[k0 * span + d, :d] = -rung_sums[d - 1 :: -1]
-            offsets[k0 * span + d, d] = 1
+    shapes = _trailing_zeros(start + 1, stop + 1)
+    top = int(shapes.max())
+    deepest = (top + 1) // 2 + 1
+    # row t of `offsets` lays out the row of shape t
+    offsets = np.full((top + 1, deepest + 1), -stop, dtype=np.int64)
+    for t in range(top + 1):
+        c, k0 = divmod(t + 1, 2)
+        offsets[t, : c + 2] = [*(-s for s in _RUNG_SUMS[k0][c::-1]), 1]
 
     def chunks() -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
         for lo in range(0, stop - start, ROW_CHUNK):
             hi = min(lo + ROW_CHUNK, stop - start)
-            chunk_depths = depths[lo:hi].astype(np.intp)
-            width = int(chunk_depths.max()) + 1
+            chunk_shapes = shapes[lo:hi].astype(np.intp)
+            chunk_depths = (chunk_shapes + 1) // 2 + 1
             states = np.arange(start + lo, start + hi, dtype=np.int64)
-            layout = ((bits[lo:hi] & 1) ^ 1) * span + chunk_depths
-            targets = np.take(offsets[:, :width], layout, axis=0)
+            targets = np.take(offsets[:, : int(chunk_depths.max()) + 1], chunk_shapes, axis=0)
             targets += states[:, None]
             yield states, chunk_depths, targets
 
@@ -715,7 +717,7 @@ def stationary_measure(
     never flags.  It is kept as a float, so a numpy scalar gives the result
     a float gives.
     """
-    if isinstance(summable_threshold, bool) or not summable_threshold > 0.0:
+    if not real(summable_threshold, "threshold") > 0.0:
         raise ValueError(f"threshold must be positive (inf allowed), got {summable_threshold!r}")
     try:
         threshold = float(summable_threshold)
@@ -731,35 +733,30 @@ def stationarity_residual(level: int, p: ProbSeq) -> float:
     """max over 1 <= j < F_level of |(mu S)_j - mu_j| with mu_i = xi_i.
 
     State 0 is excluded: it receives mass from outside the truncation.  No
-    other state does, so the truncated product is exact for j >= 1.  In source
-    order, j's inflow is j - 1's increment, j's self-loop, then falls from above.
+    other state does, so the truncated product is exact for j >= 1.  Target
+    j's inflow depends on t = t(j) alone, so targets are summed one t at a
+    time, each in source order: j - 1's increment (full[(t + 1) // 2 + 1]),
+    j's self-loop (fall[1]), then for s = 2..t the fall of s // 2 rungs from
+    j + _RUNG_SUMS[s % 2][s // 2], if below F_level (fall[s // 2 + 1]).
     """
     size = _truncation_size(level)
+    shapes = _trailing_zeros(1, size + 1)  # t(size) only sizes the deepest row
     mu = _xi_array(size, p)
-    stay, rise = np.empty(size), np.empty(size + 1)  # rise[j]: the increment of j - 1
-    fall_to, fall = [], []
-    for states, depths, targets, probs in _ladder_chunks(0, size, p):
-        inflow = probs * mu[states][:, None]
-        rows, lo = np.arange(len(states)), int(states[0])
-        stay[lo : lo + len(rows)] = inflow[rows, depths - 1]
-        rise[lo + 1 : lo + 1 + len(rows)] = inflow[rows, depths]
-        falling = np.arange(targets.shape[1]) < depths[:, None] - 1
-        fall_to.append(targets[falling])
-        fall.append(inflow[falling])
-    fall_to = np.concatenate(fall_to)
-    fall = np.concatenate(fall)[np.argsort(fall_to, kind="stable")]  # by target, then source
-    counts = np.bincount(fall_to, minlength=size)
-    starts = np.cumsum(counts) - counts
-    del fall_to
+    top = int(shapes.max())
+    table = coefficients(p)
+    table.row(p, (top + 1) // 2 + 1)  # the deepest row below F_level, asked first
+    full, fall = table.full, table.fall
     gaps = np.empty(size)
-    by_count = np.argsort(counts[1:].astype(np.uint8), kind="stable") + 1  # radix: counts < 256
-    for lo in range(0, size - 1, ROW_CHUNK):
-        group = by_count[lo : lo + ROW_CHUNK]
-        width = int(counts[group].max()) + 2
-        falls = np.take(fall, starts[group][:, None] + np.arange(width - 2), mode="clip")
-        terms = np.column_stack((rise[group], stay[group], falls))
-        keep = np.arange(width) < counts[group][:, None] + 2
-        gaps[group] = np.abs(_fsum_rows(terms, keep) - mu[group])
+    for t in range(top + 1):
+        rungs = range(2, t + 1)  # s = 2m + k0: the fall of m rungs from digit k0
+        offsets = np.array([-1, 0, *(_RUNG_SUMS[s % 2][s // 2] for s in rungs)])
+        probs = np.array([full[(t + 1) // 2 + 1], fall[1], *(fall[s // 2 + 1] for s in rungs)])
+        targets = np.flatnonzero(shapes[:-1] == t) + 1
+        for lo in range(0, len(targets), ROW_CHUNK):
+            group = targets[lo : lo + ROW_CHUNK]
+            sources = group[:, None] + offsets
+            terms = probs * np.take(mu, sources, mode="clip")
+            gaps[group] = np.abs(_fsum_rows(terms, sources < size) - mu[group])
     # max over gaps[1:] as Python takes it: a NaN first stays, a later one never wins
     return max(float(gaps[1]), float(np.fmax.reduce(gaps[2:], initial=0.0)))
 
@@ -831,7 +828,7 @@ class ConstructedSeq(ProbSeq):
 
 def geometric_budget(p2: float, ratio: float = 0.25) -> Callable[[int], float]:
     """A convenient summable budget: b(1)=1, b(2)=3*p2, then geometric decay."""
-    if not (0.0 < ratio < 1.0):
+    if not 0.0 < real(ratio, "ratio") < 1.0:
         raise InvalidBudget("ratio must lie in (0, 1)")
 
     def b(k: int) -> float:

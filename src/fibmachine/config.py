@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING, Any
 
-from .errors import ConfigError, FibmachineError, ZeroDelta, integer, within
+from .errors import ConfigError, FibmachineError, ZeroDelta, integer, real, within
 from .numeration import FIBONACCI, BaseDef
 from .probseq import ProbSeq, all_ones, from_config as probseq_from_config, json_number, to_config
 
@@ -91,7 +91,7 @@ class GridSpec:
 
 def escape_radius(p: ProbSeq, margin: float = 0.0) -> float:
     """Safe escape radius max(1 + eps, 2/delta - 1) + margin."""
-    if not 0.0 <= margin < math.inf:
+    if not 0.0 <= real(margin, "margin") < math.inf:
         raise ValueError(f"margin must be nonnegative and finite, got {margin!r}")
     delta = p.delta_lower_bound()
     if delta <= 0.0:
@@ -110,23 +110,13 @@ class EscapeConfig:
     early_exit: bool = True
 
     def __post_init__(self) -> None:
-        if not (1.0 < self.radius < math.inf):
+        if not 1.0 < real(self.radius, "escape radius") < math.inf:
             raise ValueError(
                 f"escape radius must be finite and exceed 1, got {self.radius!r}"
             )
         within(integer(self.max_level, "max_level", 0), LEVEL_BUDGET, "level")
         if not isinstance(self.early_exit, bool):
             raise ValueError(f"early_exit must be True or False, got {self.early_exit!r}")
-
-    @classmethod
-    def for_probseq(
-        cls,
-        p: ProbSeq,
-        max_level: int = DEFAULT_MAX_LEVEL,
-        margin: float = DEFAULT_MARGIN,
-        early_exit: bool = True,
-    ) -> "EscapeConfig":
-        return cls(escape_radius(p, margin), max_level, early_exit)
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,4 @@
-"""Exception hierarchy shared by all fibmachine modules, and the two guards.
+"""Exception hierarchy shared by all fibmachine modules, and the three guards.
 
 Everything derives from FibmachineError so callers (notably the CLI) can
 distinguish "your input is wrong" (ValueError-flavoured, exit code 2) from
@@ -7,9 +7,11 @@ exit code 3).
 
 Every count argument (levels, steps, states, pixels, workers) enters through
 `integer`, which refuses a bool, a float or any other non-integer with a
-ValueError naming the argument.  Every truncation of an infinite object
-(matrix states, escape levels, simulation steps, pixels) is checked by
-`within`, the one place that raises BudgetExceeded.
+ValueError naming the argument.  Every real parameter (escape radius,
+margin, bound, threshold, ratio) enters through `real`, which refuses a
+bool or a non-number the same way.  Every truncation of an infinite
+object (matrix states, escape levels, simulation steps, pixels) is checked
+by `within`, the one place that raises BudgetExceeded.
 """
 
 import numbers
@@ -80,6 +82,13 @@ def integer(value, what: str, low: int | None = None) -> int:
         bound = "nonnegative" if low == 0 else f"at least {low}"
         raise ValueError(f"{what} must be {bound}, got {value!r}")
     return int(value)
+
+
+def real(value, what: str):
+    """`value` as given if it is a real number; a bool or anything else is refused, naming `what`."""
+    if type(value) is not float and (type(value) is bool or not isinstance(value, numbers.Real)):
+        raise ValueError(f"{what} must be a real number, got {value!r}")
+    return value
 
 
 def within(count: int, budget: int, unit: str) -> None:

@@ -47,6 +47,7 @@ from .errors import (
     InvalidSeed,
     OrbitEscaped,
     integer,
+    real,
     within,
 )
 from .chain import ROW_CHUNK, _block_products, _depth_probs, _fsum_rows, _ladder_rows
@@ -676,7 +677,7 @@ def _point_spectrum(
 
     in_E's result is None when the bound was crossed first, unless `need_E`.
     """
-    if isinstance(bound, bool) or not bound > 0.0:
+    if not real(bound, "bound") > 0.0:
         raise ValueError(f"bound must be positive (inf allowed), got {bound!r}")
     lam = _lam(lam)
     mods, esc = _lane(lam, p, cfg, True)

@@ -14,7 +14,8 @@ the array-backed matrix and its block writer must match them bit for bit
 and byte for byte.  old_succ_carry is the carry rewriting with one loop per
 branch, as written before both branches ran through one loop; the new one
 must give the same word and the same CarryTrace.  Recording is the
-descriptor the tests wrap around another to see which p_i a call asks for.
+descriptor the tests wrap around another to see which p_i a call asks for,
+and for_probseq the EscapeConfig with the radius escape_radius derives.
 old_pixel is the one-pixel centre GridSpec had as a method, the reference
 for its lambda array.  old_is_admissible, old_decode and old_random are
 numeration's and the generator's paths from before each was written once:
@@ -49,6 +50,7 @@ from fibmachine.chain import (
     coefficients,
 )
 from fibmachine.cli import CSV_BLOCK, fmt
+from fibmachine.config import DEFAULT_MARGIN, DEFAULT_MAX_LEVEL, EscapeConfig, escape_radius
 from fibmachine.errors import BudgetExceeded, CapacityError, InadmissibleWord, InvalidSeed
 from fibmachine.numeration import (
     FIB64,
@@ -92,6 +94,11 @@ class Recording(ProbSeq):
 
     def delta_lower_bound(self):
         return self.inner.delta_lower_bound()
+
+
+def for_probseq(p, max_level=DEFAULT_MAX_LEVEL, margin=DEFAULT_MARGIN, early_exit=True):
+    """The escape parameters of `p` with its derived radius escape_radius(p, margin)."""
+    return EscapeConfig(escape_radius(p, margin), max_level, early_exit)
 
 
 def subset_max_exhaustive(lam, p, level):

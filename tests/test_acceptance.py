@@ -43,7 +43,7 @@ from fibmachine import (
     write_ppm,
 )
 from fibmachine.numeration import FIB64
-from oracles import subset_max_exhaustive
+from oracles import for_probseq, subset_max_exhaustive
 
 HALF = ConstantTail((), 0.5)
 DECREASING = ConstantTail((0.9, 0.8, 0.7, 0.6), 0.5)
@@ -265,7 +265,7 @@ def test_criterion_09_fixed_point_closed_form_disk():
             if not cmath.isclose(v, want, rel_tol=1e-10, abs_tol=1e-300):
                 bad.append(("closed form", lam, n))
     grid = GridSpec(center=0j, width=4.0, height=4.0, pixels_x=101, pixels_y=101)
-    cfg = EscapeConfig.for_probseq(all_ones(), max_level=17, margin=1.0)
+    cfg = for_probseq(all_ones(), max_level=17, margin=1.0)
     cells = scan_grid(grid, all_ones(), cfg).cells
     mods = np.abs(grid.lam_array())
     off_boundary = np.abs(mods - 1.0) > 4.0 / 101
@@ -361,7 +361,7 @@ def test_criterion_14_figure_regeneration():
             if banded != first[number]:
                 bad.append(("workers differ", number, workers))
     grid = GridSpec(center=0j, width=5.0, height=5.0, pixels_x=400, pixels_y=400)
-    cfg = EscapeConfig.for_probseq(all_ones(), max_level=17, margin=1.0)
+    cfg = for_probseq(all_ones(), max_level=17, margin=1.0)
     baseline = scan_grid(grid, all_ones(), cfg).inside_count()
     dimmed = render_panel(7, workers=1).inside_count()
     if not dimmed < baseline:

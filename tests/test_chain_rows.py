@@ -45,6 +45,7 @@ from fibmachine.chain import (
     ROW_CHUNK,
     STEP_BUDGET,
     ProbFactor,
+    _RUNG_SUMS,
     _ladder,
     _ladder_chunks,
     _pi_block,
@@ -429,6 +430,29 @@ def test_ladder_table_matches_the_walk(index):
 def test_ladder_table_matches_the_walk_on_random_ranges(start, length, index):
     got = table_rows(start, start + length, sequences()[index])
     assert got == walked_rows(start, start + length, sequences()[index])
+
+
+def shape_states():
+    """Random 64-bit states, and F_k - 2 .. F_k + 1 for every k: all below UINT64_MAX."""
+    rng = random.Random(24)
+    edges = {f + d for f in FIB64 for d in (-2, -1, 0, 1)}
+    return sorted({*edges, *(rng.randrange(UINT64_MAX) for _ in range(3000))} - {-1})
+
+
+def test_the_ladder_shape_is_the_trailing_zeros_of_the_next_state():
+    # the identity the bulk tables rest on, checked far past MATRIX_BUDGET
+    for state in shape_states():
+        following = fib_bits_of_int(state + 1)
+        t = (following & -following).bit_length() - 1
+        bits = fib_bits_of_int(state)
+        targets, target_bits = _ladder(state, bits)
+        c, k0 = divmod(t + 1, 2)
+        assert len(targets) - 1 == c + 1, state  # the depth is (t + 1) // 2 + 1
+        # the lowest rung is digit k0 = (t + 1) % 2: digit 0 when set, else digit 1
+        assert bits & 1 == 1 - k0, state
+        # the deepest fall clears the c rungs k0, k0 + 2, ..; the next one is clear
+        assert bits ^ target_bits[0] == sum(1 << k for k in range(k0, k0 + 2 * c, 2)), state
+        assert not bits >> (k0 + 2 * c) & 1 and targets[0] == state - _RUNG_SUMS[k0][c], state
 
 
 def requests(call, make):

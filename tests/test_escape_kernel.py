@@ -31,7 +31,7 @@ from fibmachine import (
 )
 from fibmachine.figures import PANEL_COUNT, panel_config
 from fibmachine.spectrum import BLOCK, COMPACT_AT, ETA, INSIDE, r_index
-from oracles import Recording
+from oracles import Recording, for_probseq
 
 HALF = ConstantTail((), 0.5)
 MIXED = ConstantTail((0.75, 0.5, 0.8, 0.7), 0.6)
@@ -100,7 +100,7 @@ def test_compacted_kernel_equals_full_array_kernel(max_level, early_exit):
     rng = np.random.default_rng(max_level * 2 + early_exit)
     lam = rng.uniform(-2.6, 2.6, (60, 70)) + 1j * rng.uniform(-2.6, 2.6, (60, 70))
     for p in [HALF, MIXED, all_ones()] + PANEL_SEQS[::4]:
-        cfg = EscapeConfig.for_probseq(p, max_level=max_level, early_exit=early_exit)
+        cfg = for_probseq(p, max_level=max_level, early_exit=early_exit)
         assert_same_levels(lam, p, cfg)
 
 
@@ -111,7 +111,7 @@ def test_compacted_kernel_on_every_panel(k):
 
 
 def test_compacted_kernel_shapes_and_strides():
-    cfg = EscapeConfig.for_probseq(HALF, max_level=17)
+    cfg = for_probseq(HALF, max_level=17)
     grid = _grid(48)
     assert_same_levels(grid[5], HALF, cfg)  # 1-D
     assert_same_levels(grid.reshape(4, 12, 48), HALF, cfg)  # 3-D
@@ -129,7 +129,7 @@ def test_nan_and_inf_escape_at_level_zero():
     nan, inf = float("nan"), float("inf")
     lam = np.array([nan, complex(nan, 1.0), inf, -inf, complex(0.0, inf), 0.25, 1.0])
     for early_exit in (True, False):
-        cfg = EscapeConfig.for_probseq(HALF, max_level=17, early_exit=early_exit)
+        cfg = for_probseq(HALF, max_level=17, early_exit=early_exit)
         levels = assert_same_levels(lam, HALF, cfg)
         assert levels.tolist()[:5] == [0] * 5
         assert levels[-1] == INSIDE
@@ -145,7 +145,7 @@ def test_unit_disk_never_escapes_for_the_deterministic_machine():
     rad = np.sqrt(rng.uniform(0.0, 0.98, 2000))
     lam = rad * np.exp(2j * np.pi * rng.uniform(0.0, 1.0, 2000))
     for max_level in (0, 1, 2, 40):
-        cfg = EscapeConfig.for_probseq(ones, max_level=max_level)
+        cfg = for_probseq(ones, max_level=max_level)
         levels = assert_same_levels(lam, ones, cfg)
         assert np.all(levels == INSIDE)
 
@@ -165,7 +165,7 @@ def test_flat_sizes_around_the_block(size):
     rng = np.random.default_rng(size)
     lam = _random_lambda(rng, size)
     for early_exit in (True, False):
-        cfg = EscapeConfig.for_probseq(MIXED, max_level=17, early_exit=early_exit)
+        cfg = for_probseq(MIXED, max_level=17, early_exit=early_exit)
         assert_same_levels(lam, MIXED, cfg)
 
 
@@ -174,7 +174,7 @@ def test_grid_rows_straddle_blocks():
     assert BLOCK % cols and rows * cols > 3 * BLOCK
     lam = _grid(1000)[:rows]
     for p in (HALF, PANEL_SEQS[4]):
-        cfg = EscapeConfig.for_probseq(p, max_level=17)
+        cfg = for_probseq(p, max_level=17)
         assert_same_levels(lam, p, cfg)
 
 
@@ -193,7 +193,7 @@ def test_masked_lanes_when_few_settle_per_level():
     )
     lam = rad * np.exp(2j * np.pi * rng.uniform(0.0, 1.0, size))
     for early_exit in (True, False):
-        cfg = EscapeConfig.for_probseq(ones, max_level=40, early_exit=early_exit)
+        cfg = for_probseq(ones, max_level=40, early_exit=early_exit)
         levels = assert_same_levels(lam, ones, cfg)
         for block in (levels[:BLOCK], levels[BLOCK:]):
             settled = np.bincount(block[block != INSIDE], minlength=cfg.max_level + 1)
@@ -214,7 +214,7 @@ def test_lanes_compact_after_a_wide_level():
     )
     lam = rad * np.exp(2j * np.pi * rng.uniform(0.0, 1.0, size))
     for early_exit in (True, False):
-        cfg = EscapeConfig.for_probseq(ones, max_level=40, early_exit=early_exit)
+        cfg = for_probseq(ones, max_level=40, early_exit=early_exit)
         assert_same_levels(lam, ones, cfg)
 
 
@@ -274,7 +274,7 @@ def test_coefficients_requested_as_by_the_oracle():
     for grid in (lam, lam[:1], lam[:0], np.full(5, 40.0 + 0j)):
         for max_level in (0, 3, 17):
             new, old = Recording(MIXED), Recording(MIXED)
-            cfg = EscapeConfig.for_probseq(MIXED, max_level=max_level)
+            cfg = for_probseq(MIXED, max_level=max_level)
             escape_levels(grid, new, cfg)
             with np.errstate(invalid="ignore"):
                 full_array_escape_levels(grid, old, cfg)
@@ -307,7 +307,7 @@ COORD = st.floats(min_value=-3.0, max_value=3.0, allow_nan=False)
     early_exit=st.booleans(),
 )
 def test_in_E_matches_kernel_at_random_lambda(p, re, im, max_level, early_exit):
-    cfg = EscapeConfig.for_probseq(p, max_level=max_level, early_exit=early_exit)
+    cfg = for_probseq(p, max_level=max_level, early_exit=early_exit)
     lam = complex(re, im)
     assert _scalar_level(lam, p, cfg) == _kernel_level(lam, p, cfg)
 
@@ -319,7 +319,7 @@ def test_in_E_matches_kernel_at_random_lambda(p, re, im, max_level, early_exit):
     early_exit=st.booleans(),
 )
 def test_in_E_matches_kernel_on_escape_boundaries(p, theta, early_exit):
-    cfg = EscapeConfig.for_probseq(p, max_level=17, early_exit=early_exit)
+    cfg = for_probseq(p, max_level=17, early_exit=early_exit)
     # lambda = 1 is the fixed point q = 1 of every sequence
     assert _scalar_level(1.0, p, cfg) == _kernel_level(1.0, p, cfg) == INSIDE
     # seeds on the radius, up to rounding (real, so both moduli are exact)
@@ -328,7 +328,7 @@ def test_in_E_matches_kernel_on_escape_boundaries(p, theta, early_exit):
         assert _scalar_level(lam, p, cfg) == _kernel_level(lam, p, cfg)
     # the unit circle, where E of the deterministic machine ends
     ones = all_ones()
-    unit = EscapeConfig.for_probseq(ones, max_level=17, early_exit=early_exit)
+    unit = for_probseq(ones, max_level=17, early_exit=early_exit)
     lam = cmath.exp(1j * theta)
     assert _scalar_level(lam, ones, unit) == _kernel_level(lam, ones, unit)
     assert _scalar_level(lam, p, cfg) == _kernel_level(lam, p, cfg)
@@ -345,7 +345,7 @@ GEOMETRIC = [GeometricDecay(0.9, 0.001), GeometricDecay(0.5, 1e-30)]
 
 def _lane_configs(max_level, early_exit):
     for p in LANE_SEQS:
-        yield p, EscapeConfig.for_probseq(p, max_level=max_level, early_exit=early_exit)
+        yield p, for_probseq(p, max_level=max_level, early_exit=early_exit)
     for p in GEOMETRIC:
         yield p, EscapeConfig(radius=50.0, max_level=max_level, early_exit=early_exit)
 

@@ -1,26 +1,31 @@
-"""The two guards of errors.py: `integer` for count arguments, `within` for budgets.
+"""The guards of errors.py: `integer` for counts, `real` for reals, `within` for budgets.
 
 Every count argument refuses a bool and a float, integral or not, with a
 ValueError naming it, before any work and without a TypeError from deeper
 down.  Every budget refusal has the one message format, and a scan of the
 source keeps any other module from raising BudgetExceeded or comparing a
 budget itself.  The real and flag arguments of the public entry points
-refuse a bool (or, for a flag, anything else) naming the field, numpy
-scalars still pass, and ConstructedSeq checks its p1, p2 and budget where
-they enter.  A seed enters SplitMix64 and simulate through `integer`
-too, and lambda enters every spectral entry point as a number: a bool, a
-str or a non-number is refused naming lam.  A second scan keeps the
+refuse a bool (or, for a flag, anything else) naming the field, a real
+one refuses any other non-number the same way, numpy scalars still pass,
+and ConstructedSeq checks its p1, p2 and budget where they enter.  A seed
+enters SplitMix64 and simulate through `integer` too, and lambda enters
+every spectral entry point as a number: a bool, a str or a non-number is
+refused naming lam.  A second scan keeps the
 coefficient schedule in r_index: no other expression computes the index of
 a p.p(...) request by halving.  A third keeps FiberWalk the only caller of
 the escape kernel: no _walk_lanes call or _Rules built outside it.  A
 fourth keeps the residuals' row sums in chain._fsum_rows: neither
 beta_eigen_residual, stationarity_residual nor eigen_residual names fsum.
+A fifth keeps one ladder shape: bitwise_count only in chain._trailing_zeros,
+the one stepped slice of FIB64 in chain._RUNG_SUMS, and no sort or count of
+falls by target in stationarity_residual.
 """
 
 import ast
 import json
 import math
 import re
+from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
 
@@ -65,7 +70,7 @@ from fibmachine import (
     xi,
 )
 from fibmachine.chain import MATRIX_BUDGET, STEP_BUDGET, ConstructedSeq
-from fibmachine.config import load_config
+from fibmachine.config import RunConfig, escape_radius, load_config
 from fibmachine.errors import ConfigError
 from fibmachine.numeration import FIB64, fib_bits_of_int
 from fibmachine.render import PIXEL_BUDGET
@@ -221,6 +226,10 @@ FIELDS = {
     "GridSpec width": ("grid width must be", lambda v: GridSpec(width=v)),
     "GridSpec height": ("grid height must be", lambda v: GridSpec(height=v)),
     "EscapeConfig early_exit": ("early_exit must be", lambda v: EscapeConfig(2.0, 5, v)),
+    "EscapeConfig radius": ("escape radius must be", lambda v: EscapeConfig(v, 5)),
+    "escape_radius margin": ("margin must be", lambda v: escape_radius(HALF, v)),
+    "RunConfig margin": ("margin must be", lambda v: RunConfig(HALF, margin=v).escape_config()),
+    "geometric_budget ratio": ("ratio must be", lambda v: geometric_budget(0.5, v)),
     "in_point_spectrum bound": ("bound must be", lambda v: in_point_spectrum(0.5, HALF, CFG, v)),
     "stationary_measure summable_threshold": (
         "threshold must be",
@@ -238,6 +247,41 @@ def test_every_real_or_flag_argument_refuses_a_bool_where_it_is_not_one(entry, b
         bad = "no" if bad else 1
     with pytest.raises(ValueError, match=f"^{re.escape(what)}.*{re.escape(repr(bad))}$"):
         call(bad)
+
+
+#: The FIELDS entries that enter through errors.real.
+REALS = (
+    "EscapeConfig radius",
+    "RunConfig margin",
+    "escape_radius margin",
+    "geometric_budget ratio",
+    "in_point_spectrum bound",
+    "stationary_measure summable_threshold",
+)
+
+
+@pytest.mark.parametrize("bad", ["1", "x", b"5", None, [4.0], 5j, np.bool_(True), Decimal("5")])
+@pytest.mark.parametrize("entry", REALS)
+def test_every_real_argument_refuses_a_non_number_naming_it(entry, bad):
+    what, call = FIELDS[entry]
+    message = f"{what} a real number, got {bad!r}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call(bad)
+
+
+def test_real_arguments_out_of_range_keep_their_messages():
+    for call, message in [
+        (lambda: EscapeConfig(1.0, 5), "escape radius must be finite and exceed 1, got 1.0"),
+        (lambda: escape_radius(HALF, -1.0), "margin must be nonnegative and finite, got -1.0"),
+        (lambda: in_point_spectrum(0.5, HALF, CFG, 0), "bound must be positive (inf allowed), got 0"),
+        (lambda: stationary_measure(5, HALF, -1), "threshold must be positive (inf allowed), got -1"),
+        (lambda: geometric_budget(0.5, 1), "ratio must lie in (0, 1)"),
+    ]:
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            call()
+    assert escape_radius(HALF, Fraction(1, 2)) == escape_radius(HALF, 0.5)
+    assert EscapeConfig(np.int64(4), 5).radius == 4
+    assert geometric_budget(0.5, np.float32(0.5))(3) == geometric_budget(0.5, 0.5)(3)
 
 
 def test_numpy_scalars_still_pass():
@@ -467,3 +511,65 @@ def test_the_residuals_sum_their_rows_only_through_the_one_helper():
         for function, (lines, calls) in found.items():
             assert lines == [], (name, function)
             assert "_fsum_rows" in calls, (name, function)
+
+
+# ---------------------------------------------------------------------------
+# one ladder shape
+
+
+def _top_name(node):
+    """The name a top-level statement defines or assigns."""
+    if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+        return node.name
+    targets = node.targets if isinstance(node, ast.Assign) else [getattr(node, "target", None)]
+    return ", ".join(_name(target) for target in targets if target is not None)
+
+
+def shape_sites(source):
+    """(top-level name, what) of each bitwise_count named and each stepped slice of FIB64."""
+    sites = []
+    for top in ast.parse(source).body:
+        for node in ast.walk(top):
+            if _name(node) == "bitwise_count":
+                sites.append((_top_name(top), "bitwise_count"))
+            if (
+                isinstance(node, ast.Subscript)
+                and _name(node.value) == "FIB64"
+                and isinstance(node.slice, ast.Slice)
+                and node.slice.step is not None
+            ):
+                sites.append((_top_name(top), "FIB64 step"))
+    return sorted(sites)
+
+
+def test_shape_sites_are_found():
+    source = (
+        "_RUNG_SUMS = tuple(accumulate(FIB64[0::2]))\n"
+        "def _ladder_rows(start, stop):\n"
+        "    def chunks():\n"
+        "        return np.bitwise_count(flip), FIB64[k0 : k0 + 8 : 2], FIB64[1:4]\n"
+        "x: int = bitwise_count(3)\n"
+    )
+    assert shape_sites(source) == [
+        ("_RUNG_SUMS", "FIB64 step"),
+        ("_ladder_rows", "FIB64 step"),
+        ("_ladder_rows", "bitwise_count"),
+        ("x", "bitwise_count"),
+    ]
+
+
+def test_the_ladder_shape_is_computed_once():
+    package = Path(fibmachine.__file__).parent
+    found = {
+        path.name: shape_sites(path.read_text(encoding="utf-8"))
+        for path in sorted(package.glob("*.py"))
+    }
+    assert len(found) > 10
+    assert {name: sites for name, sites in found.items() if sites} == {
+        "chain.py": [("_RUNG_SUMS", "FIB64 step"), ("_trailing_zeros", "bitwise_count")]
+    }
+    # the inflow is gathered by shape, not sorted or counted by target
+    source = (package / "chain.py").read_text(encoding="utf-8")
+    _, calls = residual_sums(source, ("stationarity_residual",))["stationarity_residual"]
+    assert "_trailing_zeros" in calls
+    assert not calls & {"argsort", "bincount", "concatenate", "_ladder_chunks"}

@@ -42,7 +42,13 @@ from fibmachine import (
 )
 from fibmachine.numeration import FIB64
 from fibmachine.spectrum import CLAMP, LEVEL_BUDGET, _walk, r_index
-from oracles import old_fibered_pair, old_phi_values, old_q_fib_orbit, old_q_general_orbit
+from oracles import (
+    for_probseq,
+    old_fibered_pair,
+    old_phi_values,
+    old_q_fib_orbit,
+    old_q_general_orbit,
+)
 
 SEQS = [
     all_ones(),
@@ -366,7 +372,7 @@ def test_orbit_escaped_only_below_the_requested_level():
 
 
 def test_point_spectrum_bound_must_be_a_number():
-    cfg = EscapeConfig.for_probseq(NULL, max_level=10)
+    cfg = for_probseq(NULL, max_level=10)
     with pytest.raises(ValueError, match="bound"):
         in_point_spectrum(0.5, NULL, cfg, bound=math.nan)
     assert in_point_spectrum(1.0, NULL, cfg, bound=math.inf).status == "inside"

@@ -27,7 +27,7 @@ from fibmachine import render
 from fibmachine.figures import panel_config
 from fibmachine.render import PIXEL_BUDGET, _color
 from fibmachine.spectrum import BLOCK
-from oracles import Recording, old_pixel
+from oracles import Recording, for_probseq, old_pixel
 
 HALF = ConstantTail((), 0.5)
 MIXED = ConstantTail((0.75, 0.5, 0.8, 0.7), 0.6)
@@ -97,7 +97,7 @@ def test_grid_accepts_numpy_and_real_values():
 
 
 def _cfg(p, max_level=12):
-    return EscapeConfig.for_probseq(p, max_level=max_level, margin=1.0)
+    return for_probseq(p, max_level=max_level, margin=1.0)
 
 
 def test_scan_budget_and_worker_validation():
@@ -131,7 +131,7 @@ def test_scan_cells_do_not_depend_on_the_worker_count(
     pixels_x, pixels_y, workers, max_level, early_exit, p
 ):
     grid = GridSpec(center=0.1 - 0.2j, width=5.0, height=4.0, pixels_x=pixels_x, pixels_y=pixels_y)
-    cfg = EscapeConfig.for_probseq(p, max_level=max_level, early_exit=early_exit)
+    cfg = for_probseq(p, max_level=max_level, early_exit=early_exit)
     one = scan_grid(grid, p, cfg, workers=1)
     assert np.array_equal(one.cells, scan_grid(grid, p, cfg, workers=workers).cells)
 

@@ -62,7 +62,7 @@ from fibmachine.spectrum import (
     _point_spectrum,
     r_index,
 )
-from oracles import Recording, old_in_E, old_point_spectrum
+from oracles import Recording, for_probseq, old_in_E, old_point_spectrum
 from test_chain_rows import oracle_eigen_residual
 from test_escape_kernel import GEOMETRIC, LANE_SEQS, _lane_configs, _lane_lambdas
 
@@ -366,7 +366,7 @@ def test_point_spectrum_equals_the_two_walk_oracle():
     rng = random.Random(2800)
     checked = 0
     for p in FOUR:
-        cfg = EscapeConfig.for_probseq(p)
+        cfg = for_probseq(p)
         for lam in window(rng, 2500):
             got = in_point_spectrum(lam, p, cfg, 1e6)
             want, _ = old_point_spectrum(lam, p, cfg, 1e6)
@@ -405,7 +405,7 @@ def _walked(lam, p, levels):
 def test_point_spectrum_asks_each_coefficient_once_in_level_order():
     rng = random.Random(3000)
     for p in FOUR + [all_ones()]:
-        cfg = EscapeConfig.for_probseq(p)
+        cfg = for_probseq(p)
         for lam in [1.0, 0.3 + 0.2j, *window(rng, 40)]:
             for bound in (1.5, 1e6):
                 recorded = Recording(p)

@@ -37,7 +37,7 @@ from fibmachine import (
 from fibmachine import chain
 from fibmachine.numeration import FIB64, BaseDef, base_sequence, digits_of_int
 from fibmachine.spectrum import CLAMP, INSIDE, LEVEL_BUDGET, r_index
-from oracles import Recording, subset_max_exhaustive
+from oracles import Recording, for_probseq, subset_max_exhaustive
 
 HALF = ConstantTail((), 0.5)
 MIXED = ConstantTail((0.75, 0.5, 0.8, 0.7), 0.6)
@@ -192,13 +192,13 @@ def test_escape_config_validation():
         EscapeConfig(radius=1.0, max_level=10)
     with pytest.raises(ValueError):
         EscapeConfig(radius=2.0, max_level=-1)
-    cfg = EscapeConfig.for_probseq(HALF, max_level=12, margin=1.0)
+    cfg = for_probseq(HALF, max_level=12, margin=1.0)
     assert cfg.radius == 4.0
     assert cfg.max_level == 12
 
 
 def test_scalar_membership_equals_grid_kernel():
-    cfg = EscapeConfig.for_probseq(HALF, max_level=14, margin=1.0)
+    cfg = for_probseq(HALF, max_level=14, margin=1.0)
     xs = np.linspace(-2.2, 2.2, 9)
     grid = xs[None, :] + 1j * xs[:, None]
     levels = escape_levels(grid, HALF, cfg)
@@ -218,7 +218,7 @@ def test_escape_early_exit_only_shrinks_inside():
 
 def test_escape_sets_are_nested():
     # once an orbit value leaves the safe radius it never returns below it
-    cfg = EscapeConfig.for_probseq(HALF, max_level=13, margin=3.0)
+    cfg = for_probseq(HALF, max_level=13, margin=3.0)
     xs = np.linspace(-2.0, 2.0, 16)
     for re in xs:
         for im in xs:
@@ -233,7 +233,7 @@ def test_escape_sets_are_nested():
 
 def test_two_consecutive_big_values_escape():
     # wherever the pair rule fires, the raw orbit grows past 1e12 soon after
-    cfg = EscapeConfig.for_probseq(HALF, max_level=17, margin=1.0)
+    cfg = for_probseq(HALF, max_level=17, margin=1.0)
     xs = np.linspace(-2.4, 2.4, 13)
     checked = 0
     for re in xs:
@@ -256,20 +256,20 @@ def test_two_consecutive_big_values_escape():
 
 
 def test_point_spectrum_fixed_point_inside():
-    cfg = EscapeConfig.for_probseq(HALF, max_level=17, margin=1.0)
+    cfg = for_probseq(HALF, max_level=17, margin=1.0)
     res = in_point_spectrum(1.0, HALF, cfg, bound=1e6)
     assert res.status == "inside"
     assert res.bound_value == 1.0
 
 
 def test_point_spectrum_outside_unit_circle_escapes():
-    cfg = EscapeConfig.for_probseq(all_ones(), max_level=25, margin=1.0)
+    cfg = for_probseq(all_ones(), max_level=25, margin=1.0)
     res = in_point_spectrum(1.01, all_ones(), cfg, bound=1e6)
     assert res.status == "escaped"
 
 
 def test_point_spectrum_inside_implies_in_E():
-    cfg = EscapeConfig.for_probseq(HALF, max_level=17, margin=1.0)
+    cfg = for_probseq(HALF, max_level=17, margin=1.0)
     xs = np.linspace(-1.5, 1.5, 9)
     for re in xs:
         for im in xs:
@@ -280,7 +280,7 @@ def test_point_spectrum_inside_implies_in_E():
 
 
 def test_point_spectrum_bound_validation():
-    cfg = EscapeConfig.for_probseq(HALF, max_level=10, margin=1.0)
+    cfg = for_probseq(HALF, max_level=10, margin=1.0)
     with pytest.raises(ValueError):
         in_point_spectrum(0.5, HALF, cfg, bound=0.0)
 
@@ -445,4 +445,4 @@ def test_escape_config_level_budget():
     with pytest.raises(BudgetExceeded, match="level budget"):
         EscapeConfig(4.0, LEVEL_BUDGET + 1)
     with pytest.raises(BudgetExceeded):
-        EscapeConfig.for_probseq(HALF, max_level=10**9)
+        for_probseq(HALF, max_level=10**9)
