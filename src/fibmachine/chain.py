@@ -231,17 +231,18 @@ def _trailing_zeros(start: int, stop: int) -> np.ndarray:
 
     The ladder's one shape: state i's increment clears its c rungs from digit
     k0 and sets digit k0 + 2c - 1, so t(i + 1) = 2c + k0 - 1 gives c and k0.
-    The Zeckendorf bits of 0..stop-1 come by bits(F_m + k) = bits(k) | 1<<m.
+    t(F_m) = m, and t(F_m + k) = t(k) for 1 <= k < F_(m-1), as F_m + k's
+    word is k's with digit m set; one byte holds each t.
     """
-    bits = np.zeros(stop, dtype=np.int64)
+    t = np.zeros(stop, dtype=np.uint8)
     m = 0
     while FIB64[m] < stop:
         lo = FIB64[m]
-        count = min(FIB64[m + 1], stop) - lo
-        np.bitwise_or(bits[:count], 1 << m, out=bits[lo : lo + count])
+        t[lo] = m
+        count = min(FIB64[m - 1] if m else 1, stop - lo)
+        t[lo + 1 : lo + count] = t[1:count]
         m += 1
-    bits = bits[start:]
-    return np.bitwise_count((bits & -bits) - 1)
+    return t[start:]
 
 
 def _ladder_chunks(

@@ -9,9 +9,9 @@ authoritative where the two disagree.
 
 Loading and naming panels needs no numpy; render_panel and repro_panels
 import the renderer when they are called.  repro_panels scans the panels of
-one grid together, so the escape levels their sequences share (levels 0-2
-for the committed panels, which all start p_1 = 1.0, p_2 = 0.999) are
-walked once; the bytes are those of render_panel for each panel.
+one grid together, so each prefix of escape levels that a group of their
+sequences shares is walked once (levels 0-2 for all the committed panels,
+3-4 for the 13 with p_3 = 1.0, ...); the bytes are those of render_panel.
 """
 
 from __future__ import annotations
@@ -104,8 +104,8 @@ def repro_panels(
     """Render the given panels to PPM files; returns the written paths, in the order given.
 
     The panels that share a grid are scanned together by render.scan_fibers,
-    which walks the escape levels they share once; each PPM is written as
-    soon as its panel's buffer is ready, and only that buffer is held.
+    which walks each prefix of levels a group of them shares once; each PPM is
+    written as soon as its panel's buffer is ready, and only that buffer is held.
     """
     from .render import scan_fibers, write_ppm
 

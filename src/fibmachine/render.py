@@ -4,9 +4,9 @@ A GridSpec names the window and resolution, scan_grid runs the shared escape
 kernel over the pixel centers (once for each row and its mirror image across
 the real axis, lambda built one block of rows at a time, optionally in row
 bands across threads, with bit-identical output), scan_fibers does so for
-several sequences at once, walking the levels they share once, and the
-writers serialize the resulting level buffer as binary PPM, CSV text, or
-PNG.  GridSpec is defined in config, which needs
+several sequences at once, walking each prefix of levels a group of them
+shares once, and the writers serialize the resulting level buffer as
+binary PPM, CSV text, or PNG.  GridSpec is defined in config, which needs
 no numpy, and is the same class here.
 """
 
@@ -102,13 +102,14 @@ def scan_fibers(
     the levels are copied to the others.  The scanned rows are split into
     min(workers, rows) disjoint bands, on at most one thread per CPU.  Each
     band is a spectrum.FiberWalk whose lambda is built from lam_array,
-    BLOCK pixels' worth of rows at a time: it walks the levels that all
-    fibers share once, then each fiber's rest when its buffer is asked for,
-    so one fiber's levels are held at a time.  The kernel is elementwise, so
-    any worker count gives the cells of the sequential scan.  The bands read
-    each `p` through its coefficient table, which grows under a lock, so at
-    any worker count `p` is asked for the indices a scan of every row with
-    that fiber alone asks for, each once, in ascending order.
+    BLOCK pixels' worth of rows at a time: it walks each level that a group
+    of fibers shares once, keeping each fiber's levels past the top node
+    small, and each fiber's turn writes them over one full-size buffer.
+    The kernel is elementwise, so any worker count gives the cells of the
+    sequential scan.  The bands read each `p` through its coefficient
+    table, which grows under a lock, so at any worker count `p` is asked for
+    the indices a scan of every row with that fiber alone asks for, each
+    once, in ascending order.
     """
     within(grid.pixels_x * grid.pixels_y, PIXEL_BUDGET, "pixel")
     integer(workers, "workers", 1)
@@ -133,10 +134,9 @@ def scan_fibers(
     levels = np.full((len(first), grid.pixels_x), INSIDE, dtype=np.int32)
     threads = min(bands, os.cpu_count() or 1)
     with ThreadPoolExecutor(max_workers=threads) if bands > 1 else nullcontext() as pool:
-        _each_band(pool, [walk.root for walk in walks], levels)
+        _each_band(pool, [walk.walk for walk in walks], levels)
         for k in range(len(fibers)):
-            if not all(walk.done for walk in walks):
-                _each_band(pool, [partial(walk.finish, k) for walk in walks], levels)
+            _each_band(None, [partial(walk.fiber, k) for walk in walks], levels)
             yield IterBuffer(grid.pixels_x, grid.pixels_y, levels[source])
 
 

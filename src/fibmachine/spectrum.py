@@ -14,19 +14,19 @@ the work arrays then shrink to the live ones.  Each step multiplies by
 block walk, which starts from lambda or from a level's state and takes
 each level's coefficient r_n, has one caller, FiberWalk: the walk of
 several fibers (sequence and escape parameters) over one set of pixels,
-which steps the levels whose coefficients they share once and then each
-fiber's remaining pixels alone.  escape_levels is that walk with one
-fiber.  The scalar membership test in_E walks one lambda with the scalar
-step and carries a bound on its distance from numpy's arithmetic (a
-rounding model with the constants UNIT, MUL_ERR, ABS_ERR, TINY_ERR and
-SAFE); a test is decided there only when the modulus lies farther than
-that bound from the threshold.  Any other lambda runs escape_levels on
-that one lambda, so scalar and raster answers agree bit for bit by
-construction.  in_point_spectrum takes its running maximum and in_E's
-result from one such walk.  eigen_residual's row layout depends on the
-level alone and is kept for small levels.  The coefficient schedule
-r_index, the block rule and the coefficient table every walk reads come
-from chain, which xi shares them with.
+which steps each level once for each group of fibers that shares the
+coefficients up to it.  escape_levels is that walk with one fiber.  The
+scalar membership test in_E walks one lambda with the scalar step and
+carries a bound on its distance from numpy's arithmetic (a rounding model
+with the constants UNIT, MUL_ERR, ABS_ERR, TINY_ERR and SAFE); a test is
+decided there only when the modulus lies farther than that bound from
+the threshold.  Any other lambda runs escape_levels on that one lambda, so
+scalar and raster answers agree bit for bit by construction.
+in_point_spectrum takes its running maximum and in_E's result from one
+such walk.  eigen_residual's row layout depends on the level alone and is
+kept for small levels.  The coefficient schedule r_index, the block rule
+and the coefficient table every walk reads come from chain, which xi
+shares them with.
 
 EscapeConfig, escape_radius, RADIUS_EPS and LEVEL_BUDGET are defined in
 config, which needs no numpy, and are the same objects here.
@@ -251,7 +251,7 @@ def escape_levels(lam_grid: np.ndarray, p: ProbSeq, cfg: EscapeConfig) -> np.nda
     reports the level that crossed.
 
     This is the FiberWalk of one fiber over the flat pixels in blocks of
-    BLOCK, and its root is the whole walk.  Each step multiplies by 1/r
+    BLOCK, whose top node is the whole walk.  Each step multiplies by 1/r
     where the recursion divides by r.  numpy divides a complex x by a real r
     as (x.real + x.imag*0, x.imag - x.real*0) times 1/r, and the product
     x * (1/r) differs from that only in the sign of a zero, so every
@@ -266,8 +266,8 @@ def escape_levels(lam_grid: np.ndarray, p: ProbSeq, cfg: EscapeConfig) -> np.nda
     out = np.full(grid.shape, INSIDE, dtype=np.int32)
     lam = grid.reshape(-1)
     walk = FiberWalk([(p, cfg)], lambda: (lam[s : s + BLOCK] for s in range(0, lam.size, BLOCK)))
-    walk.root(out)
-    walk.finish(0, out)
+    walk.walk(out)
+    walk.fiber(0, out)
     return out
 
 
@@ -283,8 +283,8 @@ class _Rules(NamedTuple):
 
 #: Lanes handed back by a walk, (level, index, cur, prev), to walk on from
 #: `level`: cur and prev are q_(level-1) and q_(level-2), or at level 0 cur
-#: is lambda and prev is None.
-_Part = tuple[int, np.ndarray, np.ndarray, np.ndarray | None]
+#: is lambda, or None where it is to be rebuilt, and prev is None.
+_Part = tuple[int, np.ndarray, np.ndarray | None, np.ndarray | None]
 
 
 def _walk_lanes(cur, prev, start: int, out: np.ndarray, rules: _Rules) -> list[_Part]:
@@ -296,15 +296,16 @@ def _walk_lanes(cur, prev, start: int, out: np.ndarray, rules: _Rules) -> list[_
     rules.last, or at the first level whose coefficient is None, where it
     hands back the lanes still walking.  When rules.wide exceeds rules.radius
     it also hands back, from level 0, each lane settled by the radius rule
-    alone with a modulus of at most rules.wide; the level written for it
-    here is then provisional.  Handed-back indices are into `out`.
+    alone with a modulus of at most rules.wide, with its lambda when
+    `start` is 0 and else with None; the level written for it here is then
+    provisional.  Handed-back indices are into `out`.
 
     A lane that settles stays in the work arrays behind an `alive` mask and
     is never written again; once fewer than COMPACT_AT of the lanes are
     alive, the arrays shrink to the alive ones, kept with their indices.
     """
     step, radius, last, pair_rule, wide = rules
-    lam = cur
+    lam = None if start else cur
     prev_big = np.abs(cur) > 1.0 + ETA if start else None
     lanes = count = cur.size
     levels = out  # the level of each lane, written through to `out` until compacted
@@ -348,7 +349,7 @@ def _walk_lanes(cur, prev, start: int, out: np.ndarray, rules: _Rules) -> list[_
                 back = back.nonzero()[0]
                 if back.size:
                     back = back if live is None else live[back]
-                    handed.append((0, back, lam[back], None))
+                    handed.append((0, back, None if lam is None else lam[back], None))
             count -= settled
             if count == 0:
                 break
@@ -376,31 +377,32 @@ def _walk_lanes(cur, prev, start: int, out: np.ndarray, rules: _Rules) -> list[_
 
 
 class FiberWalk:
-    """The escape walk of several fibers over one band of pixels, their shared levels walked once.
+    """The escape walk of several fibers over one band of pixels, each shared prefix walked once.
 
     A fiber is one (p, cfg) pair.  Escape level n depends only on lambda,
-    p_1 and p_(r_index(1..n)), so the fibers' walks differ only in their
-    radius tests through the root: the levels before the first one at which
-    their steps differ, and before the smallest max_level is passed.  root()
-    walks the root once, into one array of levels.  The pair rule is
-    checked first and does not depend on the radius, so a lane it settles,
-    or whose modulus passes every radius (NaN included), settles at the same
-    level in every fiber, and a lane at most the smallest radius is settled
-    by none.  A lane between the smallest and the widest radius is handed to
-    every fiber to walk again from its lambda; the lanes still walking at
-    the end of the root are handed on from there.  finish(k) walks those
-    with fiber k's own steps, radius and max_level, and writes their levels
-    over the array's, so the fibers take turns with one array.  Fibers whose
-    p_1 or early_exit differ share no root: finish(k) walks every pixel.
+    p_1 and p_(r_index(1..n)), so fibers that agree on early_exit and those
+    coefficients differ only in their radius tests.  A node of the prefix
+    tree, a group of fibers and their lanes from a start level, steps once,
+    with the group's smallest radius, each level its members step alike, up
+    to their smallest max_level; the lanes still walking then go on to each
+    group of its members that steps the next level alike.  The pair rule
+    does not depend on the radius and is checked first, so only a lane
+    between the smallest and the widest radius may settle otherwise in some
+    member: it goes back to each member to walk alone from lambda (rebuilt
+    from the blocks past level 0).  The top node, every fiber from level 0,
+    writes into the band's levels; one that steps nothing is a split at
+    level 0.  walk() goes depth first, the largest group last, so a node's
+    lanes are freed as they are walked; each fiber's levels of the lanes
+    past the top node are kept in the smallest integer type that holds its
+    max_level, and fiber(k) writes them over the band's.
 
     `blocks()` gives a fresh iterator over the band's pixels as flat
-    complex128 blocks, so lambda is built one block at a time, once for the
-    root (again for each fiber when there is none).  FiberWalk is the only
-    caller of the block walk.  Each fiber's coefficients are read from its
-    sequence's coefficient table, in level order and only as far as a walk
-    of that fiber alone reads them, and kept with the error a level's read
-    raised; finish(k) raises that error where fiber k steps the level, so
-    a failing index is asked once per walk.
+    complex128 blocks, so lambda is built one block at a time.  FiberWalk
+    is the only caller of the block walk.  Each fiber's coefficients are
+    read from its sequence's coefficient table, in level order and only as
+    far as a walk of that fiber alone reads them, and kept with the error a
+    level's read raised; the fiber stops there and fiber(k) raises it, so a
+    failing index is asked once per walk.
     """
 
     def __init__(
@@ -411,12 +413,8 @@ class FiberWalk:
         self.fibers = list(fibers)
         self.blocks = blocks
         self.known: list[list[float | Exception]] = [[] for _ in self.fibers]
-        self.low = min(cfg.max_level for _, cfg in self.fibers)
-        self.shared = (
-            self._shared_step(0) is not None  # p_1, asked before any block
-            and len({cfg.early_exit for _, cfg in self.fibers}) == 1
-        )
-        self.rests: list[_Part] = []
+        self.index: np.ndarray | None = None  # the band position of each lane past the top node
+        self.kept: list[np.ndarray] = []  # each fiber's levels of those lanes
 
     def _read(self, k: int, n: int) -> float | Exception:
         """Fiber k's coefficient of level n, or the error its read raised; each level is read once."""
@@ -424,81 +422,138 @@ class FiberWalk:
         while len(known) <= n:
             try:
                 known.append(coefficients(p).level(p, len(known)))
-            except Exception as exc:  # raised when fiber k steps the level
+            except Exception as exc:  # raised by fiber(k)
                 known.append(exc)
         return known[n]
 
-    def _step(self, k: int, n: int) -> float:
-        """Fiber k's coefficient of level n; raises the error its sequence raised for it."""
+    def _step(self, k: int, n: int) -> float | None:
+        """Fiber k's coefficient of level n, or None where its read failed: fiber k stops there."""
         r = self._read(k, n)
-        if isinstance(r, Exception):
-            raise r
-        return r
+        return None if isinstance(r, Exception) else r
 
-    def _shared_step(self, n: int) -> float | None:
-        """Level n's coefficient when every fiber has it, else None: the root ends there."""
-        if n > self.low:
-            return None
-        first, *rest = [self._read(k, n) for k in range(len(self.fibers))]
-        if isinstance(first, Exception) or any(r != first for r in rest):
-            return None
-        return first
+    def _groups(self, members: list[int], n: int) -> list[list[int]]:
+        """The members that step level n, grouped by coefficient and early_exit, smallest first."""
+        groups: dict[tuple, list[int]] = {}
+        for k in members:
+            cfg = self.fibers[k][1]
+            r = self._step(k, n) if n <= cfg.max_level else None
+            if r is not None:
+                groups.setdefault((r, cfg.early_exit), []).append(k)
+        return sorted(groups.values(), key=len)
 
-    @property
-    def done(self) -> bool:
-        """Whether root() settled every pixel of every fiber, leaving finish nothing to do."""
-        return self.shared and not self.rests
+    def _shared_step(self, members: list[int], n: int) -> float | None:
+        """Level n's coefficient when every member steps it alike, else None: the node ends there."""
+        return self._step(members[0], n) if self._groups(members, n) == [members] else None
 
-    def root(self, out: np.ndarray) -> None:
-        """Walk the root over every block; `out` holds the band's levels, C-contiguous and INSIDE."""
-        if not self.shared:
-            return
-        cfgs = [cfg for _, cfg in self.fibers]
+    def _rules(self, members: list[int]) -> _Rules:
+        """How a node of `members` walks; a lone fiber takes its own steps, with no grouping."""
+        cfgs = [self.fibers[k][1] for k in members]
         radii = [cfg.radius for cfg in cfgs]
-        last = max(cfg.max_level for cfg in cfgs)
-        rules = _Rules(self._shared_step, min(radii), last, cfgs[0].early_exit, max(radii))
-        out = out.reshape(-1)
-        at = 0
-        pending: dict[int, list[tuple]] = {}  # handed-back lanes by level, joined BLOCK at a time
-        with np.errstate(over="ignore", invalid="ignore"):
-            for lam in self.blocks():
-                for level, index, cur, prev in _walk_lanes(
-                    lam, None, 0, out[at : at + lam.size], rules
-                ):
-                    parts = pending.setdefault(level, [])
-                    parts.append((index + at, cur, prev))
-                    if sum(part[0].size for part in parts) >= BLOCK:
-                        self._keep(level, pending.pop(level))
-                at += lam.size
-        for level, parts in pending.items():
-            self._keep(level, parts)
+        low, last, pair_rule = min(radii), max(cfg.max_level for cfg in cfgs), cfgs[0].early_exit
+        if len(members) == 1:
+            return _Rules(partial(self._step, *members), low, last, pair_rule, low)
+        return _Rules(partial(self._shared_step, members), low, last, pair_rule, max(radii))
 
-    def _keep(self, level: int, parts: list[tuple]) -> None:
-        """Keep lanes handed back at `level` as one part of the rests."""
-        index, cur, prev = zip(*parts)
-        prev = None if level == 0 else np.concatenate(prev)
-        self.rests.append((level, np.concatenate(index), np.concatenate(cur), prev))
-
-    def finish(self, k: int, out: np.ndarray) -> None:
-        """Walk fiber k past the root; `out` holds the levels root() or an earlier finish wrote."""
+    def walk(self, out: np.ndarray) -> None:
+        """Walk the tree; `out`, the band's levels, C-contiguous and INSIDE, gets the top node's."""
         out = out.reshape(-1)
-        cfg = self.fibers[k][1]
-        step = partial(self._step, k)
-        step(0)  # p_1's error, if any, comes before any block's
-        rules = _Rules(step, cfg.radius, cfg.max_level, cfg.early_exit, cfg.radius)
+        every = list(range(len(self.fibers)))
+        rules = self._rules(every)
         with np.errstate(over="ignore", invalid="ignore"):
-            if not self.shared:
-                at = 0
-                for lam in self.blocks():
-                    block = out[at : at + lam.size]
-                    block.fill(INSIDE)
-                    _walk_lanes(lam, None, 0, block, rules)
-                    at += lam.size
+            split = rules.step(0) is None  # p_1 or early_exit differ, or a read failed
+            rests = [(0, np.arange(out.size), None, None)] if split else self._top(out, rules)
+            if not rests:
                 return
-            for level, index, cur, prev in self.rests:
-                levels = np.full(index.size, INSIDE, dtype=np.int32)
-                _walk_lanes(cur, prev, level, levels, rules)
-                out[index] = levels
+            self.index = np.concatenate([index for _, index, _, _ in rests])
+            types = [np.min_scalar_type(-cfg.max_level - 1) for _, cfg in self.fibers]
+            self.kept = [np.full(self.index.size, INSIDE, dtype) for dtype in types]
+            ends = np.cumsum([index.size for _, index, _, _ in rests])
+            parts = [(n, np.arange(e - i.size, e), c, p) for (n, i, c, p), e in zip(rests, ends)]
+            del rests
+            wide = [part for part in parts if part[0] == 0 and part[2] is not None]
+            parts = [part for part in parts if part[0] or part[2] is None]  # frees the first list
+            self._split(every, parts, wide)
+
+    def _top(self, out: np.ndarray, rules: _Rules) -> list[_Part]:
+        """Walk the top node over every block into `out`; the lanes it hands back, by level."""
+        pending: dict[int, list[tuple]] = {}  # handed-back lanes by level, joined BLOCK at a time
+        rests = []
+        at = 0
+        for lam in self.blocks():
+            for level, index, cur, prev in _walk_lanes(lam, None, 0, out[at : at + lam.size], rules):
+                parts = pending.setdefault(level, [])
+                parts.append((index + at, cur, prev))
+                if sum(part[0].size for part in parts) >= BLOCK:
+                    rests.append(_joined(level, pending.pop(level)))
+            at += lam.size
+        return rests + [_joined(level, parts) for level, parts in pending.items()]
+
+    def _node(self, members: list[int], parts: list[_Part]) -> None:
+        """Walk `parts`, whose indices are slots of self.index, for `members`, then split them."""
+        rules = self._rules(members)
+        survivors: list[_Part] = []
+        wide: list[_Part] = []
+        while parts:
+            self._walk_part(members, rules, parts.pop(), survivors, wide)
+        self._split(members, survivors, wide)
+
+    def _walk_part(self, members, rules, part: _Part, survivors: list, wide: list) -> None:
+        """Walk one part for `members`, writing its levels for each; hand on the lanes handed back."""
+        level, slots, cur, prev = part
+        for slots, cur, prev in self._lanes(slots, cur, prev):
+            levels = np.full(slots.size, INSIDE, dtype=np.int32)
+            for n, index, c, p in _walk_lanes(cur, prev, level, levels, rules):
+                (survivors if n else wide).append((n, slots[index], c, p))
+            if len(members) > 1:  # the group's lanes are INSIDE until it settles them
+                settled = levels != INSIDE
+                slots, levels = slots[settled], levels[settled]
+            for k in members:
+                self.kept[k][slots] = levels
+
+    def _lanes(self, slots: np.ndarray, cur, prev) -> Iterator[tuple]:
+        """(slots, cur, prev) of a part; where cur is None, lambda is rebuilt from the blocks."""
+        if cur is not None:
+            yield slots, cur, prev
+            return
+        at = self.index[slots]
+        if np.any(at[1:] < at[:-1]):  # in band order, for one pass over the blocks
+            order = np.argsort(at)
+            slots, at = slots[order], at[order]
+        start = 0
+        for lam in self.blocks():
+            lo, hi = np.searchsorted(at, (start, start + lam.size))
+            if hi - lo == lam.size:  # every lane of the block
+                yield slots[lo:hi], lam, None
+            elif hi > lo:
+                yield slots[lo:hi], lam[at[lo:hi] - start], None
+            start += lam.size
+
+    def _split(self, members: list[int], survivors: list[_Part], wide: list[_Part]) -> None:
+        """Walk a node's lanes between its radii by each member alone, then its survivors by group."""
+        if wide and wide[0][2] is None:  # their lambda, rebuilt in one pass over the blocks
+            slots = np.concatenate([part[1] for part in wide])
+            wide[:] = [(0, *lanes) for lanes in self._lanes(slots, None, None)]
+        for k in members if wide else ():
+            self._node([k], list(wide))
+        wide.clear()
+        groups = self._groups(members, survivors[0][0]) if survivors else []
+        for group in groups:  # the largest last, which frees the lanes as it walks them
+            self._node(group, survivors if group is groups[-1] else list(survivors))
+
+    def fiber(self, k: int, out: np.ndarray) -> None:
+        """Write fiber k's levels past the top node over the band's `out`; raises its walk's error."""
+        error = self.known[k][-1]  # walk() reads p_1, even in a band without pixels
+        if isinstance(error, Exception):
+            raise error
+        if self.kept:
+            out.reshape(-1)[self.index] = self.kept[k]
+
+
+def _joined(level: int, parts: list[tuple]) -> _Part:
+    """Lanes handed back at `level`, (index, cur, prev) each, as one part."""
+    index, cur, prev = zip(*parts)
+    prev = None if level == 0 else np.concatenate(prev)
+    return level, np.concatenate(index), np.concatenate(cur), prev
 
 
 #: The rounding model of in_E's certificate (Higham, Accuracy and Stability

@@ -50,6 +50,7 @@ from fibmachine.chain import (
     _ladder_chunks,
     _pi_block,
     _pick,
+    _trailing_zeros,
     _xi_array,
     coefficients,
 )
@@ -453,6 +454,28 @@ def test_the_ladder_shape_is_the_trailing_zeros_of_the_next_state():
         # the deepest fall clears the c rungs k0, k0 + 2, ..; the next one is clear
         assert bits ^ target_bits[0] == sum(1 << k for k in range(k0, k0 + 2 * c, 2)), state
         assert not bits >> (k0 + 2 * c) & 1 and targets[0] == state - _RUNG_SUMS[k0][c], state
+
+
+def bitwise_trailing_zeros(start, stop):
+    """t(i) for start <= i < stop from the Zeckendorf bits, bits(F_m + k) = bits(k) | 1<<m."""
+    bits = np.zeros(stop, dtype=np.int64)
+    m = 0
+    while FIB64[m] < stop:
+        lo = FIB64[m]
+        count = min(FIB64[m + 1], stop) - lo
+        np.bitwise_or(bits[:count], 1 << m, out=bits[lo : lo + count])
+        m += 1
+    bits = bits[start:]
+    return np.bitwise_count((bits & -bits) - 1)
+
+
+@pytest.mark.parametrize(
+    "start, stop", [(1, 200_000), (1, 2), (2, 3), (1, 4), (5, 9), (7, 7), (89, 90), (1000, 200_000)]
+)
+def test_trailing_zeros_fill_is_the_bit_count(start, stop):
+    got = _trailing_zeros(start, stop)
+    want = bitwise_trailing_zeros(start, stop)
+    assert got.dtype == want.dtype and np.array_equal(got, want)
 
 
 def requests(call, make):

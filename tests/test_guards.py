@@ -16,9 +16,10 @@ a p.p(...) request by halving.  A third keeps FiberWalk the only caller of
 the escape kernel: no _walk_lanes call or _Rules built outside it.  A
 fourth keeps the residuals' row sums in chain._fsum_rows: neither
 beta_eigen_residual, stationarity_residual nor eigen_residual names fsum.
-A fifth keeps one ladder shape: bitwise_count only in chain._trailing_zeros,
-the one stepped slice of FIB64 in chain._RUNG_SUMS, and no sort or count of
-falls by target in stationarity_residual.
+A fifth keeps one ladder shape: t, the trailing zero digits, computed only
+in chain._trailing_zeros (by its self-copying fill, with no bitwise_count
+anywhere), the one stepped slice of FIB64 in chain._RUNG_SUMS, and no sort
+or count of falls by target in stationarity_residual.
 """
 
 import ast
@@ -525,13 +526,31 @@ def _top_name(node):
     return ", ".join(_name(target) for target in targets if target is not None)
 
 
+def _sliced(node):
+    """The name of an array sliced by `node`, or None."""
+    if isinstance(node, ast.Subscript) and isinstance(node.slice, ast.Slice):
+        return _name(node.value)
+    return None
+
+
 def shape_sites(source):
-    """(top-level name, what) of each bitwise_count named and each stepped slice of FIB64."""
+    """(top-level name, what) of each bitwise_count named, each t fill and each stepped slice of FIB64.
+
+    A t fill copies a slice of an array into another slice of it, as
+    t(F_m + k) = t(k) does.
+    """
     sites = []
     for top in ast.parse(source).body:
         for node in ast.walk(top):
             if _name(node) == "bitwise_count":
                 sites.append((_top_name(top), "bitwise_count"))
+            if (
+                isinstance(node, ast.Assign)
+                and len(node.targets) == 1
+                and _sliced(node.value) is not None
+                and _sliced(node.targets[0]) == _sliced(node.value)
+            ):
+                sites.append((_top_name(top), "t fill"))
             if (
                 isinstance(node, ast.Subscript)
                 and _name(node.value) == "FIB64"
@@ -549,11 +568,16 @@ def test_shape_sites_are_found():
         "    def chunks():\n"
         "        return np.bitwise_count(flip), FIB64[k0 : k0 + 8 : 2], FIB64[1:4]\n"
         "x: int = bitwise_count(3)\n"
+        "def _shapes(stop):\n"
+        "    t[lo + 1 : lo + count] = t[1:count]\n"
+        "    u[1:3] = t[1:3]\n"
+        "    t[lo] = t[1]\n"
     )
     assert shape_sites(source) == [
         ("_RUNG_SUMS", "FIB64 step"),
         ("_ladder_rows", "FIB64 step"),
         ("_ladder_rows", "bitwise_count"),
+        ("_shapes", "t fill"),
         ("x", "bitwise_count"),
     ]
 
@@ -566,7 +590,7 @@ def test_the_ladder_shape_is_computed_once():
     }
     assert len(found) > 10
     assert {name: sites for name, sites in found.items() if sites} == {
-        "chain.py": [("_RUNG_SUMS", "FIB64 step"), ("_trailing_zeros", "bitwise_count")]
+        "chain.py": [("_RUNG_SUMS", "FIB64 step"), ("_trailing_zeros", "t fill")]
     }
     # the inflow is gathered by shape, not sorted or counted by target
     source = (package / "chain.py").read_text(encoding="utf-8")

@@ -1,7 +1,8 @@
-"""The escape walk of several fibers, their shared root walked once, against each fiber alone.
+"""The escape walk of several fibers on a prefix tree, each shared prefix walked once, against each fiber alone.
 
-A fiber is one (p, cfg) pair.  spectrum.FiberWalk walks the levels that all
-fibers share once, then each fiber's rest; render.scan_fibers and
+A fiber is one (p, cfg) pair.  spectrum.FiberWalk walks, for each group of
+fibers that agree on a prefix of coefficients, the levels of that prefix
+once, then splits the group where they differ; render.scan_fibers and
 figures.repro_panels run it over a grid.  Every fiber's levels, and the
 coefficients its sequence is asked for, must be those of escape_levels for
 that fiber alone, and every panel's bytes those of render_panel.
@@ -9,11 +10,12 @@ that fiber alone, and every panel's bytes those of render_panel.
 
 import hashlib
 import time
+from collections import Counter
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from fibmachine import (
@@ -57,11 +59,19 @@ RADIUS = st.one_of(
 
 @st.composite
 def fiber_sets(draw):
-    """1-5 fibers whose prefixes agree on a drawn number of values, then differ."""
-    shared = draw(st.lists(PROB, min_size=1, max_size=8))
+    """1-5 fibers on a drawn prefix tree: a trunk all share, branches past it, then their own values.
+
+    Fibers on one branch leave the others where the trunk ends and each
+    other past the branch, so groups split at two or more levels.  Radii
+    and max_levels differ inside a group at any level, and a fiber without
+    a tail raises TailUndefined where its prefix ends, in a group it may
+    share with fibers that walk on.
+    """
+    trunk = draw(st.lists(PROB, min_size=1, max_size=6))
+    branches = [trunk + draw(st.lists(PROB, max_size=4)) for _ in range(draw(st.integers(1, 3)))]
     fibers = []
     for _ in range(draw(st.integers(min_value=1, max_value=5))):
-        prefix = shared + draw(st.lists(PROB, max_size=6))
+        prefix = draw(st.sampled_from(branches)) + draw(st.lists(PROB, max_size=3))
         if draw(st.integers(0, 7)) == 0:  # a p_1 of its own
             prefix[0] = draw(PROB)
         tail = draw(st.one_of(PROB, PROB, st.none()))  # no tail: a TailUndefined at some level
@@ -69,7 +79,7 @@ def fiber_sets(draw):
             draw(RADIUS), draw(st.integers(min_value=0, max_value=40)), draw(st.booleans())
         )
         fibers.append((ConstantTail(tuple(prefix), tail), cfg))
-    if draw(st.integers(0, 3)):  # one early_exit for all, so the fibers may share a root
+    if draw(st.integers(0, 3)):  # one early_exit for all, so the fibers may share levels
         early_exit = fibers[0][1].early_exit
         fibers = [(p, EscapeConfig(cfg.radius, cfg.max_level, early_exit)) for p, cfg in fibers]
     return fibers
@@ -95,9 +105,9 @@ def together(lam, fibers, block):
     out = np.full(lam.shape, INSIDE, dtype=np.int32)
     outcomes = []
     try:
-        walk.root(out)
+        walk.walk(out)
         for k in range(len(fibers)):
-            walk.finish(k, out)
+            walk.fiber(k, out)
             outcomes.append(out.copy())
     except TailUndefined as exc:
         outcomes.append(str(exc))
@@ -111,10 +121,19 @@ def together(lam, fibers, block):
     block=st.integers(min_value=1, max_value=40),
     join=st.integers(min_value=1, max_value=40),
 )
+@example(  # the second fiber's tail runs out at p_3, inside the node both step through p_2
+    fibers=[
+        (ConstantTail((0.9, 0.8), 0.7), EscapeConfig(3.0, 17, True)),
+        (ConstantTail((0.9, 0.8), None), EscapeConfig(4.0, 17, True)),
+    ],
+    parts=[(1.0, 0.0), (0.5, 0.1), (0.9, -0.2), (2.0, 1.0)],
+    block=3,
+    join=2,
+)
 def test_each_fiber_walks_as_it_does_alone(fibers, parts, block, join):
     lam = np.array([complex(re, im) for re, im in parts])
     want = [alone(lam, p, cfg) for p, cfg in fibers]
-    # BLOCK also sets how many handed-back lanes the root joins into one part
+    # BLOCK also sets how many handed-back lanes the top node joins into one part
     with mock.patch.object(spectrum, "BLOCK", join):
         got, asked = together(lam, fibers, block)
     for k, outcome in enumerate(got):
@@ -133,7 +152,7 @@ def test_each_fiber_walks_as_it_does_alone(fibers, parts, block, join):
 
 
 def test_a_lane_handed_on_keeps_the_pair_test_of_its_last_root_level():
-    # p_2 differs, so the root is level 0 alone; |q_0| = 1 + 5e-7 is not
+    # p_2 differs, so the top node is level 0 alone; |q_0| = 1 + 5e-7 is not
     # above 1 + ETA, so the pair rule first fires at level 2, naming level 1
     lam = np.array([1.0 + 5e-7, 1.0 + 2e-6, 0.5])
     fibers = [
@@ -146,21 +165,69 @@ def test_a_lane_handed_on_keeps_the_pair_test_of_its_last_root_level():
     assert got[0].tolist() == [1, 0, INSIDE]
 
 
-def test_the_root_ends_where_the_panels_differ():
-    # every panel has p_1 = 1.0 and p_2 = 0.999, so levels 0-2 are walked
-    # once, and the lanes still walking after level 2 are handed on
+def test_the_panels_walk_each_shared_prefix_once():
+    # every panel has p_1 = 1.0 and p_2 = 0.999 (levels 0-2), all but panels
+    # 1 and 7 have p_3 = 1.0 (levels 3-4), and the groups that agree further
+    # step each level they share once: panels 13-15 through p_6 (level 10)
     fibers = [(panel_config(k).prob_seq, panel_config(k).escape_config()) for k in range(1, 16)]
-    grid = panel_config(1).grid
-    lam = grid.lam_array().reshape(-1)
-    walk = FiberWalk(fibers, lambda: iter([lam]))
-    out = np.full(lam.shape, INSIDE, dtype=np.int32)
-    walk.root(out)
-    levels = {level for level, *_ in walk.rests}
-    assert levels <= {0, 3} and 3 in levels
-    survivors = sum(index.size for level, index, *_ in walk.rests if level == 3)
-    assert 0 < survivors < 0.2 * lam.size
+    lam = panel_config(1).grid.lam_array().reshape(-1)
+    steps = Counter()  # (panels, level) of each level a group's block walk steps
+    walk_lanes = spectrum._walk_lanes
+
+    def counted(cur, prev, start, out, rules):
+        group = rules.step.args[0]  # a group's members, or a lone fiber's index
+
+        def step(n):
+            r = rules.step(n)
+            if r is not None and isinstance(group, list):
+                steps[tuple(k + 1 for k in group), n] += 1
+            return r
+
+        return walk_lanes(cur, prev, start, out, rules._replace(step=step))
+
+    with mock.patch.object(spectrum, "_walk_lanes", counted):
+        walk = FiberWalk(fibers, lambda: iter([lam]))
+        out = np.full(lam.shape, INSIDE, dtype=np.int32)
+        walk.walk(out)
+    tree = {
+        tuple(range(1, 16)): range(0, 3),
+        (2, 3, 4, 5, 6, 8, 9, 10, 11, 12, 13, 14, 15): range(3, 5),
+        (2, 4, 5, 11, 12): range(5, 7),
+        (3, 6): range(5, 7),
+        (9, 10): range(5, 7),
+        (4, 5): range(7, 9),
+        (13, 14, 15): range(5, 11),
+    }
+    assert steps == {(group, n): 1 for group, levels in tree.items() for n in levels}
+    assert 0 < walk.index.size < 0.2 * lam.size  # the lanes past the top node
+    assert all(kept.dtype == np.int8 for kept in walk.kept)
     for k, (p, cfg) in enumerate(fibers):
-        walk.finish(k, out)
+        walk.fiber(k, out)
+        assert np.array_equal(out, escape_levels(lam, p, cfg)), k
+
+
+def test_a_group_past_level_0_rebuilds_lambda_for_lanes_between_its_radii():
+    # p_2 splits the third fiber off at level 1; the first two walk on
+    # together with radii 2 and 4, so a lane whose modulus passes 2 but not 4
+    # goes back to each of them, and its lambda is built from the blocks again
+    fibers = [
+        (ConstantTail((0.9, 0.8), 0.7), EscapeConfig(2.0, 30, False)),
+        (ConstantTail((0.9, 0.8), 0.7), EscapeConfig(4.0, 25, False)),
+        (ConstantTail((0.9, 0.6), 0.7), EscapeConfig(3.0, 30, False)),
+    ]
+    lam = np.linspace(-1.5 - 0.3j, 1.5 + 0.4j, 997)
+    built = []
+
+    def blocks():
+        built.append(None)
+        return (lam[at : at + 100] for at in range(0, lam.size, 100))
+
+    walk = FiberWalk(fibers, blocks)
+    out = np.full(lam.shape, INSIDE, dtype=np.int32)
+    walk.walk(out)
+    assert len(built) == 2  # the top node's pass, then one for the lanes handed back
+    for k, (p, cfg) in enumerate(fibers):
+        walk.fiber(k, out)
         assert np.array_equal(out, escape_levels(lam, p, cfg)), k
 
 
