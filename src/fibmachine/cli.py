@@ -256,17 +256,17 @@ def cmd_render(args: argparse.Namespace) -> int:
     from . import render
 
     cfg = _load(args)
-    buf = render.scan_grid(
-        cfg.grid, cfg.prob_seq, cfg.escape_config(), workers=args.workers
-    )
-    out = Path(args.out)
+    grid, fiber, out = cfg.grid, (cfg.prob_seq, cfg.escape_config()), Path(args.out)
     if args.format == "ppm":
-        out.write_bytes(render.write_ppm(buf))
-    elif args.format == "png":
-        out.write_bytes(render.write_png(buf))
-    else:  # write_csv's text, one block at a time
-        _write_or_print((b.decode("ascii") for b in render._csv_blocks(buf.cells)), str(out))
-    print(f"wrote {out} ({buf.width}x{buf.height}, {buf.inside_count()} inside)")
+        (inside,) = render.write_ppms(grid, [fiber], [out], workers=args.workers)
+    else:
+        buf = render.scan_grid(grid, *fiber, workers=args.workers)
+        inside = buf.inside_count()
+        if args.format == "png":
+            out.write_bytes(render.write_png(buf))
+        else:  # write_csv's text, one block at a time
+            _write_or_print((b.decode("ascii") for b in render._csv_blocks(buf.cells)), str(out))
+    print(f"wrote {out} ({grid.pixels_x}x{grid.pixels_y}, {inside} inside)")
     return 0
 
 

@@ -8,10 +8,10 @@ themselves are numbered 4..8, so "fig5-2" is panel 05.  The panel number is
 authoritative where the two disagree.
 
 Loading and naming panels needs no numpy; render_panel and repro_panels
-import the renderer when they are called.  repro_panels scans the panels of
-one grid together, so each prefix of escape levels that a group of their
-sequences shares is walked once (levels 0-2 for all the committed panels,
-3-4 for the 13 with p_3 = 1.0, ...); the bytes are those of render_panel.
+import the renderer when they are called.  repro_panels paints the panels of
+one grid from one walk, so each prefix of escape levels that a group of their
+sequences shares is walked and painted once (levels 0-2 for all the committed
+panels, 3-4 for the 13 with p_3 = 1.0, ...); the bytes are render_panel's.
 """
 
 from __future__ import annotations
@@ -103,11 +103,11 @@ def repro_panels(
 ) -> list[Path]:
     """Render the given panels to PPM files; returns the written paths, in the order given.
 
-    The panels that share a grid are scanned together by render.scan_fibers,
-    which walks each prefix of levels a group of them shares once; each PPM is
-    written as soon as its panel's buffer is ready, and only that buffer is held.
+    The panels that share a grid go through render.write_ppms, which walks
+    each prefix of levels a group of them shares once, paints the top node's
+    levels once, and writes each PPM at its panel's turn from that one body.
     """
-    from .render import scan_fibers, write_ppm
+    from .render import write_ppms
 
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -117,8 +117,5 @@ def repro_panels(
         grid, fiber = _panel_fiber(number, pixels)
         groups.setdefault(grid, []).append((path, fiber))
     for grid, panels in groups.items():
-        buffers = scan_fibers(grid, [fiber for _, fiber in panels], workers)
-        for (path, _), buf in zip(panels, buffers):
-            path.write_bytes(write_ppm(buf))
-            del buf  # freed before the next panel's levels are walked
+        write_ppms(grid, [fiber for _, fiber in panels], [path for path, _ in panels], workers)
     return paths

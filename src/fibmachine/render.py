@@ -5,9 +5,9 @@ kernel over the pixel centers (once for each row and its mirror image across
 the real axis, lambda built one block of rows at a time, optionally in row
 bands across threads, with bit-identical output), scan_fibers does so for
 several sequences at once, walking each prefix of levels a group of them
-shares once, and the writers serialize the resulting level buffer as
-binary PPM, CSV text, or PNG.  GridSpec is defined in config, which needs
-no numpy, and is the same class here.
+shares once, and the writers serialize a level buffer as binary PPM, CSV
+text, or PNG.  write_ppms writes the PPMs of such a walk, painting the shared
+levels once; _paint is the one painter.  GridSpec is config's, numpy-free.
 """
 
 from __future__ import annotations
@@ -19,7 +19,6 @@ import re
 import warnings
 from collections.abc import Callable, Iterator, Sequence
 from concurrent.futures import ThreadPoolExecutor
-from contextlib import nullcontext
 from dataclasses import dataclass
 from functools import partial
 
@@ -51,6 +50,9 @@ HUE_STEP = 0.6180339887498949
 #: HSV saturation and value of every escape-level color; INSIDE is black.
 SATURATION = 0.85
 VALUE = 1.0
+
+#: A binary PPM's header, for its width and height; the RGB body follows.
+PPM_HEADER = "P6\n{} {}\n255\n"
 
 
 @dataclass(eq=False)
@@ -104,13 +106,24 @@ def scan_fibers(
     band is a spectrum.FiberWalk whose lambda is built from lam_array,
     BLOCK pixels' worth of rows at a time: it walks each level that a group
     of fibers shares once, keeping each fiber's levels past the top node
-    small, and each fiber's turn writes them over one full-size buffer.
+    small, and each fiber's turn writes them over the scanned rows.
     The kernel is elementwise, so any worker count gives the cells of the
     sequential scan.  The bands read each `p` through its coefficient
     table, which grows under a lock, so at any worker count `p` is asked for
     the indices a scan of every row with that fiber alone asks for, each
     once, in ascending order.
     """
+    levels, source, at, turns = _walked(grid, fibers, workers)
+    for kept in turns:
+        levels.reshape(-1)[at] = kept
+        yield IterBuffer(grid.pixels_x, grid.pixels_y, levels[source])
+
+
+def _walked(
+    grid: GridSpec, fibers: Sequence[tuple[ProbSeq, EscapeConfig]], workers: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, Iterator[np.ndarray]]:
+    """scan_fibers' walk: the scanned rows' levels, the scanned row of each grid row, the
+    flat position there of each lane past the top node, and each fiber's levels of them."""
     within(grid.pixels_x * grid.pixels_y, PIXEL_BUDGET, "pixel")
     integer(workers, "workers", 1)
     _, first, partner = np.unique(
@@ -120,37 +133,27 @@ def scan_fibers(
     # band b scans rows b, b + bands, ... of the |imag| order, so the rows
     # nearest the real axis, which escape last, are shared among the bands
     deal = np.argsort(np.arange(len(first)) % bands, kind="stable")
-    source = np.argsort(deal)[partner]  # the scanned row of each grid row
+    source = np.argsort(deal)[partner]
     rows_per_block = max(1, BLOCK // grid.pixels_x)
 
     def lam_blocks(rows: np.ndarray) -> Iterator[np.ndarray]:
         for at in range(0, len(rows), rows_per_block):
             yield grid.lam_array(rows[at : at + rows_per_block]).reshape(-1)
 
-    walks = [
-        FiberWalk(fibers, partial(lam_blocks, rows))
-        for rows in np.array_split(first[deal], bands)
-    ]
+    rows = np.array_split(first[deal], bands)
+    walks = [FiberWalk(fibers, partial(lam_blocks, band)) for band in rows]
     levels = np.full((len(first), grid.pixels_x), INSIDE, dtype=np.int32)
-    threads = min(bands, os.cpu_count() or 1)
-    with ThreadPoolExecutor(max_workers=threads) if bands > 1 else nullcontext() as pool:
-        _each_band(pool, [walk.walk for walk in walks], levels)
-        for k in range(len(fibers)):
-            _each_band(None, [partial(walk.fiber, k) for walk in walks], levels)
-            yield IterBuffer(grid.pixels_x, grid.pixels_y, levels[source])
-
-
-def _each_band(
-    pool: ThreadPoolExecutor | None, tasks: list[Callable[[np.ndarray], None]], levels: np.ndarray
-) -> None:
-    """Run task b on band b's rows of `levels` (np.array_split's), on the pool's threads if any."""
-    parts = np.array_split(levels, len(tasks))
-    if pool is None:
-        for task, part in zip(tasks, parts):
-            task(part)
-        return
-    for future in [pool.submit(task, part) for task, part in zip(tasks, parts)]:
-        future.result()
+    if bands == 1:
+        walks[0].walk(levels)
+    else:
+        with ThreadPoolExecutor(max_workers=min(bands, os.cpu_count() or 1)) as pool:
+            parts = np.array_split(levels, bands)
+            for future in [pool.submit(walk.walk, part) for walk, part in zip(walks, parts)]:
+                future.result()
+    starts = np.cumsum([0, *map(len, rows)]) * grid.pixels_x  # of each band in `levels`, flat
+    at = np.concatenate([walk.index + start for walk, start in zip(walks, starts)])
+    turns = (np.concatenate([walk.fiber(k) for walk in walks]) for k in range(len(fibers)))
+    return levels, source, at, turns
 
 
 # ---------------------------------------------------------------------------
@@ -165,33 +168,66 @@ def _color(level: int) -> tuple[int, int, int]:
     return (int(round(r * 255)), int(round(g * 255)), int(round(b * 255)))
 
 
-def _paint(buf: IterBuffer, rgb: np.ndarray) -> None:
-    """Fill `rgb`, shaped (height, width, 3), with the colour of each cell.
+def _paint(
+    levels: np.ndarray, source: np.ndarray, top: int | None = None
+) -> tuple[np.ndarray, Callable[[np.ndarray, np.ndarray], None]]:
+    """The one painter: the RGB body of the grid rows levels[source], and a brush for lanes over it.
 
-    The colour table holds levels 0..max, then INSIDE's black last, where
-    level -1 reads it; a level below INSIDE has no colour and is refused.
-    The cells go through the table BLOCK pixels' worth of rows at a time, so
-    the index copy that take makes stays small.
+    The colour table holds levels 0..top, then INSIDE's black last, where -1 reads it; without
+    `top`, up to the levels' maximum when that is below their count (or 64), else their distinct
+    values.  A level below INSIDE has no colour.  Rows are painted BLOCK pixels' worth at a time.
     """
-    low = int(buf.cells.min(initial=INSIDE))
-    if low < INSIDE:
-        raise ValueError(f"cells hold level {low}, below INSIDE ({INSIDE}), which has no colour")
-    top = int(buf.cells.max(initial=INSIDE))
-    table = np.array([_color(level) for level in (*range(top + 1), INSIDE)], dtype=np.uint8)
-    rows = max(1, BLOCK // max(buf.width, 1))
-    for at in range(0, buf.height, rows):
+    values = None
+    if top is None:
+        low, top = int(levels.min(initial=INSIDE)), int(levels.max(initial=INSIDE))
+        if low < INSIDE:
+            raise ValueError(f"cells hold level {low}, below INSIDE ({INSIDE}), which has no colour")
+        if top >= max(levels.size, 64):  # the levels become indices into their distinct values
+            values, levels = np.unique(levels, return_inverse=True)
+    values = (*range(top + 1), INSIDE) if values is None else values.tolist()
+    table = np.array([_color(level) for level in values], dtype=np.uint8)
+    rgb = np.empty((len(source), levels.shape[1], 3), dtype=np.uint8)
+    rows = max(1, BLOCK // max(levels.shape[1], 1))
+    for at in range(0, len(source), rows):
         # "wrap" writes straight into `out`; every level from -1 up is a valid index
         block = slice(at, at + rows)
-        np.take(table, buf.cells[block], axis=0, out=rgb[block], mode="wrap")
+        np.take(table, levels[source[block]], axis=0, out=rgb[block], mode="wrap")
+
+    def brush(pixels: np.ndarray, lanes: np.ndarray) -> None:  # a pixel's 3 bytes as one item
+        rgb.reshape(-1).view("V3")[pixels] = np.take(table.view("V3"), lanes, mode="wrap")
+
+    return rgb, brush
 
 
 def write_ppm(buf: IterBuffer) -> bytes:
-    """Binary PPM (P6): header then row-major RGB triples, built in one array; byte-exact."""
-    header = f"P6\n{buf.width} {buf.height}\n255\n".encode("ascii")
-    ppm = np.empty(len(header) + 3 * buf.cells.size, dtype=np.uint8)
-    ppm[: len(header)] = np.frombuffer(header, dtype=np.uint8)
-    _paint(buf, ppm[len(header) :].reshape(*buf.cells.shape, 3))
-    return ppm.tobytes()
+    """Binary PPM (P6): header then row-major RGB triples, painted by _paint; byte-exact."""
+    body, _ = _paint(buf.cells, np.arange(buf.height))
+    return PPM_HEADER.format(buf.width, buf.height).encode("ascii") + memoryview(body)
+
+
+def write_ppms(
+    grid: GridSpec, fibers: Sequence[tuple[ProbSeq, EscapeConfig]], paths: Sequence, workers: int = 1
+) -> list[int]:
+    """Write each fiber's PPM, write_ppm's of scan_fibers' buffer, in turn; returns INSIDE counts.
+
+    The top node's levels are painted once; each fiber's turn paints its lanes past the top
+    node over them, on every grid row that shows the lane's row, or raises the fiber's error.
+    """
+    levels, source, at, turns = _walked(grid, fibers, workers)
+    levels.reshape(-1)[at] = INSIDE  # painted at each fiber's turn
+    order, width = np.argsort(at), grid.pixels_x
+    lo, hi = np.searchsorted(at[order], (source + [[0], [1]]) * width)  # row g: lo[g]:hi[g]
+    picks = np.concatenate([order[a:b] for a, b in zip(lo, hi)])  # the lanes each row shows
+    pixels = np.repeat(np.arange(len(source)) * width, hi - lo) + at[picks] % width
+    inside = int(np.bincount(source) @ np.count_nonzero(levels == INSIDE, axis=1))
+    body, paint = _paint(levels, source, max(cfg.max_level for _, cfg in fibers))
+    counts = []
+    for path, kept in zip(paths, turns):
+        paint(pixels, kept[picks])
+        counts.append(inside - int(np.count_nonzero(kept[picks] != INSIDE)))
+        with open(path, "wb") as out:
+            out.writelines([PPM_HEADER.format(width, grid.pixels_y).encode("ascii"), memoryview(body)])
+    return counts
 
 
 def write_png(buf: IterBuffer) -> bytes:
@@ -200,9 +236,7 @@ def write_png(buf: IterBuffer) -> bytes:
         from PIL import Image
     except ImportError as exc:
         raise ConfigError("PNG output requires the optional Pillow dependency") from exc
-    rgb = np.empty((*buf.cells.shape, 3), dtype=np.uint8)
-    _paint(buf, rgb)
-    image = Image.fromarray(rgb, mode="RGB")
+    image = Image.fromarray(_paint(buf.cells, np.arange(buf.height))[0], mode="RGB")
     out = io.BytesIO()
     image.save(out, format="PNG")
     return out.getvalue()

@@ -267,7 +267,7 @@ def escape_levels(lam_grid: np.ndarray, p: ProbSeq, cfg: EscapeConfig) -> np.nda
     lam = grid.reshape(-1)
     walk = FiberWalk([(p, cfg)], lambda: (lam[s : s + BLOCK] for s in range(0, lam.size, BLOCK)))
     walk.walk(out)
-    walk.fiber(0, out)
+    out.reshape(-1)[walk.index] = walk.fiber(0)
     return out
 
 
@@ -394,7 +394,7 @@ class FiberWalk:
     level 0.  walk() goes depth first, the largest group last, so a node's
     lanes are freed as they are walked; each fiber's levels of the lanes
     past the top node are kept in the smallest integer type that holds its
-    max_level, and fiber(k) writes them over the band's.
+    max_level, and fiber(k) gives them, to be written at self.index.
 
     `blocks()` gives a fresh iterator over the band's pixels as flat
     complex128 blocks, so lambda is built one block at a time.  FiberWalk
@@ -413,7 +413,7 @@ class FiberWalk:
         self.fibers = list(fibers)
         self.blocks = blocks
         self.known: list[list[float | Exception]] = [[] for _ in self.fibers]
-        self.index: np.ndarray | None = None  # the band position of each lane past the top node
+        self.index = np.zeros(0, dtype=np.intp)  # the band position of each lane past the top node
         self.kept: list[np.ndarray] = []  # each fiber's levels of those lanes
 
     def _read(self, k: int, n: int) -> float | Exception:
@@ -540,13 +540,12 @@ class FiberWalk:
         for group in groups:  # the largest last, which frees the lanes as it walks them
             self._node(group, survivors if group is groups[-1] else list(survivors))
 
-    def fiber(self, k: int, out: np.ndarray) -> None:
-        """Write fiber k's levels past the top node over the band's `out`; raises its walk's error."""
+    def fiber(self, k: int) -> np.ndarray:
+        """Fiber k's levels of the lanes at self.index; raises the error of its walk."""
         error = self.known[k][-1]  # walk() reads p_1, even in a band without pixels
         if isinstance(error, Exception):
             raise error
-        if self.kept:
-            out.reshape(-1)[self.index] = self.kept[k]
+        return self.kept[k] if self.kept else np.zeros(0, dtype=np.int8)
 
 
 def _joined(level: int, parts: list[tuple]) -> _Part:

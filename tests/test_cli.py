@@ -22,6 +22,7 @@ from fibmachine import (
     transition_matrix,
     transition_terms,
     write_csv,
+    write_ppm,
 )
 from fibmachine.chain import STEP_BUDGET
 from fibmachine import spectrum
@@ -331,6 +332,25 @@ def test_render_ppm_worker_independence(capsys, tmp_path):
     assert code == 0
     assert one.read_bytes() == many.read_bytes()
     assert one.read_bytes().startswith(b"P6\n20 20\n255\n")
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_render_ppm_prints_the_scans_line_and_writes_its_bytes(capsys, tmp_path, workers):
+    # 31 x 27 pixels: an odd height, its rows mirrored about the real axis but the middle one
+    doc = {
+        "prob_seq": {"variant": "constant_tail", "prefix": [1.0, 0.999, 1.0, 0.588], "param": 1.0},
+        "grid": {"pixels_x": 31, "pixels_y": 27, "width": 5.0, "height": 4.0},
+    }
+    cfg = cfg_file(tmp_path, doc)
+    out_file = tmp_path / "r.ppm"
+    code, out, err = run(
+        capsys, "render", "--config", cfg, "--out", str(out_file), "--workers", str(workers)
+    )
+    run_cfg = load_config(cfg)
+    buf = scan_grid(run_cfg.grid, run_cfg.prob_seq, run_cfg.escape_config())
+    assert code == 0 and err == "" and 0 < buf.inside_count() < buf.cells.size
+    assert out == f"wrote {out_file} (31x27, {buf.inside_count()} inside)\n"
+    assert out_file.read_bytes() == write_ppm(buf)
 
 
 def test_render_csv_streams_write_csv_text(capsys, tmp_path):

@@ -597,3 +597,56 @@ def test_the_ladder_shape_is_computed_once():
     _, calls = residual_sums(source, ("stationarity_residual",))["stationarity_residual"]
     assert "_trailing_zeros" in calls
     assert not calls & {"argsort", "bincount", "concatenate", "_ladder_chunks"}
+
+
+# ---------------------------------------------------------------------------
+# one painter
+
+
+def paint_sites(source):
+    """(top-level name, what) of each _color named, each hsv_to_rgb call and each take call."""
+    sites = []
+    for top in ast.parse(source).body:
+        for node in ast.walk(top):
+            if isinstance(node, (ast.Name, ast.Attribute)) and _name(node) == "_color":
+                sites.append((_top_name(top), "_color"))
+            if isinstance(node, ast.Call) and _name(node.func) in ("hsv_to_rgb", "take"):
+                sites.append((_top_name(top), _name(node.func)))
+    return sorted(sites)
+
+
+def test_paint_sites_are_found():
+    source = (
+        "def _color(level):\n"
+        "    return colorsys.hsv_to_rgb(level * HUE_STEP % 1.0, 0.85, 1.0)\n"
+        "def _paint(levels, source):\n"
+        "    table = np.array([_color(level) for level in values])\n"
+        "    np.take(table, levels, axis=0, out=rgb, mode='wrap')\n"
+        "def write_ppm(buf):\n"
+        "    return table.take(buf.cells, axis=0), render._color(3)\n"
+    )
+    assert paint_sites(source) == [
+        ("_color", "hsv_to_rgb"),
+        ("_paint", "_color"),
+        ("_paint", "take"),
+        ("write_ppm", "_color"),
+        ("write_ppm", "take"),
+    ]
+
+
+def test_the_colour_table_is_built_and_read_only_in_the_one_painter():
+    package = Path(fibmachine.__file__).parent
+    found = {
+        path.name: paint_sites(path.read_text(encoding="utf-8"))
+        for path in sorted(package.glob("*.py"))
+    }
+    assert len(found) > 10
+    assert found["render.py"] == [
+        ("_color", "hsv_to_rgb"),
+        ("_paint", "_color"),
+        ("_paint", "take"),
+        ("_paint", "take"),
+    ]
+    # other modules take from their own tables, never a colour
+    others = {name: sites for name, sites in found.items() if name != "render.py"}
+    assert not [site for sites in others.values() for site in sites if site[1] != "take"]

@@ -1,5 +1,6 @@
 """Grid sampling, the threaded scan, and the three output encoders."""
 
+import time
 import warnings
 from concurrent.futures import Future
 
@@ -393,6 +394,23 @@ def test_default_palette_colors():
     assert _color(0) == (255, 38, 38)
     assert _color(1) == (38, 101, 255)
     assert _color(3) == (255, 38, 228)
+
+
+@pytest.mark.parametrize(
+    "buf",
+    [
+        parse_csv("0,0,2147483647\n"),
+        IterBuffer(3, 1, np.array([[-1, 2**31 - 1, 7]], dtype=np.int32)),
+        IterBuffer(10, 7, np.where(np.arange(70).reshape(7, 10) % 3, -1, 2**31 - 1)),
+    ],
+)
+def test_a_far_level_is_coloured_without_a_table_up_to_it(buf):
+    # the table covers the distinct levels, not 0..2**31 - 1
+    start = time.perf_counter()
+    data = write_ppm(buf)
+    assert time.perf_counter() - start < 0.1
+    header = f"P6\n{buf.width} {buf.height}\n255\n".encode("ascii")
+    assert data == header + b"".join(bytes(_color(int(level))) for level in buf.cells.reshape(-1))
 
 
 def test_ppm_of_an_empty_buffer():

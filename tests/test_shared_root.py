@@ -6,11 +6,15 @@ once, then splits the group where they differ; render.scan_fibers and
 figures.repro_panels run it over a grid.  Every fiber's levels, and the
 coefficients its sequence is asked for, must be those of escape_levels for
 that fiber alone, and every panel's bytes those of render_panel.
+render.write_ppms paints each fiber's PPM from that one walk: its bytes must
+be write_ppm's of each buffer scan_fibers yields.
 """
 
 import hashlib
+import tempfile
 import time
 from collections import Counter
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -32,7 +36,7 @@ from fibmachine import (
 from fibmachine import spectrum
 from fibmachine.cli import main
 from fibmachine.figures import panel_config
-from fibmachine.render import scan_fibers, scan_grid
+from fibmachine.render import scan_fibers, scan_grid, write_ppms
 from fibmachine.spectrum import INSIDE, FiberWalk
 from oracles import Recording
 
@@ -107,7 +111,7 @@ def together(lam, fibers, block):
     try:
         walk.walk(out)
         for k in range(len(fibers)):
-            walk.fiber(k, out)
+            out[walk.index] = walk.fiber(k)
             outcomes.append(out.copy())
     except TailUndefined as exc:
         outcomes.append(str(exc))
@@ -202,7 +206,7 @@ def test_the_panels_walk_each_shared_prefix_once():
     assert 0 < walk.index.size < 0.2 * lam.size  # the lanes past the top node
     assert all(kept.dtype == np.int8 for kept in walk.kept)
     for k, (p, cfg) in enumerate(fibers):
-        walk.fiber(k, out)
+        out[walk.index] = walk.fiber(k)
         assert np.array_equal(out, escape_levels(lam, p, cfg)), k
 
 
@@ -227,7 +231,7 @@ def test_a_group_past_level_0_rebuilds_lambda_for_lanes_between_its_radii():
     walk.walk(out)
     assert len(built) == 2  # the top node's pass, then one for the lanes handed back
     for k, (p, cfg) in enumerate(fibers):
-        walk.fiber(k, out)
+        out[walk.index] = walk.fiber(k)
         assert np.array_equal(out, escape_levels(lam, p, cfg)), k
 
 
@@ -265,6 +269,74 @@ def test_two_bands_on_one_descriptor_ask_each_index_once_in_order():
         for buf in scan_fibers(grid, [(seen, cfg), (seen, cfg)], workers=2):
             assert np.array_equal(buf.cells, want)
         assert seen.asked == alone.asked
+
+
+# ---------------------------------------------------------------------------
+# one painter: write_ppms against write_ppm of each buffer scan_fibers yields
+
+
+@st.composite
+def small_grids(draw):
+    """Grids of 1-9 by 1-9 pixels, centred on the real axis (rows mirrored) or off it (none).
+
+    A height of 1e-18 rounds every row to a few imaginary parts, so one
+    scanned row stands for several grid rows, not just a row and its mirror.
+    """
+    center = complex(draw(st.floats(-1.5, 1.5)), draw(st.sampled_from([0.0, 0.0, 0.37, -1.1])))
+    width = draw(st.floats(0.5, 6.0))
+    height = draw(st.one_of(st.floats(0.5, 6.0), st.just(1e-18)))
+    return GridSpec(center, width, height, draw(st.integers(1, 9)), draw(st.integers(1, 9)))
+
+
+def scanned_ppms(grid, fibers, workers):
+    """write_ppm and the INSIDE count of each buffer scan_fibers yields, then the error it raised."""
+    ppms = []
+    try:
+        for buf in scan_fibers(grid, fibers, workers):
+            ppms.append((write_ppm(buf), buf.inside_count()))
+    except TailUndefined as exc:
+        return ppms, str(exc)
+    return ppms, None
+
+
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(grid=small_grids(), fibers=fiber_sets(), workers=st.integers(min_value=1, max_value=3))
+@example(  # p_1 differs, so the fibers split at level 0 and every pixel passes the top node
+    grid=GridSpec(0.1j, 3.0, 2.5, 9, 7),
+    fibers=[
+        (ConstantTail((1.0,), 0.9), EscapeConfig(3.0, 17, True)),
+        (ConstantTail((0.9,), 0.9), EscapeConfig(3.0, 9, True)),
+    ],
+    workers=2,
+)
+def test_write_ppms_writes_write_ppm_of_each_scan(grid, fibers, workers):
+    want, error = scanned_ppms(grid, fibers, workers)
+    with tempfile.TemporaryDirectory() as out:
+        paths = [Path(out) / f"{k}.ppm" for k in range(len(fibers))]
+        try:
+            counts = write_ppms(grid, fibers, paths, workers)
+        except TailUndefined as exc:
+            assert str(exc) == error
+        else:
+            assert error is None and counts == [inside for _, inside in want]
+        # the files before the fiber that raised are written, and no others
+        assert [path.exists() for path in paths] == [k < len(want) for k in range(len(paths))]
+        assert [path.read_bytes() for path in paths[: len(want)]] == [ppm for ppm, _ in want]
+
+
+def test_write_ppms_raises_a_fibers_error_at_its_turn(tmp_path):
+    # the second fiber has no tail past p_2; its group walks on to level 2 with the first
+    fibers = [
+        (ConstantTail((0.9, 0.8), 0.7), EscapeConfig(3.0, 17, True)),
+        (ConstantTail((0.9, 0.8), None), EscapeConfig(4.0, 17, True)),
+        (ConstantTail((0.9, 0.6), 0.7), EscapeConfig(3.0, 17, True)),
+    ]
+    grid = GridSpec(0.1 + 0.05j, 5.0, 4.0, 21, 15)
+    paths = [tmp_path / f"{k}.ppm" for k in range(3)]
+    with pytest.raises(TailUndefined):
+        write_ppms(grid, fibers, paths, workers=2)
+    assert paths[0].read_bytes() == write_ppm(next(scan_fibers(grid, fibers)))
+    assert not paths[1].exists() and not paths[2].exists()
 
 
 # ---------------------------------------------------------------------------
