@@ -113,7 +113,7 @@ def scan_fibers(
     the indices a scan of every row with that fiber alone asks for, each
     once, in ascending order.
     """
-    levels, source, at, turns = _walked(grid, fibers, workers)
+    levels, source, at, turns, _ = _walked(grid, fibers, workers)
     for kept in turns:
         levels.reshape(-1)[at] = kept
         yield IterBuffer(grid.pixels_x, grid.pixels_y, levels[source])
@@ -121,9 +121,11 @@ def scan_fibers(
 
 def _walked(
     grid: GridSpec, fibers: Sequence[tuple[ProbSeq, EscapeConfig]], workers: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, Iterator[np.ndarray]]:
-    """scan_fibers' walk: the scanned rows' levels, the scanned row of each grid row, the
-    flat position there of each lane past the top node, and each fiber's levels of them."""
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, Iterator[np.ndarray], int]:
+    """scan_fibers' walk: the scanned rows' levels, the scanned row of each grid row, the flat
+    position there of each lane past the top node, each fiber's levels of them, the deepest one."""
+    if not fibers:
+        raise ValueError("fibers must hold at least one (p, cfg) pair, got none")
     within(grid.pixels_x * grid.pixels_y, PIXEL_BUDGET, "pixel")
     integer(workers, "workers", 1)
     _, first, partner = np.unique(
@@ -153,7 +155,8 @@ def _walked(
     starts = np.cumsum([0, *map(len, rows)]) * grid.pixels_x  # of each band in `levels`, flat
     at = np.concatenate([walk.index + start for walk, start in zip(walks, starts)])
     turns = (np.concatenate([walk.fiber(k) for walk in walks]) for k in range(len(fibers)))
-    return levels, source, at, turns
+    deepest = max((k.max(initial=INSIDE) for walk in walks for k in walk.kept), default=INSIDE)
+    return levels, source, at, turns, int(max(deepest, levels.max(initial=INSIDE)))
 
 
 # ---------------------------------------------------------------------------
@@ -213,14 +216,16 @@ def write_ppms(
     The top node's levels are painted once; each fiber's turn paints its lanes past the top
     node over them, on every grid row that shows the lane's row, or raises the fiber's error.
     """
-    levels, source, at, turns = _walked(grid, fibers, workers)
+    if len(paths) != len(fibers):
+        raise ValueError(f"paths must name one file per fiber, got {len(paths)} for {len(fibers)}")
+    levels, source, at, turns, deepest = _walked(grid, fibers, workers)
     levels.reshape(-1)[at] = INSIDE  # painted at each fiber's turn
     order, width = np.argsort(at), grid.pixels_x
     lo, hi = np.searchsorted(at[order], (source + [[0], [1]]) * width)  # row g: lo[g]:hi[g]
     picks = np.concatenate([order[a:b] for a, b in zip(lo, hi)])  # the lanes each row shows
     pixels = np.repeat(np.arange(len(source)) * width, hi - lo) + at[picks] % width
     inside = int(np.bincount(source) @ np.count_nonzero(levels == INSIDE, axis=1))
-    body, paint = _paint(levels, source, max(cfg.max_level for _, cfg in fibers))
+    body, paint = _paint(levels, source, deepest)
     counts = []
     for path, kept in zip(paths, turns):
         paint(pixels, kept[picks])

@@ -15,7 +15,8 @@ block walk, which starts from lambda or from a level's state and takes
 each level's coefficient r_n, has one caller, FiberWalk: the walk of
 several fibers (sequence and escape parameters) over one set of pixels,
 which steps each level once for each group of fibers that shares the
-coefficients up to it.  escape_levels is that walk with one fiber.  The
+coefficients up to it, and lambda once for each group that steps level 0
+alike.  escape_levels is that walk with one fiber.  The
 scalar membership test in_E walks one lambda with the scalar step and
 carries a bound on its distance from numpy's arithmetic (a rounding model
 with the constants UNIT, MUL_ERR, ABS_ERR, TINY_ERR and SAFE); a test is
@@ -282,44 +283,43 @@ class _Rules(NamedTuple):
 
 
 #: Lanes handed back by a walk, (level, index, cur, prev), to walk on from
-#: `level`: cur and prev are q_(level-1) and q_(level-2), or at level 0 cur
-#: is lambda, or None where it is to be rebuilt, and prev is None.
-_Part = tuple[int, np.ndarray, np.ndarray | None, np.ndarray | None]
+#: `level`: cur and prev are q_(level-1) and q_(level-2), or lambda twice at level 0.
+_Part = tuple[int, np.ndarray, np.ndarray, np.ndarray]
 
 
-def _walk_lanes(cur, prev, start: int, out: np.ndarray, rules: _Rules) -> list[_Part]:
+def _walk_lanes(cur, prev, start: int, out: np.ndarray, rules: _Rules) -> tuple[list, list]:
     """Step lanes from level `start`, writing into `out` the level of each lane that settles.
 
     The lanes are a _Part's cur and prev at `start`.  Level n multiplies by
     1/r for its coefficient r: the seed (lambda - 1)/r + 1 at level 0, then
     x/r - (1/r - 1), or (x - 1)/r + 1 below TINY_R.  The walk ends after
     rules.last, or at the first level whose coefficient is None, where it
-    hands back the lanes still walking.  When rules.wide exceeds rules.radius
-    it also hands back, from level 0, each lane settled by the radius rule
-    alone with a modulus of at most rules.wide, with its lambda when
-    `start` is 0 and else with None; the level written for it here is then
-    provisional.  Handed-back indices are into `out`.
+    hands back the lanes still walking in the first list it returns.  When
+    rules.wide exceeds rules.radius it hands back in the second each lane
+    settled at a level n by the radius rule alone with a modulus of at most
+    rules.wide, with its state before level n, to step level n again; the
+    level written for it here is then provisional.  Indices are into `out`.
 
     A lane that settles stays in the work arrays behind an `alive` mask and
     is never written again; once fewer than COMPACT_AT of the lanes are
     alive, the arrays shrink to the alive ones, kept with their indices.
     """
     step, radius, last, pair_rule, wide = rules
-    lam = None if start else cur
     prev_big = np.abs(cur) > 1.0 + ETA if start else None
     lanes = count = cur.size
     levels = out  # the level of each lane, written through to `out` until compacted
     live = None  # index into `out` of each lane; None until compacted
     alive = None  # lanes not yet settled; None while all of them are
-    handed: list[_Part] = []
+    survivors, between = [], []
     for n in range(start, last + 1):
         r = step(n)
         if r is None:  # never at level 0
             keep = slice(None) if alive is None else alive.nonzero()[0]
             index = np.arange(lanes) if live is None else live
-            handed.append((n, index[keep], cur[keep], prev[keep]))
+            survivors.append((n, index[keep], cur[keep], prev[keep]))
             break
         inv_r = 1.0 / r
+        state = cur, prev  # before level n
         # one expression per form, so numpy reuses its temporary in place
         if n == 0:
             cur = prev = (cur - 1.0) * inv_r + 1.0  # step 1 squares the seed
@@ -348,8 +348,8 @@ def _walk_lanes(cur, prev, start: int, out: np.ndarray, rules: _Rules) -> list[_
                     back &= ~pair
                 back = back.nonzero()[0]
                 if back.size:
-                    back = back if live is None else live[back]
-                    handed.append((0, back, None if lam is None else lam[back], None))
+                    index = back if live is None else live[back]
+                    between.append((n, index, state[0][back], state[1][back]))
             count -= settled
             if count == 0:
                 break
@@ -373,7 +373,7 @@ def _walk_lanes(cur, prev, start: int, out: np.ndarray, rules: _Rules) -> list[_
         prev_big = big
     if live is not None:
         out[live] = levels
-    return handed
+    return survivors, between
 
 
 class FiberWalk:
@@ -388,21 +388,24 @@ class FiberWalk:
     group of its members that steps the next level alike.  The pair rule
     does not depend on the radius and is checked first, so only a lane
     between the smallest and the widest radius may settle otherwise in some
-    member: it goes back to each member to walk alone from lambda (rebuilt
-    from the blocks past level 0).  The top node, every fiber from level 0,
-    writes into the band's levels; one that steps nothing is a split at
-    level 0.  walk() goes depth first, the largest group last, so a node's
-    lanes are freed as they are walked; each fiber's levels of the lanes
-    past the top node are kept in the smallest integer type that holds its
-    max_level, and fiber(k) gives them, to be written at self.index.
+    member: it goes back to each member with its state before that level,
+    to step it again alone, and no lane is rebuilt from lambda.  The top
+    node, every fiber from level 0, writes into the band's levels.  Where
+    the fibers step level 0 differently every pixel is past it, and each
+    group that steps level 0 alike walks the band as a top node of its own,
+    through the band's levels, which it leaves INSIDE, into its members'.
+    walk() goes depth first, the largest group last, so a node's lanes are
+    freed as they are walked; each fiber's levels of the lanes past the top
+    node are kept in the smallest integer type that holds its max_level,
+    and fiber(k) gives them, to be written at self.index.
 
     `blocks()` gives a fresh iterator over the band's pixels as flat
-    complex128 blocks, so lambda is built one block at a time.  FiberWalk
-    is the only caller of the block walk.  Each fiber's coefficients are
-    read from its sequence's coefficient table, in level order and only as
-    far as a walk of that fiber alone reads them, and kept with the error a
-    level's read raised; the fiber stops there and fiber(k) raises it, so a
-    failing index is asked once per walk.
+    complex128 blocks, so lambda is built one block at a time, once per top
+    node.  FiberWalk is the only caller of the block walk.  Each fiber's
+    coefficients are read from its sequence's coefficient table, in level
+    order and only as far as a walk of that fiber alone reads them, and kept
+    with the error a level's read raised; the fiber stops there and fiber(k)
+    raises it, so a failing index is asked once per walk.
     """
 
     def __init__(
@@ -458,87 +461,71 @@ class FiberWalk:
         """Walk the tree; `out`, the band's levels, C-contiguous and INSIDE, gets the top node's."""
         out = out.reshape(-1)
         every = list(range(len(self.fibers)))
-        rules = self._rules(every)
+        tops = self._groups(every, 0)
         with np.errstate(over="ignore", invalid="ignore"):
-            split = rules.step(0) is None  # p_1 or early_exit differ, or a read failed
-            rests = [(0, np.arange(out.size), None, None)] if split else self._top(out, rules)
-            if not rests:
+            if tops != [every]:  # p_1 or early_exit differ, or a read failed
+                self._keep([np.arange(out.size)])
+                for group in tops:  # each a top node, walked into `out`
+                    handed = self._top(out, self._rules(group))
+                    for k in group:
+                        self.kept[k][:] = out
+                    out.fill(INSIDE)
+                    self._split(group, *handed)
                 return
-            self.index = np.concatenate([index for _, index, _, _ in rests])
-            types = [np.min_scalar_type(-cfg.max_level - 1) for _, cfg in self.fibers]
-            self.kept = [np.full(self.index.size, INSIDE, dtype) for dtype in types]
-            ends = np.cumsum([index.size for _, index, _, _ in rests])
-            parts = [(n, np.arange(e - i.size, e), c, p) for (n, i, c, p), e in zip(rests, ends)]
-            del rests
-            wide = [part for part in parts if part[0] == 0 and part[2] is not None]
-            parts = [part for part in parts if part[0] or part[2] is None]  # frees the first list
-            self._split(every, parts, wide)
+            handed = self._top(out, self._rules(every))
+            if any(handed):
+                slots = self._keep([index for parts in handed for _, index, _, _ in parts])
+                for parts in handed:  # their indices become slots of self.index
+                    parts[:] = [(n, next(slots), c, p) for n, _, c, p in parts]
+                self._split(every, *handed)
 
-    def _top(self, out: np.ndarray, rules: _Rules) -> list[_Part]:
-        """Walk the top node over every block into `out`; the lanes it hands back, by level."""
-        pending: dict[int, list[tuple]] = {}  # handed-back lanes by level, joined BLOCK at a time
-        rests = []
+    def _keep(self, at: list[np.ndarray]) -> Iterator[np.ndarray]:
+        """Keep each fiber's levels, INSIDE until written, at the positions in `at`; their slots."""
+        self.index = np.concatenate(at)
+        types = [np.min_scalar_type(-cfg.max_level - 1) for _, cfg in self.fibers]
+        self.kept = [np.full(self.index.size, INSIDE, dtype) for dtype in types]
+        return iter(np.split(np.arange(self.index.size), np.cumsum([index.size for index in at])))
+
+    def _top(self, out: np.ndarray, rules: _Rules) -> tuple[list[_Part], list[_Part]]:
+        """Walk a top node over every block into `out`; what it hands back, as _walk_lanes does."""
+        handed: tuple[list[_Part], list[_Part]] = ([], [])
+        pending: dict[tuple, list] = {}  # lanes by list and level, joined BLOCK at a time
         at = 0
         for lam in self.blocks():
-            for level, index, cur, prev in _walk_lanes(lam, None, 0, out[at : at + lam.size], rules):
-                parts = pending.setdefault(level, [])
-                parts.append((index + at, cur, prev))
-                if sum(part[0].size for part in parts) >= BLOCK:
-                    rests.append(_joined(level, pending.pop(level)))
+            for which, parts in enumerate(_walk_lanes(lam, lam, 0, out[at : at + lam.size], rules)):
+                for level, index, cur, prev in parts:
+                    lanes = pending.setdefault((which, level), [])
+                    lanes.append((index + at, cur, prev))
+                    if sum(lane[0].size for lane in lanes) >= BLOCK:
+                        handed[which].append(_joined(level, pending.pop((which, level))))
             at += lam.size
-        return rests + [_joined(level, parts) for level, parts in pending.items()]
+        for (which, level), lanes in pending.items():
+            handed[which].append(_joined(level, lanes))
+        return handed
 
-    def _node(self, members: list[int], parts: list[_Part]) -> None:
-        """Walk `parts`, whose indices are slots of self.index, for `members`, then split them."""
+    def _node(self, members: list[int], parts: list[_Part]) -> tuple[list[_Part], list[_Part]]:
+        """Walk `parts`, indexed by slots of self.index, for `members`; what they hand back."""
         rules = self._rules(members)
-        survivors: list[_Part] = []
-        wide: list[_Part] = []
+        handed: tuple[list[_Part], list[_Part]] = ([], [])
         while parts:
-            self._walk_part(members, rules, parts.pop(), survivors, wide)
-        self._split(members, survivors, wide)
-
-    def _walk_part(self, members, rules, part: _Part, survivors: list, wide: list) -> None:
-        """Walk one part for `members`, writing its levels for each; hand on the lanes handed back."""
-        level, slots, cur, prev = part
-        for slots, cur, prev in self._lanes(slots, cur, prev):
+            level, slots, cur, prev = parts.pop()
             levels = np.full(slots.size, INSIDE, dtype=np.int32)
-            for n, index, c, p in _walk_lanes(cur, prev, level, levels, rules):
-                (survivors if n else wide).append((n, slots[index], c, p))
+            for lanes, into in zip(_walk_lanes(cur, prev, level, levels, rules), handed):
+                into += [(n, slots[index], c, p) for n, index, c, p in lanes]
             if len(members) > 1:  # the group's lanes are INSIDE until it settles them
-                settled = levels != INSIDE
-                slots, levels = slots[settled], levels[settled]
+                slots, levels = slots[levels != INSIDE], levels[levels != INSIDE]
             for k in members:
                 self.kept[k][slots] = levels
+        return handed
 
-    def _lanes(self, slots: np.ndarray, cur, prev) -> Iterator[tuple]:
-        """(slots, cur, prev) of a part; where cur is None, lambda is rebuilt from the blocks."""
-        if cur is not None:
-            yield slots, cur, prev
-            return
-        at = self.index[slots]
-        if np.any(at[1:] < at[:-1]):  # in band order, for one pass over the blocks
-            order = np.argsort(at)
-            slots, at = slots[order], at[order]
-        start = 0
-        for lam in self.blocks():
-            lo, hi = np.searchsorted(at, (start, start + lam.size))
-            if hi - lo == lam.size:  # every lane of the block
-                yield slots[lo:hi], lam, None
-            elif hi > lo:
-                yield slots[lo:hi], lam[at[lo:hi] - start], None
-            start += lam.size
-
-    def _split(self, members: list[int], survivors: list[_Part], wide: list[_Part]) -> None:
+    def _split(self, members: list[int], survivors: list[_Part], between: list[_Part]) -> None:
         """Walk a node's lanes between its radii by each member alone, then its survivors by group."""
-        if wide and wide[0][2] is None:  # their lambda, rebuilt in one pass over the blocks
-            slots = np.concatenate([part[1] for part in wide])
-            wide[:] = [(0, *lanes) for lanes in self._lanes(slots, None, None)]
-        for k in members if wide else ():
-            self._node([k], list(wide))
-        wide.clear()
+        for k in members if between else ():  # the last frees the lanes as it walks them
+            self._split([k], *self._node([k], between if k == members[-1] else list(between)))
         groups = self._groups(members, survivors[0][0]) if survivors else []
         for group in groups:  # the largest last, which frees the lanes as it walks them
-            self._node(group, survivors if group is groups[-1] else list(survivors))
+            parts = survivors if group is groups[-1] else list(survivors)
+            self._split(group, *self._node(group, parts))
 
     def fiber(self, k: int) -> np.ndarray:
         """Fiber k's levels of the lanes at self.index; raises the error of its walk."""
@@ -550,9 +537,7 @@ class FiberWalk:
 
 def _joined(level: int, parts: list[tuple]) -> _Part:
     """Lanes handed back at `level`, (index, cur, prev) each, as one part."""
-    index, cur, prev = zip(*parts)
-    prev = None if level == 0 else np.concatenate(prev)
-    return level, np.concatenate(index), np.concatenate(cur), prev
+    return level, *map(np.concatenate, zip(*parts))
 
 
 #: The rounding model of in_E's certificate (Higham, Accuracy and Stability

@@ -13,9 +13,11 @@ every spectral entry point as a number: a bool, a str or a non-number is
 refused naming lam.  A second scan keeps the
 coefficient schedule in r_index: no other expression computes the index of
 a p.p(...) request by halving.  A third keeps FiberWalk the only caller of
-the escape kernel: no _walk_lanes call or _Rules built outside it.  A
-fourth keeps the residuals' row sums in chain._fsum_rows: neither
-beta_eigen_residual, stationarity_residual nor eigen_residual names fsum.
+the escape kernel: no _walk_lanes call or _Rules built outside it, and
+lambda built from the band's blocks only by a top node's walk,
+FiberWalk._top.  A fourth keeps the residuals' row sums in
+chain._fsum_rows: neither beta_eigen_residual, stationarity_residual nor
+eigen_residual names fsum.
 A fifth keeps one ladder shape: t, the trailing zero digits, computed only
 in chain._trailing_zeros (by its self-copying fill, with no bitwise_count
 anywhere), the one stepped slice of FIB64 in chain._RUNG_SUMS, and no sort
@@ -462,6 +464,48 @@ def test_fiber_walk_is_the_only_caller_of_the_escape_kernel():
         if isinstance(node, ast.Call) and _name(node.func) in ("_walk_lanes", "_Rules")
     ]
     assert calls.count("_walk_lanes") >= 2 and calls.count("_Rules") >= 2
+
+
+def block_passes(source):
+    """(enclosing class and function names, line) of each .blocks( call."""
+    sites = []
+
+    def visit(node, name):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                visit(child, f"{name}.{child.name}" if name else child.name)
+                continue
+            if isinstance(child, ast.Call) and isinstance(child.func, ast.Attribute):
+                if child.func.attr == "blocks":
+                    sites.append((name, child.lineno))
+            visit(child, name)
+
+    visit(ast.parse(source), "")
+    return sites
+
+
+def test_block_passes_are_found():
+    source = (
+        "class FiberWalk:\n"
+        "    def _top(self, out):\n"
+        "        for lam in self.blocks():\n"
+        "            pass\n"
+        "    def _lanes(self, slots):\n"
+        "        return [lam for lam in self.blocks()], blocks()\n"
+        "def escape_levels(walk):\n"
+        "    return list(walk.blocks())\n"
+    )
+    assert block_passes(source) == [
+        ("FiberWalk._top", 3),
+        ("FiberWalk._lanes", 6),
+        ("escape_levels", 8),
+    ]
+
+
+def test_lambda_is_built_once_per_top_node():
+    # only a top node's walk, FiberWalk._top, iterates the band's blocks
+    source = (Path(fibmachine.__file__).parent / "spectrum.py").read_text(encoding="utf-8")
+    assert [name for name, _ in block_passes(source)] == ["FiberWalk._top"]
 
 
 # ---------------------------------------------------------------------------

@@ -33,7 +33,7 @@ from fibmachine import (
     repro_panels,
     write_ppm,
 )
-from fibmachine import spectrum
+from fibmachine import render, spectrum
 from fibmachine.cli import main
 from fibmachine.figures import panel_config
 from fibmachine.render import scan_fibers, scan_grid, write_ppms
@@ -210,29 +210,75 @@ def test_the_panels_walk_each_shared_prefix_once():
         assert np.array_equal(out, escape_levels(lam, p, cfg)), k
 
 
-def test_a_group_past_level_0_rebuilds_lambda_for_lanes_between_its_radii():
+def passes_over(lam, size):
+    """blocks() of `size` pixels over lam, and the number of times each block was given."""
+    given = Counter()
+
+    def blocks():
+        for at in range(0, lam.size, size):
+            given[at] += 1
+            yield lam[at : at + size]
+
+    return blocks, given
+
+
+def test_a_group_past_level_0_hands_back_lanes_between_its_radii_with_their_state():
     # p_2 splits the third fiber off at level 1; the first two walk on
     # together with radii 2 and 4, so a lane whose modulus passes 2 but not 4
-    # goes back to each of them, and its lambda is built from the blocks again
+    # goes back to each of them with its state, to step that level again alone
     fibers = [
         (ConstantTail((0.9, 0.8), 0.7), EscapeConfig(2.0, 30, False)),
         (ConstantTail((0.9, 0.8), 0.7), EscapeConfig(4.0, 25, False)),
         (ConstantTail((0.9, 0.6), 0.7), EscapeConfig(3.0, 30, False)),
     ]
     lam = np.linspace(-1.5 - 0.3j, 1.5 + 0.4j, 997)
-    built = []
+    blocks, given = passes_over(lam, 100)
+    between = []  # the levels at which lanes are handed back between a group's radii
+    walk_lanes = spectrum._walk_lanes
 
-    def blocks():
-        built.append(None)
-        return (lam[at : at + 100] for at in range(0, lam.size, 100))
+    def recorded(cur, prev, start, out, rules):
+        survivors, handed = walk_lanes(cur, prev, start, out, rules)
+        between.extend(n for n, _, _, _ in handed)
+        return survivors, handed
 
     walk = FiberWalk(fibers, blocks)
     out = np.full(lam.shape, INSIDE, dtype=np.int32)
-    walk.walk(out)
-    assert len(built) == 2  # the top node's pass, then one for the lanes handed back
+    with mock.patch.object(spectrum, "_walk_lanes", recorded):
+        walk.walk(out)
+    assert set(given.values()) == {1} and len(given) == 10  # one pass over the blocks
+    assert max(between) >= 2
     for k, (p, cfg) in enumerate(fibers):
         out[walk.index] = walk.fiber(k)
         assert np.array_equal(out, escape_levels(lam, p, cfg)), k
+
+
+def test_a_split_at_level_0_walks_each_level_0_group_from_the_blocks_once():
+    # p_1 differs, so every pixel passes the top node: the first three fibers
+    # walk the band together, the first two on past level 0 handing lanes
+    # between radii 2 and 4 back, and the fourth walks it alone; a fiber
+    # without p_1 walks nothing
+    fibers = [
+        (ConstantTail((0.9, 0.8), 0.7), EscapeConfig(2.0, 30, False)),
+        (ConstantTail((0.9, 0.8), 0.7), EscapeConfig(4.0, 25, False)),
+        (ConstantTail((0.9, 0.6), 0.7), EscapeConfig(3.0, 30, False)),
+        (ConstantTail((0.8, 0.8), 0.7), EscapeConfig(3.0, 30, False)),
+    ]
+    lam = np.linspace(-1.5 - 0.3j, 1.5 + 0.4j, 997)
+    blocks, given = passes_over(lam, 100)
+    walk = FiberWalk(fibers, blocks)
+    out = np.full(lam.shape, INSIDE, dtype=np.int32)
+    walk.walk(out)
+    assert set(given.values()) == {2} and len(given) == 10  # one pass per level-0 group
+    assert np.array_equal(walk.index, np.arange(lam.size)) and np.all(out == INSIDE)
+    for k, (p, cfg) in enumerate(fibers):
+        out[walk.index] = walk.fiber(k)
+        assert np.array_equal(out, escape_levels(lam, p, cfg)), k
+    blocks, given = passes_over(lam, 100)
+    walk = FiberWalk([*fibers[:1], (ConstantTail((), None), fibers[0][1])], blocks)
+    walk.walk(np.full(lam.shape, INSIDE, dtype=np.int32))
+    assert set(given.values()) == {1}
+    with pytest.raises(TailUndefined):
+        walk.fiber(1)
 
 
 def test_scan_fibers_yields_each_fibers_scan_at_any_worker_count():
@@ -337,6 +383,37 @@ def test_write_ppms_raises_a_fibers_error_at_its_turn(tmp_path):
         write_ppms(grid, fibers, paths, workers=2)
     assert paths[0].read_bytes() == write_ppm(next(scan_fibers(grid, fibers)))
     assert not paths[1].exists() and not paths[2].exists()
+
+
+def test_write_ppms_sizes_its_colour_table_by_the_deepest_level_walked(tmp_path):
+    # every pixel escapes at level 0, so two colours do, whatever max_level is;
+    # p_1 differs, so the levels are the kept arrays of a split at level 0
+    cfg = EscapeConfig(4.0, 10_000, True)
+    fibers = [(ConstantTail((0.9,), 0.8), cfg), (ConstantTail((1.0,), 0.8), cfg)]
+    grid = GridSpec(100.0 + 0j, 2.0, 2.0, 7, 5)
+    paths = [tmp_path / "a.ppm", tmp_path / "b.ppm"]
+    with mock.patch.object(render, "_color", wraps=render._color) as color:
+        assert write_ppms(grid, fibers, paths) == [0, 0]
+    assert color.call_count <= 0 + 2
+    for path, (p, cfg) in zip(paths, fibers):
+        assert path.read_bytes() == write_ppm(scan_grid(grid, p, cfg))
+
+
+def test_write_ppms_refuses_a_paths_list_that_is_not_one_per_fiber(tmp_path):
+    fiber = (ConstantTail((0.9,), 0.8), EscapeConfig(4.0, 17))
+    grid = GridSpec(0j, 3.0, 3.0, 5, 5)
+    for fibers, paths in (([fiber, fiber], ["a.ppm"]), ([fiber], ["a.ppm", "b.ppm"])):
+        with pytest.raises(ValueError, match="paths"):
+            write_ppms(grid, fibers, [tmp_path / path for path in paths])
+        assert list(tmp_path.iterdir()) == []
+
+
+def test_an_empty_fiber_list_is_refused_naming_fibers(tmp_path):
+    grid = GridSpec(0j, 3.0, 3.0, 5, 5)
+    with pytest.raises(ValueError, match="fibers"):
+        write_ppms(grid, [], [])
+    with pytest.raises(ValueError, match="fibers"):
+        next(scan_fibers(grid, []))
 
 
 # ---------------------------------------------------------------------------
