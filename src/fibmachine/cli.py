@@ -264,8 +264,9 @@ def cmd_render(args: argparse.Namespace) -> int:
         inside = buf.inside_count()
         if args.format == "png":
             out.write_bytes(render.write_png(buf))
-        else:  # write_csv's text, one block at a time
-            _write_or_print((b.decode("ascii") for b in render._csv_blocks(buf.cells)), str(out))
+        else:  # write_csv's text, as the ASCII blocks it is built from
+            with open(out, "wb") as fh:
+                fh.writelines(render._csv_blocks(buf.cells))
     print(f"wrote {out} ({grid.pixels_x}x{grid.pixels_y}, {inside} inside)")
     return 0
 

@@ -213,8 +213,9 @@ def write_ppms(
 ) -> list[int]:
     """Write each fiber's PPM, write_ppm's of scan_fibers' buffer, in turn; returns INSIDE counts.
 
-    The top node's levels are painted once; each fiber's turn paints its lanes past the top
-    node over them, on every grid row that shows the lane's row, or raises the fiber's error.
+    The top node's levels are painted once, with its lanes past the top node INSIDE; each
+    fiber's turn paints those of its lanes whose level differs from the one the body shows, on
+    every grid row that shows the lane's row, or raises the fiber's error.
     """
     if len(paths) != len(fibers):
         raise ValueError(f"paths must name one file per fiber, got {len(paths)} for {len(fibers)}")
@@ -226,10 +227,13 @@ def write_ppms(
     pixels = np.repeat(np.arange(len(source)) * width, hi - lo) + at[picks] % width
     inside = int(np.bincount(source) @ np.count_nonzero(levels == INSIDE, axis=1))
     body, paint = _paint(levels, source, deepest)
-    counts = []
+    counts, shown = [], np.full(len(picks), INSIDE, dtype=np.int8)  # the lanes' levels in `body`
     for path, kept in zip(paths, turns):
-        paint(pixels, kept[picks])
-        counts.append(inside - int(np.count_nonzero(kept[picks] != INSIDE)))
+        lanes = kept[picks]
+        changed = (lanes != shown).nonzero()[0]
+        paint(pixels[changed], lanes[changed])
+        shown = lanes
+        counts.append(inside - int(np.count_nonzero(lanes != INSIDE)))
         with open(path, "wb") as out:
             out.writelines([PPM_HEADER.format(width, grid.pixels_y).encode("ascii"), memoryview(body)])
     return counts

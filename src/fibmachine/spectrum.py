@@ -10,7 +10,12 @@ Everything here is reentrant.  The grid kernel is vectorized with numpy
 and runs the pixels in cache-sized blocks.  Inside a block a settled pixel
 rides along behind a mask until a quarter of the lanes have settled, and
 the work arrays then shrink to the live ones.  Each step multiplies by
-1/r_n, which gives the moduli of numpy's division by r_n exactly.  One
+1/r_n, which gives the moduli of numpy's division by r_n exactly.  Each
+fiber has a trap table T_n, built from its coefficients once a walk has
+read them all: a pixel whose moduli at levels n and n - 1 are at most T_n
+stays under the radius and 1 + ETA through max_level, under in_E's
+rounding model of numpy's arithmetic, so it settles as INSIDE there
+instead of stepping on (a certified interior).  One
 block walk, which starts from lambda or from a level's state and takes
 each level's coefficient r_n, has one caller, FiberWalk: the walk of
 several fibers (sequence and escape parameters) over one set of pixels,
@@ -280,6 +285,7 @@ class _Rules(NamedTuple):
     last: int  # the deepest level stepped
     pair_rule: bool
     wide: float  # lanes past `radius` but not past `wide` are handed back
+    trap: Sequence[float]  # _trap's T_n by level, or () for none: see _walk_lanes
 
 
 #: Lanes handed back by a walk, (level, index, cur, prev), to walk on from
@@ -299,13 +305,27 @@ def _walk_lanes(cur, prev, start: int, out: np.ndarray, rules: _Rules) -> tuple[
     settled at a level n by the radius rule alone with a modulus of at most
     rules.wide, with its state before level n, to step level n again; the
     level written for it here is then provisional.  Indices are into `out`.
+    At a level 0 < n < rules.last with T_n = rules.trap[n] > 0, a lane whose
+    moduli at n and n - 1 are both at most T_n settles as INSIDE: _trap's
+    bound keeps it under the radius and 1 + ETA through the last level, so
+    nothing is written for it and it is never handed back.  Each level
+    keeps, beside the pair rule's mask of moduli past 1 + ETA, the mask of
+    moduli at most T of the next level, as the modulus test of level n - 1.
 
     A lane that settles stays in the work arrays behind an `alive` mask and
     is never written again; once fewer than COMPACT_AT of the lanes are
-    alive, the arrays shrink to the alive ones, kept with their indices.
+    alive, the arrays shrink to the alive ones, kept with their indices and
+    their two masks.
     """
-    step, radius, last, pair_rule, wide = rules
-    prev_big = np.abs(cur) > 1.0 + ETA if start else None
+    step, radius, last, pair_rule, wide, trap = rules
+
+    def bound(n: int) -> float:  # T_n where level n may settle lanes as INSIDE, else 0.0
+        return trap[n] if 0 < n < last and n < len(trap) else 0.0
+
+    mod = np.abs(cur) if start else None  # the moduli of the level before
+    big = mod > 1.0 + ETA if start else None
+    t = bound(start)
+    low = mod <= t if start and t > 0.0 else None  # the lanes at most T of the level to come
     lanes = count = cur.size
     levels = out  # the level of each lane, written through to `out` until compacted
     live = None  # index into `out` of each lane; None until compacted
@@ -327,6 +347,7 @@ def _walk_lanes(cur, prev, start: int, out: np.ndarray, rules: _Rules) -> tuple[
             cur, prev = cur * prev * inv_r - (inv_r - 1.0), cur
         else:
             cur, prev = (cur * prev - 1.0) * inv_r + 1.0, cur
+        prev_big, prev_low = big, low
         mod = np.abs(cur)
         big = mod > 1.0 + ETA
         hit = ~(mod <= radius)
@@ -350,6 +371,19 @@ def _walk_lanes(cur, prev, start: int, out: np.ndarray, rules: _Rules) -> tuple[
                 if back.size:
                     index = back if live is None else live[back]
                     between.append((n, index, state[0][back], state[1][back]))
+        t = bound(n)
+        if t > 0.0:  # T_n is at most the radius, so no held lane is hit
+            held = mod <= t
+            held &= prev_low
+            if alive is not None:
+                held &= alive
+            inside = np.count_nonzero(held)
+            if inside:
+                hit |= held
+                settled += inside
+        t = bound(n + 1)
+        low = mod <= t if t > 0.0 else None
+        if settled:
             count -= settled
             if count == 0:
                 break
@@ -368,9 +402,9 @@ def _walk_lanes(cur, prev, start: int, out: np.ndarray, rules: _Rules) -> tuple[
                 cur = cur[kept]
                 prev = cur if n == 0 else prev[kept]
                 big = big[kept]
+                low = None if low is None else low[kept]
                 lanes = count
                 alive = None
-        prev_big = big
     if live is not None:
         out[live] = levels
     return survivors, between
@@ -399,6 +433,14 @@ class FiberWalk:
     node are kept in the smallest integer type that holds its max_level,
     and fiber(k) gives them, to be written at self.index.
 
+    Once a fiber's coefficients of levels 0..max_level are all known, its
+    trap table (_trap) is built from them, with no further request of `p`,
+    and each later block walk, a top node's block or a node's part, settles
+    as INSIDE the lanes held under it; a group takes its members' smallest
+    T_n, and no table until each member has one.  So in each band the first
+    block that reaches max_level walks uncertified, and so does a group
+    whose members have not yet walked alone.
+
     `blocks()` gives a fresh iterator over the band's pixels as flat
     complex128 blocks, so lambda is built one block at a time, once per top
     node.  FiberWalk is the only caller of the block walk.  Each fiber's
@@ -416,6 +458,7 @@ class FiberWalk:
         self.fibers = list(fibers)
         self.blocks = blocks
         self.known: list[list[float | Exception]] = [[] for _ in self.fibers]
+        self.traps: list[tuple[float, ...] | None] = [None] * len(self.fibers)  # built once known
         self.index = np.zeros(0, dtype=np.intp)  # the band position of each lane past the top node
         self.kept: list[np.ndarray] = []  # each fiber's levels of those lanes
 
@@ -448,14 +491,29 @@ class FiberWalk:
         """Level n's coefficient when every member steps it alike, else None: the node ends there."""
         return self._step(members[0], n) if self._groups(members, n) == [members] else None
 
+    def _fiber_trap(self, k: int) -> tuple[float, ...]:
+        """Fiber k's trap table, built once its coefficients of levels 0..max_level are known; else ()."""
+        trap = self.traps[k]
+        if trap is None:
+            cfg = self.fibers[k][1]
+            if len(self.known[k]) <= cfg.max_level:
+                return ()
+            trap = self.traps[k] = _trap(self.known[k][: cfg.max_level + 1], cfg)
+        return trap
+
     def _rules(self, members: list[int]) -> _Rules:
-        """How a node of `members` walks; a lone fiber takes its own steps, with no grouping."""
+        """How a node of `members` walks; a lone fiber takes its own steps, with no grouping.
+
+        The node's trap table is its members' smallest T_n at each level, () until all are built.
+        """
         cfgs = [self.fibers[k][1] for k in members]
         radii = [cfg.radius for cfg in cfgs]
         low, last, pair_rule = min(radii), max(cfg.max_level for cfg in cfgs), cfgs[0].early_exit
+        traps = [self._fiber_trap(k) for k in members]
+        trap = tuple(map(min, *traps)) if len(traps) > 1 else traps[0]
         if len(members) == 1:
-            return _Rules(partial(self._step, *members), low, last, pair_rule, low)
-        return _Rules(partial(self._shared_step, members), low, last, pair_rule, max(radii))
+            return _Rules(partial(self._step, *members), low, last, pair_rule, low, trap)
+        return _Rules(partial(self._shared_step, members), low, last, pair_rule, max(radii), trap)
 
     def walk(self, out: np.ndarray) -> None:
         """Walk the tree; `out`, the band's levels, C-contiguous and INSIDE, gets the top node's."""
@@ -466,13 +524,13 @@ class FiberWalk:
             if tops != [every]:  # p_1 or early_exit differ, or a read failed
                 self._keep([np.arange(out.size)])
                 for group in tops:  # each a top node, walked into `out`
-                    handed = self._top(out, self._rules(group))
+                    handed = self._top(out, group)
                     for k in group:
                         self.kept[k][:] = out
                     out.fill(INSIDE)
                     self._split(group, *handed)
                 return
-            handed = self._top(out, self._rules(every))
+            handed = self._top(out, every)
             if any(handed):
                 slots = self._keep([index for parts in handed for _, index, _, _ in parts])
                 for parts in handed:  # their indices become slots of self.index
@@ -486,12 +544,13 @@ class FiberWalk:
         self.kept = [np.full(self.index.size, INSIDE, dtype) for dtype in types]
         return iter(np.split(np.arange(self.index.size), np.cumsum([index.size for index in at])))
 
-    def _top(self, out: np.ndarray, rules: _Rules) -> tuple[list[_Part], list[_Part]]:
+    def _top(self, out: np.ndarray, members: list[int]) -> tuple[list[_Part], list[_Part]]:
         """Walk a top node over every block into `out`; what it hands back, as _walk_lanes does."""
         handed: tuple[list[_Part], list[_Part]] = ([], [])
         pending: dict[tuple, list] = {}  # lanes by list and level, joined BLOCK at a time
         at = 0
         for lam in self.blocks():
+            rules = self._rules(members)  # certified once a block has read every level
             for which, parts in enumerate(_walk_lanes(lam, lam, 0, out[at : at + lam.size], rules)):
                 for level, index, cur, prev in parts:
                     lanes = pending.setdefault((which, level), [])
@@ -505,9 +564,9 @@ class FiberWalk:
 
     def _node(self, members: list[int], parts: list[_Part]) -> tuple[list[_Part], list[_Part]]:
         """Walk `parts`, indexed by slots of self.index, for `members`; what they hand back."""
-        rules = self._rules(members)
         handed: tuple[list[_Part], list[_Part]] = ([], [])
         while parts:
+            rules = self._rules(members)  # certified once a part has read every level
             level, slots, cur, prev = parts.pop()
             levels = np.full(slots.size, INSIDE, dtype=np.int32)
             for lanes, into in zip(_walk_lanes(cur, prev, level, levels, rules), handed):
@@ -561,6 +620,42 @@ SAFE = 1.0 + 2.0**-40
 
 #: |z| is at most GROW times either lane's modulus of z.
 GROW = 1.0 + 2 * ABS_ERR
+
+#: A kernel step x y (1/r) - (1/r - 1) from lanes whose moduli are at most T
+#: has a modulus, as numpy computes it, of at most T^2 (1/r) TRAP_GROW +
+#: (1/r - 1) TRAP_SHIFT + TRAP_FLOOR under the model above: GROW for each
+#: of |x| and |y|, MUL_ERR for the product and for the multiply by 1/r, UNIT
+#: for the subtraction, ABS_ERR for the modulus, and a floor far above the
+#: TINY_ERR terms.
+TRAP_GROW = GROW**2 * (1 + MUL_ERR) ** 2 * (1 + UNIT) * (1 + ABS_ERR) * SAFE
+TRAP_SHIFT = (1 + UNIT) * (1 + ABS_ERR) * SAFE
+TRAP_FLOOR = 2.0**-1000
+
+
+def _trap(steps: Sequence, cfg: EscapeConfig) -> tuple[float, ...]:
+    """T_0..T_last of a fiber whose coefficients of levels 0..last = max_level are `steps`.
+
+    A lane whose moduli at levels m and m - 1 are at most T_m has moduli at
+    most T_(m+1) at m + 1 and m, so at most T_last from then on, and T_last
+    is the radius, and at most 1 + ETA under the pair rule: the lane never
+    settles.  Down from T_last, T_m = min(T_(m+1), sqrt((T_(m+1) - shift) /
+    (TRAP_GROW/r_(m+1)))), with 1/r_(m+1) rounded as the kernel rounds it and
+    shift the TRAP_SHIFT/TRAP_FLOOR bound on its (1/r - 1); T_m is 0 from the
+    first level down where that root is not positive, and every T_m is 0
+    unless each coefficient is _certain (a float in [TINY_R, 1]).
+    """
+    last = cfg.max_level
+    trap = [0.0] * (last + 1)
+    if not all(map(_certain, steps)):
+        return tuple(trap)
+    t = trap[last] = min(cfg.radius, 1.0 + ETA) if cfg.early_exit else cfg.radius
+    for m in range(last - 1, -1, -1):
+        inv = 1.0 / steps[m + 1]
+        room = t - ((inv - 1.0) * TRAP_SHIFT + TRAP_FLOOR)
+        if not room > 0.0:
+            break
+        t = trap[m] = min(t, math.sqrt(room / (inv * TRAP_GROW)))
+    return tuple(trap)
 
 
 def _certain(r) -> bool:

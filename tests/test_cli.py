@@ -353,17 +353,23 @@ def test_render_ppm_prints_the_scans_line_and_writes_its_bytes(capsys, tmp_path,
     assert out_file.read_bytes() == write_ppm(buf)
 
 
-def test_render_csv_streams_write_csv_text(capsys, tmp_path):
-    # 150 x 121 pixels: past one CSV block, and an odd height
-    doc = dict(SMALL_RENDER, grid={"pixels_x": 150, "pixels_y": 121, "width": 5.0, "height": 4.0})
-    cfg = cfg_file(tmp_path, doc)
-    assert 150 * 121 > render.CSV_BLOCK
+@pytest.mark.parametrize(
+    "pixels_x, pixels_y, workers",
+    # past one CSV block with an odd height; one pixel; one row per block; two bands
+    [(150, 121, 1), (1, 1, 1), (render.CSV_BLOCK, 2, 1), (97, 203, 2)],
+)
+def test_render_csv_streams_write_csv_text(capsys, tmp_path, pixels_x, pixels_y, workers):
+    # the file takes the ASCII blocks as they are built, over any earlier file
+    grid = {"pixels_x": pixels_x, "pixels_y": pixels_y, "width": 5.0, "height": 4.0}
+    cfg = cfg_file(tmp_path, dict(SMALL_RENDER, grid=grid))
     out_file = tmp_path / "r.csv"
-    code, out, err = run(capsys, "render", "--config", cfg, "--out", str(out_file), "--format", "csv")
+    out_file.write_bytes(b"x" * (60 * pixels_x * pixels_y))
+    argv = ["render", "--config", cfg, "--out", str(out_file), "--format", "csv"]
+    code, out, err = run(capsys, *argv, "--workers", str(workers))
     run_cfg = load_config(cfg)
     buf = scan_grid(run_cfg.grid, run_cfg.prob_seq, run_cfg.escape_config())
     assert code == 0 and err == ""
-    assert out == f"wrote {out_file} (150x121, {buf.inside_count()} inside)\n"
+    assert out == f"wrote {out_file} ({pixels_x}x{pixels_y}, {buf.inside_count()} inside)\n"
     assert out_file.read_bytes() == write_csv(buf).encode("ascii")
 
 

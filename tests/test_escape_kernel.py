@@ -10,10 +10,16 @@ multiplies by 1/r_n; on a live pixel its moduli equal the oracle's, so their
 levels must agree bit for bit.  The scalar `in_E` walks one lambda through
 the kernel's expressions and tests without the block bookkeeping; it must
 give the level of the shipped kernel on a 1x1 array and of the oracle, ask
-`p` for the same coefficients, and raise the same errors.
+`p` for the same coefficients, and raise the same errors.  Past the first
+block that reads every level, the kernel settles a lane as INSIDE where the
+trap table bounds its moduli; that certificate must change no level and no
+request, and its table must hold a worst-case step, computed exactly.
 """
 
 import cmath
+from contextlib import nullcontext
+from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -29,8 +35,22 @@ from fibmachine import (
     escape_levels,
     in_E,
 )
+from fibmachine import spectrum
+from fibmachine.chain import coefficients
 from fibmachine.figures import PANEL_COUNT, panel_config
-from fibmachine.spectrum import BLOCK, COMPACT_AT, ETA, INSIDE, r_index
+from fibmachine.spectrum import (
+    ABS_ERR,
+    BLOCK,
+    COMPACT_AT,
+    ETA,
+    GROW,
+    INSIDE,
+    MUL_ERR,
+    TINY_ERR,
+    TINY_R,
+    UNIT,
+    r_index,
+)
 from oracles import Recording, for_probseq
 
 HALF = ConstantTail((), 0.5)
@@ -459,3 +479,208 @@ def test_conjugate_blocks_get_the_same_levels(max_level, early_exit):
         lam = np.array(_lane_lambdas(rng, p, cfg) * 40 + _random_lambda(rng, BLOCK, 3.0).tolist())
         rng.shuffle(lam)
         assert np.array_equal(escape_levels(np.conj(lam), p, cfg), escape_levels(lam, p, cfg)), p
+
+
+# ---------------------------------------------------------------------------
+# the certified interior: lanes held under the trap table settle as INSIDE
+
+NEAR_ONE = [all_ones(), ConstantTail((1.0, 0.999), 0.98), ConstantTail((), 0.9)]
+
+
+def _steps(p, cfg):
+    return [coefficients(p).level(p, n) for n in range(cfg.max_level + 1)]
+
+
+def _kernel_moduli(lam, steps):
+    """The kernel's moduli of `lam` at each level, from its expressions for r in [TINY_R, 1]."""
+    inv = 1.0 / steps[0]
+    cur = prev = (lam - 1.0) * inv + 1.0
+    mods = [np.abs(cur)]
+    for r in steps[1:]:
+        inv = 1.0 / r
+        cur, prev = cur * prev * inv - (inv - 1.0), cur
+        mods.append(np.abs(cur))
+    return np.array(mods)
+
+
+def _next_to_the_trap(p, cfg, rng, rays=24):
+    """Lambdas on rays from q_0 = 0 whose moduli at levels n and n - 1 come within an ulp of T_n.
+
+    Each ray takes a level n with T_n > 0 and is bisected to the two
+    neighbouring lambdas on either side of max(|q_n|, |q_(n-1)|) = T_n.
+    """
+    steps = _steps(p, cfg)
+    trap = spectrum._trap(steps, cfg)
+    levels = [n for n in range(1, cfg.max_level) if trap[n] > 0.0]
+    if not levels:
+        return np.zeros(0, dtype=complex)
+    at = rng.choice(levels, rays)
+    bound = np.array(trap)[at]
+    center, way = 1.0 - steps[0], np.exp(2j * np.pi * rng.uniform(0.0, 1.0, rays))
+
+    def held(s):
+        with np.errstate(over="ignore", invalid="ignore"):
+            mods = _kernel_moduli(center + s * way, steps)
+        rows = np.arange(rays)
+        return np.maximum(mods[at, rows], mods[at - 1, rows]) <= bound
+
+    lo, hi = np.zeros(rays), np.full(rays, 4.0)
+    ok = held(lo) & ~held(hi)
+    for _ in range(80):
+        mid = (lo + hi) / 2.0
+        inside = held(mid)
+        lo, hi = np.where(inside, mid, lo), np.where(inside, hi, mid)
+    return np.concatenate([center + lo[ok] * way[ok], center + hi[ok] * way[ok]])
+
+
+def _lane_levels(run):
+    """run()'s result and the lane-levels its walks stepped: the complex moduli taken."""
+    count = 0
+    modulus = np.abs
+
+    def counted(x, *args, **kwargs):
+        nonlocal count
+        if np.iscomplexobj(x):
+            count += np.size(x)
+        return modulus(x, *args, **kwargs)
+
+    with mock.patch.object(np, "abs", counted):
+        result = run()
+    return result, count
+
+
+def _uncertified():
+    return mock.patch.object(spectrum, "_trap", lambda steps, cfg: ())
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    p=st.sampled_from(PANEL_SEQS + NEAR_ONE + [HALF]),
+    max_level=st.sampled_from([1, 2, 5, 17, 40]),
+    early_exit=st.booleans(),
+    block=st.sampled_from([16, 61, 200]),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_certified_kernel_equals_full_array_kernel(p, max_level, early_exit, block, seed):
+    # blocks of `block` lanes, so the trap is live past the first; lambdas
+    # next to T_n at some level, around the disk and out past the radius
+    cfg = for_probseq(p, max_level=max_level, early_exit=early_exit)
+    rng = np.random.default_rng(seed)
+    center = 1.0 - p.p(1)
+    edge = _next_to_the_trap(p, cfg, rng)
+    lam = np.concatenate([[center], edge, center + _random_lambda(rng, 3 * block, 1.6)])
+    rng.shuffle(lam[1:])
+    with mock.patch.object(spectrum, "BLOCK", block):
+        assert_same_levels(lam, p, cfg)
+
+
+def test_lambdas_next_to_the_trap_straddle_it():
+    rng = np.random.default_rng(28)
+    for p in PANEL_SEQS[6:10] + NEAR_ONE:
+        cfg = for_probseq(p, max_level=17)
+        edge = _next_to_the_trap(p, cfg, rng)
+        assert edge.size >= 8, p
+        with mock.patch.object(spectrum, "BLOCK", 16):
+            certified, fewer = _lane_levels(lambda: escape_levels(edge, p, cfg))
+            with _uncertified():
+                plain, more = _lane_levels(lambda: escape_levels(edge, p, cfg))
+        assert np.array_equal(certified, plain) and fewer < more, p
+        assert np.array_equal(certified, full_array_escape_levels(edge, p, cfg)), p
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    steps=st.lists(
+        st.one_of(
+            st.floats(min_value=0.8, max_value=1.0),
+            st.floats(min_value=0.99, max_value=1.0),
+            st.sampled_from([1.0, 1.0 - 2.0**-53, 0.999, 0.83, 0.5, TINY_R]),
+        ),
+        min_size=1,
+        max_size=41,
+    ),
+    radius=st.one_of(
+        st.floats(min_value=1.0, max_value=10.0, exclude_min=True),
+        st.sampled_from([1.0 + ETA / 2, 1.0 + ETA, 1e300]),
+    ),
+    early_exit=st.booleans(),
+)
+def test_the_trap_holds_the_worst_case_step_under_the_next_level(steps, radius, early_exit):
+    # exactly, in the rounding model: moduli at most T_m at levels m and m - 1
+    # give a modulus at most T_(m+1) at level m + 1, as numpy computes it
+    cfg = EscapeConfig(radius, len(steps) - 1, early_exit)
+    trap = spectrum._trap(steps, cfg)
+    assert len(trap) == len(steps)
+    assert trap[-1] == (min(radius, 1.0 + ETA) if early_exit else radius)
+    live = [t > 0.0 for t in trap]
+    assert live == sorted(live)  # 0 from the first level down where the root fails
+    tiny = Fraction(TINY_ERR)
+    for m in range(cfg.max_level):
+        assert trap[m] <= trap[m + 1]
+        if not trap[m]:
+            continue
+        inv = 1.0 / steps[m + 1]
+        size = Fraction(GROW) * (Fraction(trap[m]) + tiny)  # |x| and |y| from their moduli
+        product = size * size * (1 + Fraction(MUL_ERR)) + tiny
+        scaled = product * Fraction(inv) * (1 + Fraction(MUL_ERR)) + tiny
+        shifted = (scaled + Fraction(inv - 1.0)) * (1 + Fraction(UNIT)) + 2 * tiny
+        assert shifted * (1 + Fraction(ABS_ERR)) + tiny <= Fraction(trap[m + 1]), m
+
+
+def test_the_trap_needs_every_coefficient_in_the_certified_range():
+    cfg = EscapeConfig(4.0, 5, True)
+    assert any(spectrum._trap([1.0] * 6, cfg)[1:])
+    for bad in (TINY_R / 2, 1.0 + 2.0**-52, float("nan")):
+        for at in (0, 3, 5):
+            steps = [1.0] * 6
+            steps[at] = bad
+            assert spectrum._trap(steps, cfg) == (0.0,) * 6
+
+
+@pytest.mark.parametrize("p", [all_ones(), PANEL_SEQS[7], PANEL_SEQS[9]])
+def test_a_radius_within_eta_of_one_caps_the_trap(p):
+    # radius in (1, 1 + ETA] under the pair rule: T_last is the radius
+    cfg = EscapeConfig(1.0 + ETA / 2, 17, True)
+    trap = spectrum._trap(_steps(p, cfg), cfg)
+    assert trap[-1] == cfg.radius and any(trap[1:-1])
+    rng = np.random.default_rng(17)
+    lam = np.concatenate([[1.0 - p.p(1)], _next_to_the_trap(p, cfg, rng), _random_lambda(rng, 600, 1.2)])
+    with mock.patch.object(spectrum, "BLOCK", 50):
+        certified, fewer = _lane_levels(lambda: escape_levels(lam, p, cfg))
+        with _uncertified():
+            _, more = _lane_levels(lambda: escape_levels(lam, p, cfg))
+    assert np.any(certified == INSIDE) and fewer < more
+    assert np.array_equal(certified, full_array_escape_levels(lam, p, cfg))
+
+
+@pytest.mark.parametrize(
+    "p",
+    [
+        PANEL_SEQS[6],
+        all_ones(),
+        # levels 0..17 read p_1..p_9: every level is known, and p_10 is never asked
+        ConstantTail((1.0, 0.999, 1.0, 1.0, 0.98, 1.0, 1.0, 1.0, 1.0), tail=None),
+        # p_5 raises: the fiber never builds its trap
+        ConstantTail((1.0, 0.999, 1.0, 1.0), tail=None),
+        ConstantTail((), tail=None),
+    ],
+)
+def test_the_certificate_asks_p_what_the_uncertified_walk_asks(p):
+    cfg = EscapeConfig(4.0, 17, True)
+    rng = np.random.default_rng(29)
+    lam = np.concatenate([[0.0], _random_lambda(rng, 700, 1.3)])
+
+    def walk(certify):
+        seen = Recording(p)
+        with mock.patch.object(spectrum, "BLOCK", 64), nullcontext() if certify else _uncertified():
+            try:
+                return seen.asked, escape_levels(lam, seen, cfg).tolist(), None
+            except TailUndefined as err:
+                return seen.asked, None, str(err)
+
+    got, count = _lane_levels(lambda: walk(True))
+    want, plain = _lane_levels(lambda: walk(False))
+    assert got == want
+    assert got[0] == list(range(1, len(got[0]) + 1))  # each index once, in ascending order
+    if got[2] is None and p.p(1) == 1.0:
+        assert count < plain  # the trap was live

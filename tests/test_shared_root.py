@@ -385,6 +385,52 @@ def test_write_ppms_raises_a_fibers_error_at_its_turn(tmp_path):
     assert not paths[1].exists() and not paths[2].exists()
 
 
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_write_ppms_repaints_only_the_pixels_whose_level_changed(tmp_path, workers):
+    # panels 4 and 5 share most levels, a p_1 of 0.7 shares none, panel 5
+    # comes twice in a row, panel 7 walks to level 200 (int16 kept levels)
+    # beside its own level 17 (int8), and a fiber without a tail past p_2
+    # raises at its turn, after the files before it are written
+    def panel(k, max_level=17):
+        cfg = panel_config(k).escape_config()
+        return panel_config(k).prob_seq, EscapeConfig(cfg.radius, max_level, cfg.early_exit)
+
+    fibers = [
+        panel(4),
+        panel(5),
+        (ConstantTail((0.7,), 0.6), EscapeConfig(3.0, 17, True)),
+        panel(5),
+        panel(5),
+        panel(7, 200),
+        panel(7),
+        (ConstantTail((1.0, 0.999), None), EscapeConfig(4.0, 17, True)),
+        panel(4),
+    ]
+    grid = GridSpec(0.1 + 0.05j, 4.0, 3.0, 41, 33)
+    paths = [tmp_path / f"{k}.ppm" for k in range(len(fibers))]
+    bufs = scan_fibers(grid, fibers[:7], workers)
+    want = [(write_ppm(buf), buf.inside_count()) for buf in bufs]
+    painted = []  # the pixels each turn paints
+    paint = render._paint
+
+    def counted(levels, source, top=None):
+        body, brush = paint(levels, source, top)
+        return body, lambda pixels, lanes: (painted.append(pixels.size), brush(pixels, lanes))
+
+    with mock.patch.object(render, "_paint", counted), pytest.raises(TailUndefined):
+        write_ppms(grid, fibers, paths, workers)
+    assert [path.read_bytes() for path in paths[:7]] == [ppm for ppm, _ in want]
+    assert not any(path.exists() for path in paths[7:])
+    first, *rest = painted
+    assert len(painted) == 7 and first > 0
+    assert 0 < rest[0] < first  # panel 5 after panel 4
+    assert rest[3] == 0  # panel 5 again
+    assert max(rest) == rest[1]  # the fiber that shares no level
+    counts = write_ppms(grid, fibers[:7], paths[:7], workers)
+    assert counts == [inside for _, inside in want]
+    assert [path.read_bytes() for path in paths[:7]] == [ppm for ppm, _ in want]
+
+
 def test_write_ppms_sizes_its_colour_table_by_the_deepest_level_walked(tmp_path):
     # every pixel escapes at level 0, so two colours do, whatever max_level is;
     # p_1 differs, so the levels are the kept arrays of a split at level 0
@@ -445,6 +491,25 @@ def test_repro_all_writes_the_pinned_panels(tmp_path, capsys, workers):
     assert main(argv) == 0
     paths = [tmp_path / f"panel{k:02d}.ppm" for k in range(1, PANEL_COUNT + 1)]
     assert capsys.readouterr().out == "".join(f"wrote {path}\n" for path in paths)
+    for k, path in enumerate(paths, start=1):
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == PANEL_PPM_SHA256[k], k
+
+
+def test_repro_all_steps_at_most_9_2m_lane_levels(tmp_path):
+    # the lane-levels are the complex moduli the walks take; the certified
+    # interior took them from 10,417,600 to 9,092,703
+    count = 0
+    modulus = np.abs
+
+    def counted(x, *args, **kwargs):
+        nonlocal count
+        if np.iscomplexobj(x):
+            count += np.size(x)
+        return modulus(x, *args, **kwargs)
+
+    with mock.patch.object(np, "abs", counted):
+        paths = repro_panels(range(1, PANEL_COUNT + 1), tmp_path, pixels=800)
+    assert count <= 9_200_000
     for k, path in enumerate(paths, start=1):
         assert hashlib.sha256(path.read_bytes()).hexdigest() == PANEL_PPM_SHA256[k], k
 
